@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .graph import ForbiddenWitness
+from .graph import ForbiddenWitness, decode_label, encode_label
 from .splitcheck import SplitPartition
 
 _SCHEMA = "gksplit/certificate/1"
@@ -84,22 +84,16 @@ class Certificate:
         if self.partition is not None:
             c, i = self.partition.as_sorted()
             doc["partition"] = {
-                "clique": [_enc(v) for v in c],
-                "independent": [_enc(v) for v in i],
+                "clique": [encode_label(v) for v in c],
+                "independent": [encode_label(v) for v in i],
                 "special": self.partition.special,
             }
         if self.witness is not None:
             doc["witness"] = {
                 "kind": self.witness.kind,
-                "vertices": [_enc(v) for v in self.witness.vertices],
+                "vertices": [encode_label(v) for v in self.witness.vertices],
             }
         return json.dumps(doc, indent=2)
-
-
-def _enc(v):
-    if isinstance(v, int):
-        return v
-    return {"class": {"name": v.name, "members": list(v.members)}}
 
 
 def step(claim: str, tag: str = TAG_ARITH, **check) -> CertStep:
@@ -203,23 +197,14 @@ def certificate_from_json(text: str) -> Certificate:
     if "partition" in doc:
         block = doc["partition"]
         partition = SplitPartition(
-            frozenset(_dec(v) for v in block["clique"]),
-            frozenset(_dec(v) for v in block["independent"]),
+            frozenset(decode_label(v) for v in block["clique"]),
+            frozenset(decode_label(v) for v in block["independent"]),
             block.get("special", False),
         )
     witness = None
     if "witness" in doc:
         block = doc["witness"]
         witness = ForbiddenWitness(
-            block["kind"], tuple(_dec(v) for v in block["vertices"])
+            block["kind"], tuple(decode_label(v) for v in block["vertices"])
         )
     return Certificate(doc["kind"], steps, partition, witness, doc.get("context", {}))
-
-
-def _dec(v):
-    from .graph import ClassLabel
-
-    if isinstance(v, int):
-        return v
-    cls = v["class"]
-    return ClassLabel(str(cls["name"]), tuple(int(x) for x in cls.get("members", ())))

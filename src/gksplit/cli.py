@@ -3,7 +3,8 @@
 Verbs: build, split, compact, verify, witness, export, sporadic.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
-revalidates; 2 = error; 3 = factoring budget exhausted (never a silent pass).
+revalidates; 2 = error, malformed input included; 3 = factoring budget
+exhausted (never a silent pass).
 
 Group descriptors follow the order-table symbols: ``Alt(12)``, ``Sym(9)``,
 ``A3(4)``, ``2A4(9)``, ``B2(3)``, ``D7(5)``, ``2D4(3)``, ``G2(4)``,
@@ -24,9 +25,11 @@ from .errors import (
     BudgetExceeded,
     DescriptorSyntaxError,
     GKSplitError,
+    MalformedInput,
     UnsupportedFamily,
 )
-from .graph import Graph
+from .exceptional import descriptor_for
+from .graph import Graph, encode_label, same_class_graph
 from .splitcheck import (
     SplitPartition,
     is_split_degree,
@@ -83,7 +86,7 @@ def parse_descriptor(text: str) -> groups.GroupDescriptor:
 _SPECTRUM_FAMILIES = "Alt/Sym, A1, B2=C2, B3(3)=C3(3), 2B2, 2G2, and the Tits group"
 
 
-def _prime_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
+def _prime_graph_for(d: groups.GroupDescriptor) -> Graph:
     if d.kind in ("alternating", "symmetric"):
         return gkbuild.gk_altsym(d.kind, d.n)
     try:
@@ -117,11 +120,18 @@ def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
     return obj.quotient
 
 
-def _load_spectrum_file(path: str, budget: int) -> tuple[groups.GroupDescriptor, Graph]:
+def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = parse_descriptor(str(doc["group"]))
-    data = groups.SpectrumData(d, groups.maximal_elements(int(x) for x in doc["mu"]))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        group, mu = str(doc["group"]), [int(x) for x in doc["mu"]]
+    except KeyError as exc:
+        raise MalformedInput(f"spectrum document lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed spectrum document: {exc}") from None
+    d = parse_descriptor(group)
+    data = groups.SpectrumData(d, groups.maximal_elements(mu))
     if not groups.spectrum_covers(data):
         raise GKSplitError(
             f"spectrum primes do not cover the prime spectrum of {d}"
@@ -137,7 +147,7 @@ def _acquire_graph(args) -> tuple[Graph, str]:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return Graph.from_json(fh.read()), args.infile
     if getattr(args, "spectrum", None):
-        d, g = _load_spectrum_file(args.spectrum, args.budget)
+        d, g = _load_spectrum_file(args.spectrum)
         if args.graph == "compact":
             g = g.compact_form().quotient
         return g, f"spectrum of {d}"
@@ -146,7 +156,7 @@ def _acquire_graph(args) -> tuple[Graph, str]:
         return _solvable_graph_for(d), f"solvable graph of {d}"
     if args.graph == "compact":
         return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
-    return _prime_graph_for(d, args.budget), f"prime graph of {d}"
+    return _prime_graph_for(d), f"prime graph of {d}"
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +200,11 @@ def _render_graph(g: Graph, fmt: str, title: str) -> str:
 
 def _partition_doc(p: SplitPartition) -> dict:
     c, i = p.as_sorted()
-    enc = lambda v: v if isinstance(v, int) else {"class": {"name": v.name, "members": list(v.members)}}
-    return {"clique": [enc(v) for v in c], "independent": [enc(v) for v in i], "special": p.special}
+    return {
+        "clique": [encode_label(v) for v in c],
+        "independent": [encode_label(v) for v in i],
+        "special": p.special,
+    }
 
 
 def _partition_text(p: SplitPartition) -> str:
@@ -295,7 +308,18 @@ def _cmd_sporadic(args) -> int:
     return 0
 
 
+_WITNESS_PARAMETERS = {
+    "prop71": ("n", "p", "a"),
+    "prop72": ("u", "w", "p"),
+    "prop73": ("n", "p"),
+    "psl11": (),
+}
+
+
 def _cmd_witness(args) -> int:
+    missing = [f"--{k}" for k in _WITNESS_PARAMETERS[args.which] if getattr(args, k) is None]
+    if missing:
+        raise GKSplitError(f"witness {args.which} needs {' '.join(missing)}")
     if args.which == "prop71":
         primes, cert = gkbuild.nonsplit_witness_linear(args.n, args.p, args.a, args.budget)
         header = (
@@ -484,23 +508,11 @@ _SPECTRUM_CHECKS = [
 
 
 def _verify_spectrum(args):
-    from .graph import same_class_graph
-
     lines = []
     ok = True
     for family, qlist in _SPECTRUM_CHECKS:
         for q in qlist:
-            if family == "A1":
-                d = groups.classical("A", 1, q)
-            elif family == "B2":
-                d = groups.classical("B", 2, q)
-            elif family == "B3":
-                d = groups.classical("B", 3, q)
-            elif family == groups.TITS_NAME:
-                d = groups.sporadic(family)
-            else:
-                d = groups.exceptional(family, q)
-            mu = groups.spectrum_formulas(d)
+            mu = groups.spectrum_formulas(descriptor_for(family, q))
             lhs = groups.gk_from_spectrum(mu).compact_form().quotient
             rhs, part, cert = gkbuild.exceptional_compact(family, q, args.budget)
             good = same_class_graph(lhs, rhs) and validate_partition(rhs, part)[0]
@@ -592,7 +604,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: factoring budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except GKSplitError as exc:
+    except (GKSplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

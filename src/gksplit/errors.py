@@ -63,3 +63,7 @@ class DescriptorSyntaxError(GKSplitError):
 
 class SpectrumError(GKSplitError):
     """A spectrum (set of maximal element orders) failed validation."""
+
+
+class MalformedInput(GKSplitError):
+    """A graph, spectrum or certificate document is not well formed."""

@@ -29,29 +29,30 @@ from .certificates import (
 )
 from .errors import InternalInconsistency, UnsupportedFamily
 from .graph import ClassLabel, Graph
-from .splitcheck import SplitPartition, validate_partition
+from .splitcheck import SplitPartition, flag_special, validate_partition
 
 _DIAGRAMS: dict | None = None
 
-#: family string accepted by exceptional_compact -> (template key, epsilon)
+#: family string accepted by exceptional_compact -> (template key, epsilon,
+#: (classical family, rank) for the small-rank classical groups, else None)
 _FAMILY_MAP = {
-    "A1": ("A1", 1),
-    "A2": ("A2", 1),
-    "2A2": ("A2", -1),
-    "B2": ("B2", 1),
-    "C2": ("B2", 1),
-    "B3": ("B3C3", 1),
-    "C3": ("B3C3", 1),
-    "G2": ("G2", 1),
-    "F4": ("F4", 1),
-    "E6": ("E6", 1),
-    "2E6": ("E6", -1),
-    "E7": ("E7", 1),
-    "E8": ("E8", 1),
-    "2B2": ("2B2", 1),
-    "2G2": ("2G2", 1),
-    "2F4": ("2F4", 1),
-    "3D4": ("3D4", 1),
+    "A1": ("A1", 1, ("A", 1)),
+    "A2": ("A2", 1, ("A", 2)),
+    "2A2": ("A2", -1, ("2A", 2)),
+    "B2": ("B2", 1, ("B", 2)),
+    "C2": ("B2", 1, ("B", 2)),
+    "B3": ("B3C3", 1, ("B", 3)),
+    "C3": ("B3C3", 1, ("C", 3)),
+    "G2": ("G2", 1, None),
+    "F4": ("F4", 1, None),
+    "E6": ("E6", 1, None),
+    "2E6": ("E6", -1, None),
+    "E7": ("E7", 1, None),
+    "E8": ("E8", 1, None),
+    "2B2": ("2B2", 1, None),
+    "2G2": ("2G2", 1, None),
+    "2F4": ("2F4", 1, None),
+    "3D4": ("3D4", 1, None),
 }
 
 
@@ -67,20 +68,19 @@ def _load() -> dict:
     return _DIAGRAMS
 
 
-def _descriptor_for(family: str, q: int) -> groups.GroupDescriptor:
-    if family == "A1":
-        return groups.classical("A", 1, q)
-    if family == "A2":
-        return groups.classical("A", 2, q)
-    if family == "2A2":
-        return groups.classical("2A", 2, q)
-    if family in ("B2", "C2"):
-        return groups.classical("B", 2, q)
-    if family == "B3":
-        return groups.classical("B", 3, q)
-    if family == "C3":
-        return groups.classical("C", 3, q)
-    return groups.exceptional(family, q)
+def descriptor_for(family: str, q: int) -> groups.GroupDescriptor:
+    """The group a family string names at field size q.
+
+    ``Tits`` (or its order-table symbol) and ("2F4", 2) name the Tits group.
+    """
+    if family in (groups.TITS_NAME, "Tits") or (family == "2F4" and q == 2):
+        return groups.sporadic(groups.TITS_NAME)
+    if family not in _FAMILY_MAP:
+        raise UnsupportedFamily(f"no compact diagram for family {family!r}")
+    classical = _FAMILY_MAP[family][2]
+    if classical is None:
+        return groups.exceptional(family, q)
+    return groups.classical(*classical, q)
 
 
 def nu(n: int) -> int:
@@ -250,15 +250,11 @@ def _partition_from_alternatives(variant, graph, labels, q, p, eps, trail):
     for alt in variant["partitions"]:
         if not _eval_pred(alt.get("when"), q, p, eps, trail):
             continue
-        clique = frozenset(labels[t] for t in alt["clique"] if t in labels)
-        indep = frozenset(labels[t] for t in alt["independent"] if t in labels)
-        part = SplitPartition(clique, indep)
-        ok, _ = validate_partition(graph, part)
-        if ok:
-            special = all(
-                any(not graph.adjacent(v, u) for u in clique) for v in indep
-            ) if clique else True
-            return SplitPartition(clique, indep, special)
+        clique = [labels[t] for t in alt["clique"] if t in labels]
+        indep = [labels[t] for t in alt["independent"] if t in labels]
+        part = flag_special(graph, clique, indep)
+        if validate_partition(graph, part)[0]:
+            return part
     raise InternalInconsistency(
         f"no published partition alternative validates at q={q}"
     )
@@ -304,12 +300,10 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
     Field-size and simplicity constraints are enforced through the usual
     descriptor validation; ("2F4", 2) is routed to the Tits group.
     """
-    if family in (groups.TITS_NAME, "Tits") or (family == "2F4" and q == 2):
+    descriptor = descriptor_for(family, q)
+    if descriptor.tits:
         return tits_compact()
-    if family not in _FAMILY_MAP:
-        raise UnsupportedFamily(f"no compact diagram for family {family!r}")
-    key, eps = _FAMILY_MAP[family]
-    descriptor = _descriptor_for(family, q)
+    key, eps, _ = _FAMILY_MAP[family]
     p, _ = groups.char_and_degree(q)
     template = _load()["families"][key]
     for variant in template["variants"]:
@@ -349,13 +343,10 @@ def tits_compact(budget: int = nt.DEFAULT_BUDGET):
     compact = prime_graph.compact_form()
     graph = compact.quotient
     clique = frozenset(l for l in graph.vertices if set(l.members) & {2, 3})
-    indep = frozenset(graph.vertices) - clique
-    part = SplitPartition(clique, indep)
+    part = flag_special(graph, clique, frozenset(graph.vertices) - clique)
     ok, reason = validate_partition(graph, part)
     if not ok:  # pragma: no cover
         raise InternalInconsistency(f"Tits partition failed: {reason}")
-    special = all(any(not graph.adjacent(v, u) for u in clique) for v in indep)
-    part = SplitPartition(clique, indep, special)
     cert = Certificate(
         KIND_SPLIT,
         (assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import LoopEdge, UnknownVertex
+from .errors import LoopEdge, MalformedInput, UnknownVertex
 
 _SCHEMA = "gksplit/graph/1"
 
@@ -223,16 +223,14 @@ class Graph:
 
     # -- forbidden-subgraph search -------------------------------------------
 
-    def find_forbidden(self, fast: bool = True):
+    def find_forbidden(self):
         """Search for an induced 2K2, C4 or C5; None when the graph is split.
 
-        A graph is split exactly when none of the three occurs, so with
-        ``fast`` the Hammer-Simeone degree equality short-circuits the search
-        for split graphs.  Callers that use this as an independent oracle pass
-        ``fast=False`` to force the exhaustive enumeration.
+        A graph is split exactly when none of the three occurs (Foldes-Hammer).
+        The search always enumerates every 4- and 5-subset and uses no degree
+        reasoning, so it serves as an oracle independent of the
+        Hammer-Simeone degree route.
         """
-        if fast and _degree_equality_holds(self):
-            return None
         vs = self._vertices
         m = len(vs)
         # 4-subsets: 2K2 (a perfect matching) and C4 (a chordless square).
@@ -261,16 +259,21 @@ class Graph:
     def to_json(self) -> str:
         doc = {
             "schema": _SCHEMA,
-            "vertices": [_encode_label(v) for v in self._vertices],
-            "edges": [[_encode_label(u), _encode_label(v)] for u, v in self._edges],
+            "vertices": [encode_label(v) for v in self._vertices],
+            "edges": [[encode_label(u), encode_label(v)] for u, v in self._edges],
         }
         return json.dumps(doc, indent=2, sort_keys=False)
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        doc = json.loads(text)
-        vertices = [_decode_label(x) for x in doc["vertices"]]
-        edges = [(_decode_label(u), _decode_label(v)) for u, v in doc["edges"]]
+        try:
+            doc = json.loads(text)
+            vertices = [decode_label(x) for x in doc["vertices"]]
+            edges = [(decode_label(u), decode_label(v)) for u, v in doc["edges"]]
+        except KeyError as exc:
+            raise MalformedInput(f"graph document lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"malformed graph document: {exc}") from None
         return Graph(vertices, edges)
 
     def to_dot(self, name: str = "G") -> str:
@@ -281,11 +284,6 @@ class Graph:
             lines.append(f'  "{_label_text(u)}" -- "{_label_text(v)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def from_edges(vertices, edges=()) -> Graph:
-    """Normalized graph from explicit vertex and edge lists."""
-    return Graph(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -300,9 +298,6 @@ class CompactForm:
     quotient: Graph
     class_map: dict
     class_contents: dict
-
-    def content_sets(self) -> frozenset:
-        return frozenset(self.class_contents.values())
 
 
 def _merge_label(group) -> ClassLabel:
@@ -340,17 +335,6 @@ def members_signature(g: Graph):
 def same_class_graph(g1: Graph, g2: Graph) -> bool:
     """Equality of class graphs up to renaming, via member-set signatures."""
     return members_signature(g1) == members_signature(g2)
-
-
-def _degree_equality_holds(g: Graph) -> bool:
-    degs = g.degree_sequence()
-    if not degs:
-        return True
-    m = 0
-    for i, d in enumerate(degs, start=1):
-        if d >= i - 1:
-            m = i
-    return sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
 
 
 def _classify_quad(g: Graph, quad):
@@ -401,19 +385,25 @@ def _pentagon_order(g: Graph, five):
     return tuple(order)
 
 
-def _encode_label(label):
+def encode_label(label):
+    """JSON form of a label: the integer itself, or {"class": {name, members}}.
+
+    The one encoder behind graph, split-result and certificate documents.
+    """
     if isinstance(label, int):
         return label
     return {"class": {"name": label.name, "members": list(label.members)}}
 
 
-def _decode_label(obj):
+def decode_label(obj):
+    """Inverse of :func:`encode_label`; MalformedInput on anything else."""
     if isinstance(obj, int):
         return obj
-    if isinstance(obj, dict) and "class" in obj:
+    try:
         cls = obj["class"]
         return ClassLabel(str(cls["name"]), tuple(int(x) for x in cls.get("members", ())))
-    raise ValueError(f"cannot decode vertex label {obj!r}")
+    except (KeyError, TypeError, ValueError):
+        raise MalformedInput(f"cannot decode vertex label {obj!r}") from None
 
 
 def _label_text(label) -> str:

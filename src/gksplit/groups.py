@@ -149,10 +149,6 @@ def epsilon(d: GroupDescriptor) -> int:
     raise UnsupportedFamily(f"{d} has no sign epsilon")
 
 
-def characteristic(d: GroupDescriptor) -> int:
-    return char_and_degree(d.q)[0]
-
-
 def _f4_parts(q: int) -> list[int]:
     return [q**24, q**12 - 1, q**8 - 1, q**6 - 1, q**2 - 1]
 
@@ -386,10 +382,6 @@ class SporadicRecord:
     @property
     def prime_spectrum(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.order_factors)
-
-    @property
-    def solvable_graph_split(self) -> bool:
-        return self.solvable_partition is not None
 
 
 _TITS_ORDER_FACTORS = ((2, 11), (3, 3), (5, 2), (13, 1))

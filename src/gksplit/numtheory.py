@@ -4,7 +4,7 @@ Everything here is elementary and deterministic: factorization by trial
 division plus a Pollard-rho second stage under an explicit effort budget,
 Miller-Rabin primality (deterministic for inputs below 3.3e24), multiplicative
 orders, primitive prime divisors R_i(n) with the Bang-Zsigmondy exception
-list, pi-parts, and prime neighbours.
+list, and pi-parts.
 
 Order convention.  For an odd prime r coprime to n, ``mult_order(r, n)`` is
 the least k with n^k = 1 (mod r).  For r = 2 and odd n the convention is
@@ -82,26 +82,6 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def largest_prime_le(x: int) -> int:
-    """The largest prime not exceeding x (x >= 2)."""
-    if x < 2:
-        raise PreconditionViolated(f"no prime <= {x}")
-    n = int(x)
-    while not is_prime(n):
-        n -= 1
-    return n
-
-
-def smallest_prime_gt(x: int) -> int:
-    """The smallest prime strictly greater than x."""
-    n = int(x) + 1
-    if n <= 2:
-        return 2
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A complete factorization: value = prod(p**e for p, e in factors).
@@ -126,12 +106,6 @@ class Factorization:
     @property
     def prime_set(self) -> frozenset[int]:
         return frozenset(p for p, _ in self.factors)
-
-    def exponent(self, p: int) -> int:
-        for base, e in self.factors:
-            if base == p:
-                return e
-        return 0
 
 
 class _Budget:
@@ -328,30 +302,3 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     if n % 2 != 0 and i in (1, 2) and mult_order(2, n) == i:
         out.add(2)
     return frozenset(out)
-
-
-class PpdTable:
-    """Cache of primitive-prime-divisor sets R_i(n) for one base n.
-
-    Populate-on-read; safe for concurrent readers once populated.  Results are
-    consistent with the Bang-Zsigmondy exception list by construction.
-    """
-
-    def __init__(self, n: int, budget: int = DEFAULT_BUDGET):
-        if abs(n) <= 1:
-            raise PreconditionViolated(f"base must satisfy |n| > 1, got {n}")
-        self.base = n
-        self.budget = budget
-        self._entries: dict[int, frozenset[int]] = {}
-
-    def get(self, i: int) -> frozenset[int]:
-        if i not in self._entries:
-            self._entries[i] = ppd_set(i, self.base, self.budget)
-        return self._entries[i]
-
-    def nonempty(self, i: int) -> bool:
-        """Emptiness decided by the exception list alone; no factoring."""
-        return not is_zsigmondy_exception(i, self.base)
-
-    def entries(self) -> dict[int, frozenset[int]]:
-        return dict(self._entries)

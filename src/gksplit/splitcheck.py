@@ -79,10 +79,22 @@ def validate_partition(g: Graph, p: SplitPartition) -> tuple[bool, str | None]:
     if not g.is_independent(p.independent):
         return False, "I is not independent"
     if p.special:
-        for v in sorted(p.independent, key=label_key):
-            if all(g.adjacent(v, u) for u in p.clique):
-                return False, f"{v!r} in I is adjacent to all of C"
+        v = special_violation(g, p.clique, p.independent)
+        if v is not None:
+            return False, f"{v!r} in I is adjacent to all of C"
     return True, None
+
+
+def special_violation(g: Graph, clique, indep):
+    """The first vertex of I, in label order, adjacent to every vertex of C.
+
+    None exactly when the split partition (C, I) is special, that is when
+    every vertex of I has a non-neighbour in C.
+    """
+    for v in sorted(indep, key=label_key):
+        if all(g.adjacent(v, u) for u in clique):
+            return v
+    return None
 
 
 def specialize(g: Graph, p: SplitPartition) -> SplitPartition:
@@ -92,15 +104,9 @@ def specialize(g: Graph, p: SplitPartition) -> SplitPartition:
         raise InvalidPartition(reason)
     clique = set(p.clique)
     indep = set(p.independent)
-    moved = True
-    while moved:
-        moved = False
-        for v in sorted(indep, key=label_key):
-            if all(g.adjacent(v, u) for u in clique):
-                indep.discard(v)
-                clique.add(v)
-                moved = True
-                break
+    while (v := special_violation(g, clique, indep)) is not None:
+        indep.discard(v)
+        clique.add(v)
     out = SplitPartition(frozenset(clique), frozenset(indep), special=True)
     ok, reason = validate_partition(g, out)
     if not ok:  # pragma: no cover - the loop establishes the condition
@@ -108,28 +114,10 @@ def specialize(g: Graph, p: SplitPartition) -> SplitPartition:
     return out
 
 
-def _is_special(g: Graph, clique, indep) -> bool:
-    return all(
-        any(not g.adjacent(v, u) for u in clique) for v in indep
-    ) if clique else True
-
-
-def _partition_from_degrees(g: Graph, m: int) -> SplitPartition | None:
-    by_degree = sorted(g.vertices, key=lambda v: (-g.degree(v), label_key(v)))
-    cand = set(by_degree[:m])
-    rest = set(by_degree[m:])
-    if g.is_clique(cand) and g.is_independent(rest):
-        return SplitPartition(frozenset(cand), frozenset(rest), _is_special(g, cand, rest))
-    # Ties at the clique boundary can make the canonical pick fail; retry all
-    # m-subsets of the top m+1 degrees before declaring inconsistency.
-    pool = by_degree[: m + 1]
-    others = set(by_degree[m + 1 :])
-    for chosen in combinations(pool, m):
-        cand = set(chosen)
-        rest = (set(pool) - cand) | others
-        if g.is_clique(cand) and g.is_independent(rest):
-            return SplitPartition(frozenset(cand), frozenset(rest), _is_special(g, cand, rest))
-    return None
+def flag_special(g: Graph, clique, indep) -> SplitPartition:
+    """The split partition (C, I) of g, with its special flag computed."""
+    clique, indep = frozenset(clique), frozenset(indep)
+    return SplitPartition(clique, indep, special_violation(g, clique, indep) is None)
 
 
 def is_split_degree(g: Graph) -> SplitVerdict:
@@ -140,13 +128,17 @@ def is_split_degree(g: Graph) -> SplitVerdict:
     degs = g.degree_sequence()
     split = sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
     if split:
-        partition = _partition_from_degrees(g, m)
-        if partition is None:
+        # The top-m degree sum is the same however ties are broken, and the
+        # equality forces those m vertices to be a clique and the rest to be
+        # independent (Hammer-Simeone), so any non-increasing order will do.
+        by_degree = sorted(g.vertices, key=lambda v: (-g.degree(v), label_key(v)))
+        clique, indep = by_degree[:m], by_degree[m:]
+        if not (g.is_clique(clique) and g.is_independent(indep)):
             raise InternalInconsistency(
                 "degree equality holds but no clique/independent partition was found"
             )
-        return SplitVerdict(True, m, partition)
-    witness = g.find_forbidden(fast=False)
+        return SplitVerdict(True, m, flag_special(g, clique, indep))
+    witness = g.find_forbidden()
     if witness is None:
         raise InternalInconsistency(
             "degree equality fails but no forbidden subgraph exists"
@@ -163,9 +155,7 @@ def _partition_from_cliques(g: Graph) -> SplitPartition | None:
                 continue
             rest = set(vs) - cand
             if g.is_independent(rest):
-                return SplitPartition(
-                    frozenset(cand), frozenset(rest), _is_special(g, cand, rest)
-                )
+                return flag_special(g, cand, rest)
         # Only maximum-size cliques can work at the first success size; keep
         # descending until one pairs with an independent rest.
     return None
@@ -174,10 +164,10 @@ def _partition_from_cliques(g: Graph) -> SplitPartition | None:
 def is_split_forbidden(g: Graph) -> SplitVerdict:
     """Forbidden-subgraph split check; the independent oracle for the degree route.
 
-    Always enumerates (no degree fast path).  When split, a partition is
-    extracted by clique search, independently of any degree reasoning.
+    When split, a partition is extracted by clique search, independently of
+    any degree reasoning.
     """
-    witness = g.find_forbidden(fast=False)
+    witness = g.find_forbidden()
     m = m_index(g) if g.n else None
     if witness is not None:
         return SplitVerdict(False, m, None, witness)

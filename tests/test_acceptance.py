@@ -214,7 +214,7 @@ def test_criterion_6_prop71_concrete_witness():
     for r in primes[2:]:
         assert brute_order(4 % r, r) == 9
     model = Graph(primes, [(primes[0], primes[1]), (primes[2], primes[3])])
-    w = model.find_forbidden(fast=False)
+    w = model.find_forbidden()
     assert w is not None and w.kind == "2K2"
     assert not recheck(cert)
     _report(6, True, "witness {43,127} x {19,73} with orders 7,7,9,9; model graph is 2K2")
@@ -229,7 +229,7 @@ def test_criterion_7_psl11_2():
     w = cert.witness
     assert {v.name for v in w.vertices} == {"R3", "R7", "R10", "R11"}
     sub = graph.induced(w.vertices)
-    found = sub.find_forbidden(fast=False)
+    found = sub.find_forbidden()
     assert found is not None and found.kind == "2K2"
     cf = graph.compact_form()
     assert all(len(c) == 1 for c in cf.class_contents.values())

@@ -6,6 +6,7 @@ from gksplit.certificates import (
     Certificate,
     CertStep,
     KIND_CHAIN,
+    KIND_NONSPLIT,
     TAG_L52,
     assume,
     certificate_from_json,
@@ -13,6 +14,8 @@ from gksplit.certificates import (
     step,
     verify_certificate,
 )
+from gksplit.graph import ClassLabel, ForbiddenWitness
+from gksplit.splitcheck import SplitPartition
 
 
 def chain(*steps):
@@ -84,6 +87,20 @@ class TestSerialization:
         assert again.kind == cert.kind
         assert [s.claim for s in again.steps] == [s.claim for s in cert.steps]
         assert verify_certificate(again)
+
+    def test_round_trip_class_labels(self):
+        r3, r7, r9 = ClassLabel("R3", (7,)), ClassLabel("R7", (43, 127)), ClassLabel("R9", (19, 73))
+        p, unknown = ClassLabel("p", (2,)), ClassLabel("R61")
+        cert = Certificate(
+            KIND_NONSPLIT,
+            (step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7),),
+            partition=SplitPartition(frozenset({p, r7}), frozenset({r9, unknown, 5}), True),
+            witness=ForbiddenWitness("2K2", (r7, r9, r3, p)),
+            context={"group": "A12(4)"},
+        )
+        again = certificate_from_json(cert.to_json())
+        assert again == cert
+        assert again.to_json() == cert.to_json()
 
     def test_schema_field(self):
         doc = json.loads(chain(assume("x", TAG_L52)).to_json())

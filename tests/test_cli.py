@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,27 @@ class TestWitnessCommands:
         assert cli.main(["witness", "prop73", "--n", "11", "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["split", "--in", "doc.json"], "{not json"),
+        (["split", "--in", "doc.json"], '{"vertices": [2, 3]}'),
+        (["split", "--in", "doc.json"], '{"vertices": ["x"], "edges": []}'),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)"}'),
+        (["split", "--in", "doc.json"], None),
+        (["witness", "prop71"], None),
+    ],
+    ids=["invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file", "prop71-without-parameters"],
+)
+def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_text(content)
+    code = cli.main([str(path) if a == "doc.json" else a for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSporadicCommand:
     def test_table(self, capsys):
         code = cli.main(["sporadic"])
@@ -205,3 +227,54 @@ class TestBudgetExit:
             ["witness", "prop71", "--n", "13", "--p", "1000003", "--a", "2", "--budget", "10"]
         )
         assert code == 3
+
+
+# sha256 of stdout (plus the --out file, when one is written) and the exit
+# code of every command in the README "Command line" list, followed by one
+# command for each JSON label encoder: graph, split partition, certificate.
+GOLDEN = [
+    (["split", "--group", "M22", "--graph", "solvable"], 1,
+     "ec90c188acf0e4d31d399f0f71faf7a7f3e1a22e90523192b0d2c8b004ec6d8c"),
+    (["split", "--group", "Alt(7)"], 0,
+     "894a7a25e3d3f0f64e63cc73cdc7c126d53122a1f104e4a472182af62da3cba3"),
+    (["compact", "--group", "M22", "--graph", "solvable"], 0,
+     "e954ac7768d5ac7adc9e8c233485c8b9a207ccf68488f9dafb8c68dad44585f2"),
+    (["build", "--group", "2B2(32)", "--format", "dot"], 0,
+     "1df32ae8c929f04f0250f2611e90de2e1769b60b9dc8ee44c9e733fde4fea212"),
+    (["export", "--group", "2G2(27)", "--format", "json", "--out", "g.json"], 0,
+     "c150a8c7cf2c91cdd294eed4719fd8a3f7ca7533794319c257abcaa1239b60d8"),
+    (["verify", "theorem-a", "--max-n", "300"], 0,
+     "8578e0ed7133cebeb52b9970b0d9834d98b296f6d2f9dfdc0e3860e9e9c73293"),
+    (["verify", "theorem-b"], 0,
+     "f83e9ae66699f8777d73ea1f4018760b6086196893437cf73e58506199cc70cb"),
+    (["verify", "theorem-c"], 0,
+     "7c0899c8de01948589a0d18a28b2d21bb2d2be04b4aba383ac7cbdaa0c7369a2"),
+    (["verify", "theorem-d", "--group", "E8(5)"], 0,
+     "46726980d844e3ce0126cb8744a04c94ba4bd60fc42c79f00f35d84830c82a6c"),
+    (["verify", "zsigmondy", "--max-n", "20"], 0,
+     "941d4fe4ae311ccdf8a802484d8e99f0ac0beecb20fb1c619c233c6623772fe8"),
+    (["verify", "spectrum"], 0,
+     "3456fb897dde168eb4c9bd949bf025805d1dd412669489ebb841d8b44d06c434"),
+    (["witness", "prop71", "--n", "13", "--p", "2", "--a", "2"], 0,
+     "b6f243bf0aae9f088034329a073daef3939a71c2f717e40b2125c9956a339a0e"),
+    (["witness", "prop73", "--n", "19", "--p", "2", "--format", "json"], 0,
+     "098a0877094edfe92b72947f90141eca0db711dce72d5806ab5a2064443f8d61"),
+    (["sporadic", "Ly"], 0,
+     "e77fb41c77a4285767dc11f03828d9b460501f2779d2f4b054b13a48cf8757fe"),
+    (["compact", "--group", "M22", "--graph", "solvable", "--format", "json"], 0,
+     "0d55fe625e12972501b736c06338fdf47f6e82bbdb9c33e85a5df5ba4b68fe4d"),
+    (["split", "--group", "2B2(32)", "--graph", "compact", "--format", "json"], 0,
+     "88582a71898428ecd8fbbd267bf8a3f85b2e05defc0856f9dac216d4b3e6dda8"),
+    (["witness", "psl11", "--format", "json"], 0,
+     "3b92c035952ac230995cb44638d730e80f8f1ea46d83dec677c66098252bf946"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_output(argv, code, digest, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    got = cli.main(argv)
+    data = capsys.readouterr().out.encode()
+    if "--out" in argv:
+        data += (tmp_path / "g.json").read_bytes()
+    assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)

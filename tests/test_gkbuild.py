@@ -192,7 +192,7 @@ class TestNonsplitWitnessLinear:
             assert nt.mult_order(r, 4) == 9
         assert not recheck(cert)
         model = Graph(primes, [(primes[0], primes[1]), (primes[2], primes[3])])
-        w = model.find_forbidden(fast=False)
+        w = model.find_forbidden()
         assert w is not None and w.kind == "2K2"
 
     def test_preconditions(self):
@@ -231,7 +231,7 @@ class TestNonsplitWitnessLinear:
             assert brute_order(q % r, r) == k
         assert len(set(primes)) == 4
         model = Graph(primes, [(primes[0], primes[1]), (primes[2], primes[3])])
-        w = model.find_forbidden(fast=False)
+        w = model.find_forbidden()
         assert w is not None and w.kind == "2K2"
         assert not recheck(cert)
 
@@ -290,7 +290,7 @@ class TestPsl11:
         w = cert.witness
         assert {v.name for v in w.vertices} == {"R3", "R7", "R10", "R11"}
         sub = graph.induced(w.vertices)
-        found = sub.find_forbidden(fast=False)
+        found = sub.find_forbidden()
         assert found is not None and found.kind == "2K2"
 
     def test_not_split(self):

@@ -178,32 +178,26 @@ class TestCompactForm:
 
 class TestForbidden:
     def test_c5_found(self):
-        w = cycle(5).find_forbidden(fast=False)
+        w = cycle(5).find_forbidden()
         assert w.kind == "C5" and set(w.vertices) == {0, 1, 2, 3, 4}
 
     def test_k4_clean(self):
-        assert complete(4).find_forbidden(fast=False) is None
+        assert complete(4).find_forbidden() is None
 
     def test_m22_matching(self):
-        w = M22_SOLVABLE.find_forbidden(fast=False)
+        w = M22_SOLVABLE.find_forbidden()
         assert w.kind == "2K2" and set(w.vertices) == {3, 5, 7, 11}
         for u, v in witness_edges(w):
             assert M22_SOLVABLE.adjacent(u, v)
 
     def test_c4(self):
-        w = cycle(4).find_forbidden(fast=False)
+        w = cycle(4).find_forbidden()
         assert w.kind == "C4"
-
-    def test_fast_path_agrees(self):
-        for g in (complete(4), path(4), cycle(4), cycle(5), M22_SOLVABLE):
-            assert (g.find_forbidden(fast=True) is None) == (
-                g.find_forbidden(fast=False) is None
-            )
 
     @given(small_graphs(6))
     @settings(max_examples=200, deadline=None)
     def test_against_brute_scan(self, g):
-        got = g.find_forbidden(fast=False)
+        got = g.find_forbidden()
         expect = brute_has_forbidden(g.vertices, g.edges)
         assert (got is not None) == expect
         if got is not None:

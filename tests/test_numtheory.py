@@ -92,16 +92,6 @@ class TestPiPart:
 
 
 class TestPrimeNeighbours:
-    def test_examples(self):
-        assert nt.largest_prime_le(6) == 5
-        assert nt.largest_prime_le(2) == 2
-        assert nt.smallest_prime_gt(6) == 7
-        assert nt.smallest_prime_gt(13) == 17
-
-    def test_below_two(self):
-        with pytest.raises(PreconditionViolated):
-            nt.largest_prime_le(1)
-
     def test_primes_upto(self):
         assert nt.primes_upto(100) == brute_primes(100)
 
@@ -165,19 +155,6 @@ class TestPpd:
         sub = nt.ppd_set(i * a, p)
         sup = nt.ppd_set(i, p**a)
         assert sub <= sup
-
-
-class TestPpdTable:
-    def test_cache_consistency(self):
-        table = nt.PpdTable(2)
-        assert table.get(4) == {5}
-        assert table.get(4) is table.get(4)
-        assert table.nonempty(4) and not table.nonempty(6)
-        assert set(table.entries()) == {4}
-
-    def test_trivial_base_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            nt.PpdTable(1)
 
 
 class TestCyclotomic:

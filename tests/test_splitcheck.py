@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gksplit.errors import InvalidPartition, PreconditionViolated
 from gksplit.graph import Graph
@@ -62,6 +63,22 @@ class TestDegreeRoute:
                 if v.split:
                     ok, reason = validate_partition(Graph(range(n), edges), v.partition)
                     assert ok, (n, edges, reason)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_degree_order_splits_at_m(self, data):
+        # On a split graph the top m vertices of every non-increasing degree
+        # order form a clique and the rest an independent set, so the degree
+        # route needs no search over ways of breaking ties.
+        n = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(0, n))
+        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges += [(u, v) for u in range(k, n) for v in range(k) if data.draw(st.booleans())]
+        g = Graph(range(n), edges)
+        drawn = data.draw(st.permutations(range(n)))
+        order = sorted(drawn, key=g.degree, reverse=True)  # stable: ties keep the drawn order
+        m = m_index(g)
+        assert g.is_clique(order[:m]) and g.is_independent(order[m:])
 
 
 class TestForbiddenRoute:
