@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
+from .errors import MalformedInput
 from .graph import ForbiddenWitness, decode_label, encode_label
 from .splitcheck import SplitPartition
 
@@ -189,22 +190,27 @@ def verify_certificate(cert: Certificate) -> bool:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    doc = json.loads(text)
-    steps = tuple(
-        CertStep(s["claim"], s["tag"], s.get("check")) for s in doc["steps"]
-    )
-    partition = None
-    if "partition" in doc:
-        block = doc["partition"]
-        partition = SplitPartition(
-            frozenset(decode_label(v) for v in block["clique"]),
-            frozenset(decode_label(v) for v in block["independent"]),
-            block.get("special", False),
+    try:
+        doc = json.loads(text)
+        steps = tuple(
+            CertStep(s["claim"], s["tag"], s.get("check")) for s in doc["steps"]
         )
-    witness = None
-    if "witness" in doc:
-        block = doc["witness"]
-        witness = ForbiddenWitness(
-            block["kind"], tuple(decode_label(v) for v in block["vertices"])
-        )
-    return Certificate(doc["kind"], steps, partition, witness, doc.get("context", {}))
+        partition = None
+        if "partition" in doc:
+            block = doc["partition"]
+            partition = SplitPartition(
+                frozenset(decode_label(v) for v in block["clique"]),
+                frozenset(decode_label(v) for v in block["independent"]),
+                block.get("special", False),
+            )
+        witness = None
+        if "witness" in doc:
+            block = doc["witness"]
+            witness = ForbiddenWitness(
+                block["kind"], tuple(decode_label(v) for v in block["vertices"])
+            )
+        return Certificate(doc["kind"], steps, partition, witness, doc.get("context", {}))
+    except KeyError as exc:
+        raise MalformedInput(f"certificate document lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed certificate document: {exc}") from None

@@ -120,9 +120,16 @@ def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
     return obj.quotient
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         doc = json.loads(text)
         group, mu = str(doc["group"]), [int(x) for x in doc["mu"]]
@@ -144,8 +151,7 @@ def _acquire_graph(args) -> tuple[Graph, str]:
     if sum(sources) != 1:
         raise GKSplitError("exactly one input source required: --group, --spectrum or --in")
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return Graph.from_json(fh.read()), args.infile
+        return Graph.from_json(_read_text(args.infile)), args.infile
     if getattr(args, "spectrum", None):
         d, g = _load_spectrum_file(args.spectrum)
         if args.graph == "compact":
@@ -363,10 +369,20 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _sweep_bound(args, default: int) -> int:
+    """The --max-n bound of a sweep: default when absent, else at least 2,
+    the first degree (theorem-a) or base (zsigmondy) the sweep checks."""
+    if args.max_n is None:
+        return default
+    if args.max_n < 2:
+        raise GKSplitError(f"verify {args.which} needs --max-n of at least 2, got {args.max_n}")
+    return args.max_n
+
+
 def _verify_theorem_a(args):
     lines = []
     ok = True
-    top = args.max_n or 300
+    top = _sweep_bound(args, 300)
     for kind, start in (("symmetric", 2), ("alternating", 5)):
         for n in range(start, top + 1):
             g = gkbuild.gk_altsym(kind, n)
@@ -481,7 +497,7 @@ def _verify_theorem_d(args):
 
 
 def _verify_zsigmondy(args):
-    max_base = args.max_n or 20
+    max_base = _sweep_bound(args, 20)
     lines = []
     ok = True
     bases = list(range(2, max_base + 1)) + list(range(-2, -max_base - 1, -1))

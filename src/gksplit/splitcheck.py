@@ -7,14 +7,17 @@ sorted d1 >= ... >= dn and m = max{i : d_i >= i-1}, the graph is split iff
 
 in which case the m vertices of largest degree form the clique side.  Route
 two is the Foldes-Hammer forbidden-subgraph characterization: split iff no
-induced 2K2, C4 or C5.  The two must always agree; a disagreement is raised
-as InternalInconsistency, never repaired.
+induced 2K2, C4 or C5.  ``Graph.find_forbidden`` looks for the first such
+witness on bitset rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2);
+a split partition comes from a 2-SAT instance with one clause per vertex
+pair, solved by strongly connected components in O(n^2).  Neither part of
+route two reads a degree.  The two routes must always agree; a disagreement
+is raised as InternalInconsistency, never repaired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
 from .graph import ForbiddenWitness, Graph, label_key
@@ -146,32 +149,86 @@ def is_split_degree(g: Graph) -> SplitVerdict:
     return SplitVerdict(False, m, None, witness)
 
 
-def _partition_from_cliques(g: Graph) -> SplitPartition | None:
+def _partition_from_2sat(g: Graph) -> SplitPartition | None:
+    """A split partition as a 2-SAT solution (Aspvall-Plass-Tarjan 1979).
+
+    The variable of v says "v is in C".  An edge forbids both ends in I and
+    a non-edge forbids both ends in C, so the clauses are satisfiable exactly
+    when g is split.  Literal 2i is "vertex i in C" and 2i+1 is "vertex i in
+    I"; each clause becomes two implications, O(n^2) in all.  None when the
+    clauses are unsatisfiable.
+    """
     vs = g.vertices
-    for size in range(g.n, -1, -1):
-        for chosen in combinations(vs, size):
-            cand = set(chosen)
-            if not g.is_clique(cand):
-                continue
-            rest = set(vs) - cand
-            if g.is_independent(rest):
-                return flag_special(g, cand, rest)
-        # Only maximum-size cliques can work at the first success size; keep
-        # descending until one pairs with an independent rest.
-    return None
+    index = {v: i for i, v in enumerate(vs)}
+    succ = []
+    for i, v in enumerate(vs):
+        nbrs = {index[u] for u in g.neighbors(v)}
+        succ.append([2 * j + 1 for j in range(len(vs)) if j != i and j not in nbrs])
+        succ.append([2 * j for j in sorted(nbrs)])
+    comp = _scc_ids(succ)
+    if any(comp[2 * i] == comp[2 * i + 1] for i in range(len(vs))):
+        return None
+    # Tarjan numbers components sinks first, so the literal whose component
+    # has the smaller id is the one to make true.
+    clique = [v for i, v in enumerate(vs) if comp[2 * i] < comp[2 * i + 1]]
+    indep = [v for i, v in enumerate(vs) if comp[2 * i] > comp[2 * i + 1]]
+    return flag_special(g, clique, indep)
+
+
+def _scc_ids(succ) -> list[int]:
+    """Strongly connected component ids by an iterative Tarjan search.
+
+    Ids are given in the order components complete, which is a reverse
+    topological order of the component graph.
+    """
+    order = [-1] * len(succ)
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    stack = []
+    seen = done = 0
+    for root in range(len(succ)):
+        if order[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, k = work.pop()
+            if k == 0:
+                order[v] = low[v] = seen
+                seen += 1
+                stack.append(v)
+            for k in range(k, len(succ[v])):
+                w = succ[v][k]
+                if order[w] < 0:
+                    work.append((v, k + 1))
+                    work.append((w, 0))
+                    break
+                if comp[w] < 0:  # still on the stack
+                    low[v] = min(low[v], order[w])
+            else:
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return comp
 
 
 def is_split_forbidden(g: Graph) -> SplitVerdict:
     """Forbidden-subgraph split check; the independent oracle for the degree route.
 
-    When split, a partition is extracted by clique search, independently of
-    any degree reasoning.
+    When split, the partition comes from a 2-SAT instance, so neither the
+    verdict nor the partition uses any degree reasoning.
     """
     witness = g.find_forbidden()
     m = m_index(g) if g.n else None
     if witness is not None:
         return SplitVerdict(False, m, None, witness)
-    partition = _partition_from_cliques(g)
+    partition = _partition_from_2sat(g)
     if partition is None:
         raise InternalInconsistency(
             "no forbidden subgraph, yet no split partition exists"

@@ -146,3 +146,40 @@ def graphs_on(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+
+
+def brute_first_forbidden(vertices, edges):
+    """The first induced 2K2 or C4 among the 4-subsets, else the first C5
+    among the 5-subsets, scanning in lexicographic order of the sorted
+    vertices; None when there is none.
+
+    Returns (kind, vertices) with the vertices ordered as the witness
+    convention demands: a 2K2 as its two edges, in the order of the pairs
+    (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of the subset; a C4 or C5 as the
+    cycle walked from the smallest vertex towards its smaller neighbour.
+    """
+    vs = sorted(vertices)
+    adj = adjacency(vs, edges)
+    for sub in combinations(vs, 4):
+        present = [(u, v) for u, v in combinations(sub, 2) if v in adj[u]]
+        touched = sorted(x for e in present for x in e)
+        if len(present) == 2 and touched == sorted(sub):
+            return "2K2", present[0] + present[1]
+        degs = [sum(1 for w in sub if w in adj[v]) for v in sub]
+        if len(present) == 4 and degs == [2, 2, 2, 2]:
+            return "C4", _walk_cycle(sub, adj)
+    for sub in combinations(vs, 5):
+        count = sum(1 for u, v in combinations(sub, 2) if v in adj[u])
+        if count == 5 and all(sum(1 for w in sub if w in adj[v]) == 2 for v in sub):
+            return "C5", _walk_cycle(sub, adj)
+    return None
+
+
+def _walk_cycle(sub, adj):
+    order = [sub[0]]
+    prev = None
+    while len(order) < len(sub):
+        step = next(w for w in sub if w in adj[order[-1]] and w != prev)
+        prev = order[-1]
+        order.append(step)
+    return tuple(order)

@@ -14,6 +14,7 @@ from gksplit.certificates import (
     step,
     verify_certificate,
 )
+from gksplit.errors import MalformedInput
 from gksplit.graph import ClassLabel, ForbiddenWitness
 from gksplit.splitcheck import SplitPartition
 
@@ -112,6 +113,15 @@ class TestSerialization:
         doc["steps"][0]["check"]["equals"] = 8  # forge the claimed order
         forged = certificate_from_json(json.dumps(doc))
         assert not verify_certificate(forged)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{}', '[1]', '{"kind": "split", "steps": [{"claim": "x"}]}'],
+        ids=["no-steps", "top-level-list", "step-without-tag"],
+    )
+    def test_malformed_document(self, text):
+        with pytest.raises(MalformedInput):
+            certificate_from_json(text)
 
     def test_step_requires_op(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gksplit
 from gksplit import cli, groups
 from gksplit.errors import DescriptorSyntaxError, InvalidField, NotSimple
 from gksplit.graph import Graph
@@ -195,16 +200,35 @@ class TestWitnessCommands:
         (["split", "--spectrum", "doc.json"], '{"group": "A1(7)"}'),
         (["split", "--in", "doc.json"], None),
         (["witness", "prop71"], None),
+        (["split", "--in", "doc.json"], b"\xff\xfe{}"),
+        (["split", "--spectrum", "doc.json"], b"\xff\xfe{}"),
+        (["verify", "theorem-a", "--max-n", "-5"], None),
+        (["verify", "theorem-a", "--max-n", "0"], None),
+        (["verify", "zsigmondy", "--max-n", "1"], None),
     ],
-    ids=["invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file", "prop71-without-parameters"],
+    ids=[
+        "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
+        "prop71-without-parameters", "graph-not-utf8", "spectrum-not-utf8",
+        "theorem-a-negative-bound", "theorem-a-zero-bound", "zsigmondy-bound-below-first-base",
+    ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
     path = tmp_path / "doc.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     code = cli.main([str(path) if a == "doc.json" else a for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSweepBounds:
+    def test_smallest_bounds_run(self, capsys):
+        assert cli.main(["verify", "theorem-a", "--max-n", "2"]) == 0
+        assert capsys.readouterr().out == "PASS symmetric n=2\nPASS theorem-a up to n=2\n"
+        assert cli.main(["verify", "zsigmondy", "--max-n", "2"]) == 0
+        assert "|base| <= 2," in capsys.readouterr().out
 
 
 class TestSporadicCommand:
@@ -278,3 +302,74 @@ def test_golden_output(argv, code, digest, tmp_path, capsys):
     if "--out" in argv:
         data += (tmp_path / "g.json").read_bytes()
     assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)
+
+
+# A graph whose only forbidden subgraph is a C4 (a square under a clique, one
+# pendant), and one whose only forbidden subgraph is a C5 (a pentagon under a
+# clique, two pendants); the witness bytes were recorded with the exhaustive
+# 4- and 5-subset scan.
+C4_ONLY = {
+    "vertices": [2, 3, 5, 7, 11, 13, 17],
+    "edges": [[2, 3], [5, 11], [11, 7], [7, 13], [13, 5], [2, 17]]
+    + [[c, q] for c in (2, 3) for q in (5, 7, 11, 13)],
+}
+C5_ONLY = {
+    "vertices": [2, 3, 5, 7, 11, 13, 17, 19, 23],
+    "edges": [[2, 3], [5, 11], [11, 7], [7, 17], [17, 13], [13, 5], [2, 19], [3, 23]]
+    + [[c, q] for c in (2, 3) for q in (5, 7, 11, 13, 17)],
+}
+
+
+C4_ONLY_JSON = """{
+  "schema": "gksplit/result/1",
+  "input": "g.json",
+  "split": false,
+  "m_index": 5,
+  "witness": {
+    "kind": "C4",
+    "vertices": [
+      5,
+      11,
+      7,
+      13
+    ]
+  }
+}
+"""
+C5_ONLY_JSON = """{
+  "schema": "gksplit/result/1",
+  "input": "g.json",
+  "split": false,
+  "m_index": 5,
+  "witness": {
+    "kind": "C5",
+    "vertices": [
+      5,
+      11,
+      7,
+      17,
+      13
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "graph, expected", [(C4_ONLY, C4_ONLY_JSON), (C5_ONLY, C5_ONLY_JSON)], ids=["c4-only", "c5-only"]
+)
+def test_split_json_witness_bytes(graph, expected, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    assert cli.main(["split", "--in", "g.json", "--format", "json"]) == 1
+    assert capsys.readouterr().out == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gksplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gksplit", "split", "--group", "Alt(7)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

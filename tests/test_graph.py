@@ -13,7 +13,7 @@ from gksplit.graph import (
     witness_edges,
 )
 
-from oracles import brute_has_forbidden
+from oracles import brute_first_forbidden, brute_has_forbidden
 
 
 def small_graphs(max_n=7):
@@ -29,6 +29,35 @@ def small_graphs(max_n=7):
                 if draw(st.booleans()):
                     edges.append((i, j))
         return Graph(verts, edges)
+
+    return build()
+
+
+def pseudo_split_graphs(max_n=9):
+    """Hypothesis strategy: a clique C, an independent set I with random edges
+    to C, and, when drawn, an induced C5 joined to all of C, on shuffled labels.
+
+    Such a graph has no induced 2K2 or C4, so its only possible witness is
+    the C5; one drawn extra edge may spoil that and make any witness appear.
+    """
+
+    @st.composite
+    def build(draw):
+        five = draw(st.booleans())
+        n = draw(st.integers(5 if five else 0, max_n))
+        labels = draw(st.permutations(range(n)))
+        ring = labels[:5] if five else []
+        rest = labels[len(ring):]
+        k = draw(st.integers(0, len(rest)))
+        clique, indep = rest[:k], rest[k:]
+        edges = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]]
+        edges += [(u, v) for u in clique for v in indep if draw(st.booleans())]
+        edges += [(u, v) for u in clique for v in ring]
+        edges += [(ring[i], ring[(i + 1) % 5]) for i in range(len(ring))]
+        if n >= 2 and draw(st.booleans()):
+            u, v = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+            edges.append((u, v))
+        return Graph(labels, edges)
 
     return build()
 
@@ -204,6 +233,21 @@ class TestForbidden:
             sub = g.induced(got.vertices)
             claimed = set(map(frozenset, witness_edges(got)))
             assert set(map(frozenset, sub.edges)) == claimed
+
+
+    @given(small_graphs(9))
+    @settings(max_examples=300, deadline=None)
+    def test_first_witness_matches_lexicographic_scan(self, g):
+        got = g.find_forbidden()
+        got = None if got is None else (got.kind, got.vertices)
+        assert got == brute_first_forbidden(g.vertices, g.edges)
+
+    @given(pseudo_split_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_first_witness_on_pseudo_split_graphs(self, g):
+        got = g.find_forbidden()
+        got = None if got is None else (got.kind, got.vertices)
+        assert got == brute_first_forbidden(g.vertices, g.edges)
 
 
 class TestSerialization:

@@ -17,7 +17,7 @@ from gksplit.splitcheck import (
 )
 
 from oracles import brute_chromatic, brute_is_split, graphs_on
-from test_graph import M22_SOLVABLE, complete, cycle, path, small_graphs
+from test_graph import M22_SOLVABLE, complete, cycle, path, pseudo_split_graphs, small_graphs
 
 
 class TestMIndex:
@@ -96,6 +96,25 @@ class TestForbiddenRoute:
         assert v.split
         ok, _ = validate_partition(path(4), v.partition)
         assert ok
+
+
+    @given(small_graphs(9))
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_agree_with_brute_force(self, g):
+        a, b = is_split_degree(g), is_split_forbidden(g)
+        assert a.split == b.split == brute_is_split(g.vertices, g.edges)
+        if b.split:
+            ok, reason = validate_partition(g, b.partition)
+            assert ok, reason
+
+    @given(pseudo_split_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_partition_validates_on_pseudo_split_graphs(self, g):
+        b = is_split_forbidden(g)
+        assert b.split == brute_is_split(g.vertices, g.edges)
+        if b.split:
+            ok, reason = validate_partition(g, b.partition)
+            assert ok, reason
 
 
 class TestValidate:
