@@ -137,6 +137,8 @@ def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
         raise MalformedInput(f"spectrum document lacks field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed spectrum document: {exc}") from None
+    if any(m < 1 for m in mu):
+        raise MalformedInput(f"spectrum element orders must be positive, got {sorted(mu)}")
     d = parse_descriptor(group)
     data = groups.SpectrumData(d, groups.maximal_elements(mu))
     if not groups.spectrum_covers(data):

@@ -469,12 +469,18 @@ def encode_label(label):
 
 
 def decode_label(obj):
-    """Inverse of :func:`encode_label`; MalformedInput on anything else."""
-    if isinstance(obj, int):
+    """Inverse of :func:`encode_label`; MalformedInput on anything else.
+
+    JSON true/false are not integer labels, although Python's bool is an int.
+    """
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
     try:
         cls = obj["class"]
-        return ClassLabel(str(cls["name"]), tuple(int(x) for x in cls.get("members", ())))
+        members = cls.get("members", ())
+        if any(isinstance(x, bool) for x in members):
+            raise ValueError("boolean class member")
+        return ClassLabel(str(cls["name"]), tuple(int(x) for x in members))
     except (KeyError, TypeError, ValueError):
         raise MalformedInput(f"cannot decode vertex label {obj!r}") from None
 

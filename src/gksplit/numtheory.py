@@ -1,10 +1,18 @@
 """Exact integer number theory behind all adjacency criteria.
 
-Everything here is elementary and deterministic: factorization by trial
-division plus a Pollard-rho second stage under an explicit effort budget,
-Miller-Rabin primality (deterministic for inputs below 3.3e24), multiplicative
-orders, primitive prime divisors R_i(n) with the Bang-Zsigmondy exception
-list, and pi-parts.
+Everything here is elementary and deterministic: factorization by batched
+trial division (a gcd with the product of each block of small primes, from a
+prime table grown on demand) plus a Floyd-cycle Pollard-rho second stage,
+under an explicit effort budget; Miller-Rabin primality (deterministic for
+inputs below 3.3e24); multiplicative orders; primitive prime divisors R_i(n)
+with the Bang-Zsigmondy exception list; and pi-parts.
+
+R_i(n) is read off the prime divisors of Phi_i(n), and Phi_i(n) is factored
+piece by piece: with the sign folded in and |n| = b^k for b not a perfect
+power, |Phi_i(n)| is a product of values Phi_j(b), each much smaller than
+the whole (Phi_61(4) = Phi_61(2) Phi_122(2) is a product of two primes of
+61 and 60 bits, which neither trial division nor the rho budget splits as
+one integer).
 
 Order convention.  For an odd prime r coprime to n, ``mult_order(r, n)`` is
 the least k with n^k = 1 (mod r).  For r = 2 and odd n the convention is
@@ -21,19 +29,25 @@ for unitary groups.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .errors import BudgetExceeded, NotCoprime, PreconditionViolated
+from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
 #: (n, i) pairs with R_i(n) empty; every other pair with |n| > 1, i >= 1 has a
 #: primitive prime divisor (Bang 1886 / Zsigmondy 1892).
 ZSIGMONDY_EXCEPTIONS = frozenset({(2, 1), (2, 6), (-2, 2), (-2, 3), (3, 1), (-3, 2)})
 
-#: Default effort budget: counts trial divisions plus rho iterations.
+#: Default effort budget: counts the primes trial division covers plus rho
+#: iterations.
 DEFAULT_BUDGET = 2_000_000
 
 _TRIAL_BOUND = 100_000
+
+#: Primes per trial-division block: one gcd with the block's product (about
+#: 1,100 bits near the trial bound) tests all of them at once.
+_TRIAL_BLOCK = 64
 
 # Deterministic Miller-Rabin witness set for n < 3.317e24 (Sorenson-Webster);
 # above that bound the extended witness list makes the test a fixed-witness
@@ -121,8 +135,30 @@ class _Budget:
         return self.remaining >= 0
 
 
+#: (sieve limit, [(block of _TRIAL_BLOCK consecutive primes, their product)])
+#: covering every prime up to the limit; empty until a factoring needs it.
+_trial_table: tuple[int, list[tuple[tuple[int, ...], int]]] = (1, [])
+
+
+def _trial_blocks(limit: int) -> list[tuple[tuple[int, ...], int]]:
+    """Blocks of consecutive primes, with products, covering every prime <= limit.
+
+    limit is at most the trial bound.  The table is re-sieved to at least
+    twice its size whenever a factoring needs primes beyond it, so small
+    inputs never pay for the whole table and the total sieving cost stays
+    linear in the largest limit asked for.
+    """
+    global _trial_table
+    if limit > _trial_table[0]:
+        top = min(_TRIAL_BOUND, max(limit, 2 * _trial_table[0], 1024))
+        primes = primes_upto(top)
+        chunks = (tuple(primes[k : k + _TRIAL_BLOCK]) for k in range(0, len(primes), _TRIAL_BLOCK))
+        _trial_table = (top, [(chunk, prod(chunk)) for chunk in chunks])
+    return _trial_table[1]
+
+
 def _rho_factor(n: int, budget: _Budget) -> int | None:
-    """Brent-cycle Pollard rho; deterministic parameter sweep, None on budget."""
+    """Floyd-cycle Pollard rho, one gcd per step; deterministic parameter sweep, None on budget."""
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
@@ -143,9 +179,11 @@ def _rho_factor(n: int, budget: _Budget) -> int | None:
 def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     """Complete factorization of n >= 1.
 
-    Trial division up to a fixed bound, then Pollard rho on whatever is left,
-    all under one effort budget.  Raises BudgetExceeded (carrying the partial
-    factorization found so far) rather than running unboundedly.
+    Trial division by the primes up to min(trial bound, sqrt(n)), one gcd per
+    block of them, then Pollard rho on whatever is left, all under one effort
+    budget: each prime trial division covers and each rho step costs one
+    unit.  Raises BudgetExceeded (carrying the partial factorization found so
+    far) rather than running unboundedly.
     """
     if n < 1:
         raise PreconditionViolated(f"factor() needs n >= 1, got {n}")
@@ -163,27 +201,32 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         )
 
     m = n
-    for p in (2, 3, 5):
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    # 6k+-1 wheel up to the trial bound.
-    d = 7
-    step = 4
-    while d <= _TRIAL_BOUND and d * d <= m:
-        if not meter.spend():
+    # After trial division m has no prime factor <= limit.
+    limit = min(_TRIAL_BOUND, isqrt(m))
+    for block, block_product in _trial_blocks(limit):
+        if block[0] > limit:
+            break
+        if not meter.spend(len(block) if block[-1] <= limit else bisect_right(block, limit)):
             raise fail()
-        while m % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            m //= d
-        d += step
-        step = 6 - step
+        g = gcd(m, block_product)
+        if g == 1:
+            continue
+        # g is the product of the block's primes that divide m
+        for p in block:
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
+                if g == 1:
+                    break
+        limit = min(limit, isqrt(m))
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if m < d * d or is_prime(m):
+        if isqrt(m) <= limit or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         piece = _rho_factor(m, meter)
@@ -282,19 +325,65 @@ def is_zsigmondy_exception(i: int, n: int) -> bool:
     return (n, i) in ZSIGMONDY_EXCEPTIONS
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1, k >= 1, by integer Newton steps from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(x: int) -> tuple[int, int]:
+    """(b, k) with x = b^k and b not a perfect power, for x >= 2."""
+    b, k, e = x, 1, 2
+    while 1 << e <= b:
+        r = _iroot(b, e)
+        if r**e == b:
+            b, k = r, k * e
+        else:
+            e += 1
+    return b, k
+
+
+def _cyclotomic_split(i: int, n: int) -> tuple[int, list[int]]:
+    """(b, js) with |Phi_i(n)| = prod(Phi_j(b) for j in js), b not a perfect power.
+
+    |Phi_i(-x)| = Phi_i'(x) with i' = 2i for odd i, i/2 for i = 2 (mod 4)
+    and i otherwise; and for |n| = b^k, Phi_i'(b^k) is the product of the
+    Phi_j(b) over the j | i'k with j / gcd(j, k) = i' (a root of Phi_j has
+    order j, its k-th power order j / gcd(j, k)).
+    """
+    if n < 0:
+        i = 2 * i if i % 2 else i // 2 if i % 4 == 2 else i
+    b, k = _perfect_power(abs(n))
+    top = i * k
+    return b, [j for j in range(1, top + 1) if top % j == 0 and j // gcd(j, k) == i]
+
+
 def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """R_i(n): all primes r with e(r, n) = i (primitive prime divisors of n^i - 1).
 
     Candidate primes are the divisors of Phi_i(n), which keeps the integers to
-    factor small; each candidate's order is then checked exactly.  The prime 2
-    is assigned to R_1 or R_2 by the e(2, n) convention.
+    factor small.  When |n| = b^k is a perfect power, Phi_i(n) is factored as
+    its cyclotomic pieces Phi_j(b) (see _cyclotomic_split), each on its own
+    and under its own budget; each candidate's order is then checked exactly.
+    The prime 2 is assigned to R_1 or R_2 by the e(2, n) convention.
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"ppd_set needs i >= 1 and |n| > 1")
     out = set()
     value = abs(cyclotomic_value(i, n))
     if value > 1:
-        for r in prime_set(value, budget):
+        b, js = _cyclotomic_split(i, n)
+        # a split into one piece (always so when |n| is no perfect power) is
+        # |Phi_i(n)| itself
+        pieces = [value] if len(js) == 1 else [cyclotomic_value(j, b) for j in js]
+        if prod(pieces) != value:
+            raise InternalInconsistency(f"cyclotomic pieces {pieces} do not multiply to |Phi_{i}({n})|")
+        candidates = frozenset().union(*(prime_set(piece, budget) for piece in pieces))
+        for r in candidates:
             if r == 2 or n % r == 0:
                 continue
             if mult_order(r, n) == i:

@@ -6,6 +6,7 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 """
 
 from itertools import combinations
+from math import gcd
 
 
 def brute_primes(limit):
@@ -60,6 +61,44 @@ def brute_ppd(i, n, prime_limit=300000):
                 out.add(2)
         elif n % p and brute_order(n, p) == i:
             out.add(p)
+    return out
+
+
+def pow_ppd(i, n):
+    """R_i(n): the primes r dividing n^i - 1 whose order is i, by plain pow.
+
+    Stripping the gcd with every n^d - 1, d a proper divisor of i, leaves the
+    primes of order exactly i; each is 1 mod i, so candidates r = ki + 1 are
+    tried in increasing order up to the square root of what is left, which
+    then is 1 or prime.  Work grows like sqrt(|n|^phi(i)) / i: keep it small.
+    The prime 2 follows the e(2, n) residue convention.
+    """
+    m = abs(n**i - 1)
+    for d in range(1, i):
+        if i % d == 0:
+            g = gcd(m, n**d - 1)
+            while g > 1:
+                m //= g
+                g = gcd(m, g)
+    found = set()
+    r = i + 1
+    while r * r <= m:
+        if m % r == 0:
+            found.add(r)
+            while m % r == 0:
+                m //= r
+        r += i
+    if m > 1:
+        found.add(m)
+    out = set()
+    for r in found:
+        if r == 2:
+            continue
+        assert pow(n, i, r) == 1
+        if all(pow(n, k, r) != 1 for k in range(1, i)):
+            out.add(r)
+    if n % 2 and convention_order(2, n) == i:
+        out.add(2)
     return out
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,16 @@ class TestVerifyCommands:
         code = cli.main(["verify", "theorem-d", "--group", "E8(2)"])
         assert code == 0
 
+    def test_theorem_d_factors_every_class(self, capsys):
+        # Phi_61(4) and Phi_73(4) are factored as their pieces Phi_j(2), so R61
+        # and R73 print with their members, not as bare labels
+        assert cli.main(["verify", "theorem-d", "--group", "A60(4)"]) == 0
+        out = capsys.readouterr().out
+        assert "R61{768614336404564651,2305843009213693951}" in out
+        assert cli.main(["verify", "theorem-d", "--group", "A79(4)"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"R61\{[0-9,]+\}", out) and re.search(r"R73\{[0-9,]+\}", out)
+
     def test_zsigmondy(self, capsys):
         code = cli.main(["verify", "zsigmondy", "--max-n", "8"])
         assert code == 0
@@ -205,11 +216,15 @@ class TestWitnessCommands:
         (["verify", "theorem-a", "--max-n", "-5"], None),
         (["verify", "theorem-a", "--max-n", "0"], None),
         (["verify", "zsigmondy", "--max-n", "1"], None),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, 4, 0]}'),
+        (["split", "--in", "doc.json"], '{"vertices": [true, 1, 2], "edges": [[true, 2]]}'),
+        (["split", "--in", "doc.json"], '{"vertices": [{"class": {"name": "R1", "members": [false]}}], "edges": []}'),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
         "prop71-without-parameters", "graph-not-utf8", "spectrum-not-utf8",
         "theorem-a-negative-bound", "theorem-a-zero-bound", "zsigmondy-bound-below-first-base",
+        "spectrum-zero-order", "boolean-label", "boolean-class-member",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):

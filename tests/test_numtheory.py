@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gksplit import numtheory as nt
-from gksplit.errors import BudgetExceeded, NotCoprime, PreconditionViolated
+from gksplit.errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
-from oracles import brute_factor, brute_order, brute_ppd, brute_primes
+from oracles import brute_factor, brute_order, brute_ppd, brute_primes, pow_ppd
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestFactor:
@@ -38,6 +45,42 @@ class TestFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionViolated):
             nt.factor(0)
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (99991**2, ((99991, 2),)),  # the largest prime below the trial bound
+            (100003**2, ((100003, 2),)),  # the smallest prime above it
+            (99991 * 100003, ((99991, 1), (100003, 1))),
+            (2 * 3**5 * 99991 * (2**61 - 1), ((2, 1), (3, 5), (99991, 1), (2**61 - 1, 1))),
+            (63 * 64 * 65, ((2, 6), (3, 2), (5, 1), (7, 1), (13, 1))),
+        ],
+    )
+    def test_trial_bound_edges(self, n, factors):
+        assert nt.factor(n).factors == factors
+
+    @given(st.lists(st.sampled_from(brute_primes(3000) + [99989, 99991, 100003, 1000003]), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_products_of_primes(self, ps):
+        n = prod(ps)
+        expected = tuple((p, ps.count(p)) for p in sorted(set(ps)))
+        assert nt.factor(n).factors == expected
+
+    def test_budget_counts_primes_covered(self):
+        # trial division of 60 covers the primes up to isqrt(60) = 7: four units
+        assert nt.factor(60, budget=4).factors == ((2, 2), (3, 1), (5, 1))
+        with pytest.raises(BudgetExceeded):
+            nt.factor(60, budget=3)
+
+    def test_import_builds_no_trial_table(self):
+        code = (
+            "import gksplit.cli, gksplit.numtheory as nt\n"
+            "assert nt._trial_table == (1, []), nt._trial_table[0]\n"
+            "nt.factor(10**6 + 3)\n"
+            "assert nt._trial_table[0] < nt._TRIAL_BOUND, nt._trial_table[0]\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestPrimeSet:
@@ -125,6 +168,57 @@ class TestPpd:
         for n in (2, 3, 4, 5, -2, -3):
             for i in range(1, 11):
                 assert nt.ppd_set(i, n) == brute_ppd(i, n), (n, i)
+
+    #: perfect-power bases, whose Phi_i values split into pieces Phi_j(b)
+    POWER_BASES = (4, 8, 9, 16, 27, 32, 64, 81, 128, 243, 512, 729, 2187)
+    PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+    @pytest.mark.parametrize(
+        "bases",
+        [range(-30, -1), PRIME_BASES, POWER_BASES, (-4, -8, -9, -27, -32, -64, -243)],
+        ids=["negative", "prime", "perfect-power", "negative-perfect-power"],
+    )
+    def test_against_pow_oracle(self, bases):
+        checked = 0
+        for n in bases:
+            for i in range(1, 40):
+                # the oracle's trial scan grows like sqrt(Phi_i(n)): keep it small
+                if abs(nt.cyclotomic_value(i, n)).bit_length() > 48:
+                    continue
+                assert nt.ppd_set(i, n) == pow_ppd(i, n), (n, i)
+                checked += 1
+        assert checked >= 40
+
+    def test_phi61_of_4_splits(self):
+        # Phi_61(4) = (2^61 - 1)(2^61 + 1)/3, two primes of 61 and 60 bits: no single
+        # factoring of the product fits the default budget
+        assert nt.ppd_set(61, 4) == {768614336404564651, 2305843009213693951}
+
+    @given(st.integers(1, 60), st.sampled_from((2, 3, 5, 6, 7, 10, 12)), st.integers(1, 6), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_cyclotomic_pieces_multiply(self, i, b, k, negative):
+        n = -(b**k) if negative else b**k
+        base, js = nt._cyclotomic_split(i, n)
+        assert base == b and prod(nt.cyclotomic_value(j, b) for j in js) == abs(nt.cyclotomic_value(i, n))
+
+    @given(st.integers(2, 10**40), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_iroot(self, x, k):
+        r = nt._iroot(x, k)
+        assert r**k <= x < (r + 1) ** k
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [(2, (2, 1)), (12, (12, 1)), (64, (2, 6)), (2187, (3, 7)), (36, (6, 2)), (10**12, (10, 12)), (3**5 * 2**5, (6, 5))],
+    )
+    def test_perfect_power(self, x, expected):
+        assert nt._perfect_power(x) == expected
+
+    def test_pieces_product_is_checked(self, monkeypatch):
+        # the pieces of Phi_61(8), not of Phi_61(4)
+        monkeypatch.setattr(nt, "_cyclotomic_split", lambda i, n: (2, [61, 183]))
+        with pytest.raises(InternalInconsistency):
+            nt.ppd_set(61, 4)
 
     def test_two_assignment(self):
         # 2 lands in R_1 or R_2 of an odd base per the residue convention
