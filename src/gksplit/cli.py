@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exceptional import descriptor_for
-from .graph import Graph, encode_label, same_class_graph
+from .graph import Graph, encode_label, label_text, same_class_graph
 from .splitcheck import (
     SplitPartition,
     is_split_degree,
@@ -132,11 +132,14 @@ def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
     text = _read_text(path)
     try:
         doc = json.loads(text)
-        group, mu = str(doc["group"]), [int(x) for x in doc["mu"]]
+        group, mu = str(doc["group"]), list(doc["mu"])
     except KeyError as exc:
         raise MalformedInput(f"spectrum document lacks field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed spectrum document: {exc}") from None
+    for x in mu:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise MalformedInput(f"spectrum element orders must be JSON integers, got {json.dumps(x)}")
     if any(m < 1 for m in mu):
         raise MalformedInput(f"spectrum element orders must be positive, got {sorted(mu)}")
     d = parse_descriptor(group)
@@ -180,19 +183,11 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
-def _label_str(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if v.members:
-        return f"{v.name}{{{','.join(map(str, v.members))}}}"
-    return v.name
-
-
 def _graph_table(g: Graph, title: str) -> str:
-    lines = [title, f"vertices ({g.n}): " + " ".join(_label_str(v) for v in g.vertices)]
+    lines = [title, f"vertices ({g.n}): " + " ".join(label_text(v) for v in g.vertices)]
     if g.edges:
         lines.append(f"edges ({len(g.edges)}):")
-        lines.extend(f"  {_label_str(u)} -- {_label_str(v)}" for u, v in g.edges)
+        lines.extend(f"  {label_text(u)} -- {label_text(v)}" for u, v in g.edges)
     else:
         lines.append("edges (0): none")
     return "\n".join(lines)
@@ -218,8 +213,8 @@ def _partition_doc(p: SplitPartition) -> dict:
 def _partition_text(p: SplitPartition) -> str:
     c, i = p.as_sorted()
     return (
-        "C = {" + ", ".join(_label_str(v) for v in c) + "}  "
-        "I = {" + ", ".join(_label_str(v) for v in i) + "}"
+        "C = {" + ", ".join(label_text(v) for v in c) + "}  "
+        "I = {" + ", ".join(label_text(v) for v in i) + "}"
     )
 
 
@@ -272,7 +267,7 @@ def _cmd_split(args) -> int:
             w = verdict.forbidden
             lines.append(
                 f"forbidden induced {w.kind} on "
-                + "{" + ", ".join(_label_str(v) for v in w.vertices) + "}"
+                + "{" + ", ".join(label_text(v) for v in w.vertices) + "}"
             )
         _emit("\n".join(lines), args.out)
     return 0 if verdict.split else 1

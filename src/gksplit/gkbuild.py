@@ -18,6 +18,7 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,16 +92,10 @@ def gk_altsym(kind: str, n: int) -> Graph:
     else:
         raise UnsupportedFamily(f"kind must be alternating or symmetric, got {kind!r}")
     primes = nt.primes_upto(n)
-    edges = []
-    odd = [p for p in primes if p != 2]
-    for i, p in enumerate(odd):
-        for q in odd[i + 1 :]:
-            if p + q <= n:
-                edges.append((p, q))
-    if 2 in primes:
-        for p in odd:
-            if two_offset + p <= n:
-                edges.append((2, p))
+    odd = primes[1:]  # primes_upto lists 2 first
+    edges = [(p, q) for i, p in enumerate(odd) for q in odd[i + 1 : bisect_right(odd, n - p)]]
+    if primes:
+        edges.extend((2, p) for p in odd[: bisect_right(odd, n - two_offset)])
     return Graph(primes, edges)
 
 

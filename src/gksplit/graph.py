@@ -73,25 +73,22 @@ class Graph:
 
     def __init__(self, vertices, edges=()):
         vs = sorted(set(vertices), key=label_key)
-        vset = set(vs)
-        adj = {v: set() for v in vs}
-        for e in edges:
-            u, v = e
-            if u not in vset:
+        index = {v: i for i, v in enumerate(vs)}
+        adj = [set() for _ in vs]
+        for u, v in edges:
+            i, j = index.get(u), index.get(v)
+            if i is None:
                 raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
-            if v not in vset:
+            if j is None:
                 raise UnknownVertex(f"edge endpoint {v!r} is not a vertex")
-            if u == v:
+            if i == j:
                 raise LoopEdge(f"loop at {u!r}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[i].add(j)
+            adj[j].add(i)
         self._vertices = tuple(vs)
-        self._adj = {v: frozenset(nb) for v, nb in adj.items()}
+        self._adj = {v: frozenset([vs[j] for j in nb]) for v, nb in zip(vs, adj)}
         self._edges = tuple(
-            (u, v)
-            for i, u in enumerate(vs)
-            for v in vs[i + 1 :]
-            if v in self._adj[u]
+            (u, vs[j]) for i, u in enumerate(vs) for j in sorted(adj[i]) if j > i
         )
 
     # -- basic accessors ---------------------------------------------------
@@ -183,16 +180,12 @@ class Graph:
         return out
 
     def is_clique(self, subset) -> bool:
-        sub = sorted(set(subset), key=label_key)
-        return all(
-            self.adjacent(u, v) for i, u in enumerate(sub) for v in sub[i + 1 :]
-        )
+        sub = frozenset(subset)
+        return all(len(self.neighbors(v) & sub) == len(sub) - 1 for v in sub)
 
     def is_independent(self, subset) -> bool:
-        sub = sorted(set(subset), key=label_key)
-        return not any(
-            self.adjacent(u, v) for i, u in enumerate(sub) for v in sub[i + 1 :]
-        )
+        sub = frozenset(subset)
+        return all(self.neighbors(v).isdisjoint(sub) for v in sub)
 
     # -- compact form --------------------------------------------------------
 
@@ -204,21 +197,15 @@ class Graph:
         """
         buckets: dict[frozenset, list] = {}
         for v in self._vertices:
-            buckets.setdefault(self.closed_nbhd(v), []).append(v)
-        class_of = {}
-        contents = {}
-        for group in buckets.values():
-            group.sort(key=label_key)
-            label = _merge_label(group)
-            contents[label] = frozenset(group)
-            for v in group:
-                class_of[v] = label
-        quotient_edges = set()
-        for u, v in self._edges:
-            cu, cv = class_of[u], class_of[v]
-            if cu != cv:
-                quotient_edges.add(tuple(sorted((cu, cv), key=label_key)))
-        quotient = Graph(contents.keys(), sorted(quotient_edges, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+            buckets.setdefault(self._adj[v] | {v}, []).append(v)
+        groups = list(buckets.values())  # each in label order already
+        labels = [_merge_label(group) for group in groups]
+        number = {label: k for k, label in enumerate(labels)}  # equal labels: one class
+        class_of = {v: label for label, group in zip(labels, groups) for v in group}
+        index = {v: number[label] for v, label in class_of.items()}
+        pairs = {(index[u], index[v]) for u, v in self._edges}
+        quotient = Graph(labels, [(labels[i], labels[j]) for i, j in pairs if i != j])
+        contents = {label: frozenset(group) for label, group in zip(labels, groups)}
         return CompactForm(quotient, class_of, contents)
 
     # -- forbidden-subgraph search -------------------------------------------
@@ -259,12 +246,15 @@ class Graph:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "schema": _SCHEMA,
-            "vertices": [encode_label(v) for v in self._vertices],
-            "edges": [[encode_label(u), encode_label(v)] for u, v in self._edges],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        """The bytes of json.dumps(doc, indent=2), each label encoded once."""
+        text = {v: json.dumps(encode_label(v), indent=2) for v in self._vertices}
+        deep = {v: t.replace("\n", "\n      ") for v, t in text.items()}
+        vertices = [t.replace("\n", "\n    ") for t in text.values()]
+        edges = [f"[\n      {deep[u]},\n      {deep[v]}\n    ]" for u, v in self._edges]
+        return (
+            f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {_json_list(vertices)},'
+            f'\n  "edges": {_json_list(edges)}\n}}'
+        )
 
     @staticmethod
     def from_json(text: str) -> "Graph":
@@ -276,14 +266,20 @@ class Graph:
             raise MalformedInput(f"graph document lacks field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"malformed graph document: {exc}") from None
-        return Graph(vertices, edges)
+        g = Graph(vertices, edges)
+        seen = {}
+        for v in g.vertices:
+            for sep in ("", "="):
+                other = seen.setdefault((sep, label_text(v, sep)), v)
+                if other != v:
+                    raise MalformedInput(f"vertices {other!r} and {v!r} both print as {label_text(v, sep)!r}")
+        return g
 
     def to_dot(self, name: str = "G") -> str:
+        text = {v: f'"{label_text(v, "=")}"' for v in self._vertices}
         lines = [f"graph {name} {{"]
-        for v in self._vertices:
-            lines.append(f'  "{_label_text(v)}";')
-        for u, v in self._edges:
-            lines.append(f'  "{_label_text(u)}" -- "{_label_text(v)}";')
+        lines.extend(f"  {text[v]};" for v in self._vertices)
+        lines.extend(f"  {text[u]} -- {text[v]};" for u, v in self._edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -485,9 +481,15 @@ def decode_label(obj):
         raise MalformedInput(f"cannot decode vertex label {obj!r}") from None
 
 
-def _label_text(label) -> str:
+def _json_list(items) -> str:
+    """A JSON list at depth 1 of items already indented for depth 2."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def label_text(label, sep: str = "") -> str:
+    """Printed form of a label: ``R5{11,31}`` in tables, ``R5={11,31}`` (sep "=") in DOT."""
     if isinstance(label, int):
         return str(label)
     if label.members:
-        return f"{label.name}={{{','.join(map(str, label.members))}}}"
+        return f"{label.name}{sep}{{{','.join(map(str, label.members))}}}"
     return label.name

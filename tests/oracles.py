@@ -5,6 +5,7 @@ under test, so every comparison in the suite is a genuine cross-check.
 Graphs are represented as (vertices, edges) with edges a set of frozensets.
 """
 
+import json
 from itertools import combinations
 from math import gcd
 
@@ -222,3 +223,64 @@ def _walk_cycle(sub, adj):
         prev = order[-1]
         order.append(step)
     return tuple(order)
+
+
+# -- graph documents and the true-twin quotient ------------------------------
+# Labels are read by duck typing: an int, or an object with .name and
+# .members.  Classes come back as plain (name, members) pairs.
+
+
+def _label_order(label):
+    if isinstance(label, int):
+        return (0, label, "", ())
+    return (1, 0, label.name, tuple(label.members))
+
+
+def reference_graph_json(g):
+    """The graph document as one whole-document json.dumps(doc, indent=2)."""
+
+    def enc(label):
+        if isinstance(label, int):
+            return label
+        return {"class": {"name": label.name, "members": list(label.members)}}
+
+    doc = {
+        "schema": "gksplit/graph/1",
+        "vertices": [enc(v) for v in g.vertices],
+        "edges": [[enc(u), enc(v)] for u, v in g.edges],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def reference_edges(vertices, edges):
+    """Sorted vertices and edges of a simple graph, each edge oriented and
+    the list sorted in label order."""
+    vs = sorted(set(vertices), key=_label_order)
+    pairs = {tuple(sorted(e, key=_label_order)) for e in edges}
+    return vs, sorted(pairs, key=lambda e: (_label_order(e[0]), _label_order(e[1])))
+
+
+def reference_compact(g):
+    """The true-twin quotient by bucketing closed neighbourhoods and sorting.
+
+    Returns (vertices, edges, class_map, class_contents) with every class
+    written as (name, members): named after its smallest vertex, members
+    the union of the vertices' primes, or () when one of them has none.
+    """
+    adj = adjacency(g.vertices, g.edges)
+    buckets = {}
+    for v in g.vertices:
+        buckets.setdefault(frozenset(adj[v]) | {v}, []).append(v)
+    class_of = {}
+    contents = {}
+    for group in buckets.values():
+        group = sorted(group, key=_label_order)
+        head = group[0]
+        name = str(head) if isinstance(head, int) else head.name
+        primes = [{v} if isinstance(v, int) else set(v.members) for v in group]
+        label = (name, tuple(sorted(set().union(*primes)))) if all(primes) else (name, ())
+        contents[label] = frozenset(group)
+        for v in group:
+            class_of[v] = label
+    edges = {tuple(sorted((class_of[u], class_of[v]))) for u, v in g.edges}
+    return sorted(contents), sorted(e for e in edges if e[0] != e[1]), class_of, contents

@@ -219,12 +219,18 @@ class TestWitnessCommands:
         (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, 4, 0]}'),
         (["split", "--in", "doc.json"], '{"vertices": [true, 1, 2], "edges": [[true, 2]]}'),
         (["split", "--in", "doc.json"], '{"vertices": [{"class": {"name": "R1", "members": [false]}}], "edges": []}'),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7.9, 3, 4]}'),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, "4"]}'),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, 4, true]}'),
+        (["split", "--in", "doc.json"], '{"vertices": [1, {"class": {"name": "1"}}], "edges": []}'),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
         "prop71-without-parameters", "graph-not-utf8", "spectrum-not-utf8",
         "theorem-a-negative-bound", "theorem-a-zero-bound", "zsigmondy-bound-below-first-base",
         "spectrum-zero-order", "boolean-label", "boolean-class-member",
+        "spectrum-float-order", "spectrum-string-order", "spectrum-boolean-order",
+        "labels-that-print-alike",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
@@ -311,12 +317,48 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
 def test_golden_output(argv, code, digest, tmp_path, capsys):
+    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
+
+
+def _exit_and_digest(argv, tmp_path, capsys):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     got = cli.main(argv)
     data = capsys.readouterr().out.encode()
     if "--out" in argv:
         data += (tmp_path / "g.json").read_bytes()
-    assert (got, hashlib.sha256(data).hexdigest()) == (code, digest)
+    return got, hashlib.sha256(data).hexdigest()
+
+
+# sha256 of stdout and the exit code of the large Alt/Sym exports (168 primes,
+# 0.3 to 1 MB each) and of a theorem-a sweep past the README's bound, recorded
+# with the whole-document json.dumps and the all-pairs edge build.
+GOLDEN_LARGE = [
+    (["build", "--group", "Alt(1000)", "--format", "json"], 0,
+     "5584a6efbcff849ee16efa32c1c806c5e575e2d43ba688de6a3f2cf2d29a65ab"),
+    (["build", "--group", "Alt(1000)", "--format", "dot"], 0,
+     "772b404131d746d1be5903ef4e23cc2f4156e671b91a0ad1ad532e3c4a0c2488"),
+    (["build", "--group", "Sym(1000)", "--format", "json"], 0,
+     "e9652b83063adabdc386743256bbfca71543a0aac4f4d81cedc119e5ff57b954"),
+    (["build", "--group", "Sym(1000)", "--format", "dot"], 0,
+     "61c35b16bd942f082e2b309d74ade50a8e31bb95d57c61836a1e5e15b2158152"),
+    (["compact", "--group", "Alt(1000)", "--format", "json"], 0,
+     "66e9d8556b32fc1174bbea6034cb74fd9e0aaebd9dba5ecbb2f23db3cb7122fc"),
+    (["compact", "--group", "Alt(1000)", "--format", "dot"], 0,
+     "b269eedfb05a27efb099c34cb6702156909651b6ae1441276eca1e1f7a113dcb"),
+    (["compact", "--group", "Sym(1000)", "--format", "json"], 0,
+     "e416fee28977c8da0cc1627d79404da508d5f1703054edf61fee713f8210984f"),
+    (["compact", "--group", "Sym(1000)", "--format", "dot"], 0,
+     "4161f114450235f409988984c3de7731da3e0b6e3abc7640f9322d4c01ec8ae0"),
+    (["verify", "theorem-a", "--max-n", "320"], 0,
+     "95a9bf595474d57cb0b72c8e21d19e601207ebc1ecd21409f23b36ec662b0eeb"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_LARGE, ids=[" ".join(a) for a, _, _ in GOLDEN_LARGE]
+)
+def test_golden_large_output(argv, code, digest, tmp_path, capsys):
+    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
 
 
 # A graph whose only forbidden subgraph is a C4 (a square under a clique, one

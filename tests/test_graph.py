@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gksplit.errors import LoopEdge, UnknownVertex
+from gksplit.errors import LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
     ClassLabel,
     Graph,
@@ -13,7 +13,13 @@ from gksplit.graph import (
     witness_edges,
 )
 
-from oracles import brute_first_forbidden, brute_has_forbidden
+from oracles import (
+    brute_first_forbidden,
+    brute_has_forbidden,
+    reference_compact,
+    reference_edges,
+    reference_graph_json,
+)
 
 
 def small_graphs(max_n=7):
@@ -157,6 +163,13 @@ class TestCliqueIndependent:
         g = complete(3)
         assert g.is_clique(g.vertices) and not g.is_independent(g.vertices)
 
+    def test_unknown_vertex(self):
+        g = complete(3)
+        with pytest.raises(UnknownVertex):
+            g.is_clique([7])
+        with pytest.raises(UnknownVertex):
+            g.is_independent([7])
+
     def test_matching_transversal(self):
         g = Graph(range(4), [(0, 1), (2, 3)])
         assert g.is_independent([0, 2])
@@ -280,6 +293,101 @@ class TestSerialization:
             [(ClassLabel("u", (5,)), ClassLabel("w", (2, 3)))],
         )
         assert not same_class_graph(a, c)
+
+
+#: Vertex labels that collide in every way the codecs care about: small ints,
+#: classes with and without members, names with quotes, newlines, non-ASCII
+#: text and digits (a class "2" of {2} merges with the vertex 2).
+mixed_labels = st.one_of(
+    st.integers(-2, 12),
+    st.builds(
+        ClassLabel,
+        st.text(alphabet='R2"\né \\', max_size=3),
+        st.lists(st.integers(0, 12), max_size=3).map(tuple),
+    ),
+)
+
+
+@st.composite
+def mixed_graphs(draw, max_n=12):
+    """(vertices, edges) on up to max_n mixed labels, edges shuffled and
+    oriented at random."""
+    vs = draw(st.lists(mixed_labels, max_size=max_n, unique=True))
+    edges = [
+        (u, v) if draw(st.booleans()) else (v, u)
+        for i, u in enumerate(vs)
+        for v in vs[i + 1 :]
+        if draw(st.booleans())
+    ]
+    return vs, draw(st.permutations(edges))
+
+
+def _plain(label):
+    return label.name, label.members
+
+
+EDGELESS_CLASSES = ([ClassLabel("R1"), ClassLabel('a"b\né'), ClassLabel("R2", ()), 5], [])
+
+
+class TestAgainstReference:
+    @given(mixed_graphs())
+    @example(([], []))
+    @example(EDGELESS_CLASSES)
+    @settings(max_examples=300, deadline=None)
+    def test_construction(self, data):
+        g = Graph(*data)
+        assert (list(g.vertices), list(g.edges)) == reference_edges(*data)
+
+    @given(mixed_graphs())
+    @example(([], []))
+    @example(EDGELESS_CLASSES)
+    @example(([2, ClassLabel("R\u00e9", (3, 5))], [(ClassLabel("R\u00e9", (3, 5)), 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_to_json(self, data):
+        g = Graph(*data)
+        assert g.to_json() == reference_graph_json(g)
+
+    @given(mixed_graphs())
+    @example(([], []))
+    @example(EDGELESS_CLASSES)
+    @example(([2, ClassLabel("2", (2,)), 3], [(2, 3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_compact_form(self, data):
+        cf = Graph(*data).compact_form()
+        vertices, edges, class_map, contents = reference_compact(Graph(*data))
+        assert [_plain(c) for c in cf.quotient.vertices] == vertices
+        assert [(_plain(a), _plain(b)) for a, b in cf.quotient.edges] == edges
+        assert {v: _plain(c) for v, c in cf.class_map.items()} == class_map
+        assert {_plain(c): s for c, s in cf.class_contents.items()} == contents
+
+    @given(mixed_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_clique_and_independent(self, graph, data):
+        g = Graph(*graph)
+        sub = data.draw(st.lists(st.sampled_from(g.vertices), unique=True) if g.n else st.just([]))
+        pairs = [(u, v) for i, u in enumerate(sub) for v in sub[i + 1 :]]
+        edges = {frozenset(e) for e in g.edges}
+        assert g.is_clique(sub) == all(frozenset(p) in edges for p in pairs)
+        assert g.is_independent(sub) == all(frozenset(p) not in edges for p in pairs)
+
+
+class TestLabelsThatPrintAlike:
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [1, {"class": {"name": "1"}}],
+            [{"class": {"name": "R", "members": [2]}}, {"class": {"name": "R={2}"}}],
+            [{"class": {"name": "R", "members": [2]}}, {"class": {"name": "R{2}"}}],
+        ],
+        ids=["int-and-class", "dot-text", "table-text"],
+    )
+    def test_rejected(self, vertices):
+        with pytest.raises(MalformedInput):
+            Graph.from_json(json.dumps({"vertices": vertices, "edges": []}))
+
+    def test_repeated_label_is_one_vertex(self):
+        g = Graph.from_json('{"vertices": [1, 1, 2], "edges": [[1, 2]]}')
+        assert g.vertices == (1, 2)
 
 
 class TestLabelOrder:
