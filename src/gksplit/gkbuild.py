@@ -92,11 +92,16 @@ def gk_altsym(kind: str, n: int) -> Graph:
     else:
         raise UnsupportedFamily(f"kind must be alternating or symmetric, got {kind!r}")
     primes = nt.primes_upto(n)
-    odd = primes[1:]  # primes_upto lists 2 first
-    edges = [(p, q) for i, p in enumerate(odd) for q in odd[i + 1 : bisect_right(odd, n - p)]]
-    if primes:
-        edges.extend((2, p) for p in odd[: bisect_right(odd, n - two_offset)])
-    return Graph(primes, edges)
+    odd = primes[1:]  # primes_upto lists 2 first, so odd[k] is vertex k + 1
+    # Over the sorted primes the odd neighbours of p are a prefix, the odd
+    # q <= n - p, less p itself; 2 sees the odd p <= n - two_offset.
+    cut = bisect_right(odd, n - two_offset)
+    rows = [((1 << cut) - 1) << 1] if primes else []
+    rows.extend(
+        ((1 << bisect_right(odd, n - p)) - 1) << 1 & ~(2 << k) | (k < cut)
+        for k, p in enumerate(odd)
+    )
+    return Graph(primes, rows=rows)
 
 
 def altsym_partition(n: int) -> SplitPartition:

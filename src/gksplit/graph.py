@@ -6,12 +6,19 @@ the compact diagrams, or the merged classes produced by ``compact_form``).
 Graphs are immutable after construction and every iteration order is
 deterministic (sorted by a total label order), so witnesses, exports and
 quotients are reproducible bit for bit.
+
+A graph is its sorted label tuple, a label -> index dict built once, and one
+int bitset row per vertex index: bit j of ``rows[i]`` is set exactly when
+vertices i and j are adjacent.  Degrees are bit counts, clique and
+independence tests are mask tests, every search reads the rows, and the
+edge list and neighbour sets are derived from them on demand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .errors import LoopEdge, MalformedInput, UnknownVertex
 
@@ -67,29 +74,35 @@ def witness_edges(witness: ForbiddenWitness) -> list[tuple]:
 
 
 class Graph:
-    """Immutable finite simple undirected graph over sortable labels."""
+    """Immutable finite simple undirected graph over sortable labels.
 
-    __slots__ = ("_vertices", "_adj", "_edges")
+    Built from labels and edges, or from ``rows`` by a construction that already
+    knows the adjacency: then ``vertices`` must be unique and in label order,
+    and the rows (symmetric, loop-free) are taken as given.
+    """
 
-    def __init__(self, vertices, edges=()):
-        vs = sorted(set(vertices), key=label_key)
-        index = {v: i for i, v in enumerate(vs)}
-        adj = [set() for _ in vs]
-        for u, v in edges:
-            i, j = index.get(u), index.get(v)
-            if i is None:
-                raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
-            if j is None:
-                raise UnknownVertex(f"edge endpoint {v!r} is not a vertex")
-            if i == j:
-                raise LoopEdge(f"loop at {u!r}")
-            adj[i].add(j)
-            adj[j].add(i)
-        self._vertices = tuple(vs)
-        self._adj = {v: frozenset([vs[j] for j in nb]) for v, nb in zip(vs, adj)}
-        self._edges = tuple(
-            (u, vs[j]) for i, u in enumerate(vs) for j in sorted(adj[i]) if j > i
-        )
+    __slots__ = ("_vertices", "_index", "_rows", "_edges")
+
+    def __init__(self, vertices, edges=(), *, rows=None):
+        if rows is None:
+            vertices = sorted(set(vertices), key=label_key)
+        index = {v: i for i, v in enumerate(vertices)}
+        if rows is None:
+            rows = [0] * len(vertices)
+            for u, v in edges:
+                i, j = index.get(u), index.get(v)
+                if i is None:
+                    raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
+                if j is None:
+                    raise UnknownVertex(f"edge endpoint {v!r} is not a vertex")
+                if i == j:
+                    raise LoopEdge(f"loop at {u!r}")
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        self._vertices = tuple(vertices)
+        self._index = index
+        self._rows = tuple(rows)
+        self._edges = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -98,64 +111,77 @@ class Graph:
         return self._vertices
 
     @property
+    def rows(self) -> tuple:
+        """Adjacency bitsets: bit j of rows[i] is set iff vertices i, j are adjacent."""
+        return self._rows
+
+    @property
     def edges(self) -> tuple:
+        if self._edges is None:
+            vs = self._vertices
+            self._edges = tuple((vs[i], vs[j]) for i, j in self._pairs())
         return self._edges
 
     @property
     def n(self) -> int:
         return len(self._vertices)
 
-    def neighbors(self, v) -> frozenset:
+    def mask(self, subset) -> int:
+        """The bitset of a set of vertices; UnknownVertex for any other label."""
+        mask = 0
+        for v in subset:
+            mask |= 1 << self._at(v)
+        return mask
+
+    def _at(self, v) -> int:
         try:
-            return self._adj[v]
+            return self._index[v]
         except KeyError:
             raise UnknownVertex(f"{v!r} is not a vertex") from None
 
+    def _labels(self, mask) -> list:
+        return [self._vertices[i] for i in bits(mask)]
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Index pairs i < j of the edges, in lexicographic order."""
+        return [(i, j) for i, row in enumerate(self._rows) for j in bits(row >> i + 1, i + 1)]
+
+    def neighbors(self, v) -> frozenset:
+        return frozenset(self._labels(self._rows[self._at(v)]))
+
     def adjacent(self, u, v) -> bool:
-        return v in self.neighbors(u)
+        return self._rows[self._at(u)] >> self._at(v) & 1 == 1
 
     def degree(self, v) -> int:
-        return len(self.neighbors(v))
+        return self._rows[self._at(v)].bit_count()
 
     def degree_sequence(self) -> list[int]:
         """Degrees in non-increasing order."""
-        return sorted((len(nb) for nb in self._adj.values()), reverse=True)
+        return sorted((row.bit_count() for row in self._rows), reverse=True)
 
     def __contains__(self, v) -> bool:
-        return v in self._adj
+        return v in self._index
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self._vertices == other._vertices
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and (self._vertices, self._rows) == (other._vertices, other._rows)
 
     def __hash__(self):
-        return hash((self._vertices, self._edges))
+        return hash((self._vertices, self._rows))
 
     def __repr__(self):
-        return f"Graph({self.n} vertices, {len(self._edges)} edges)"
+        return f"Graph({self.n} vertices, {len(self.edges)} edges)"
 
     # -- constructions -----------------------------------------------------
 
     def induced(self, subset) -> "Graph":
-        sub = set(subset)
-        for v in sub:
-            if v not in self._adj:
-                raise UnknownVertex(f"{v!r} is not a vertex")
-        edges = [(u, v) for u, v in self._edges if u in sub and v in sub]
-        return Graph(sub, edges)
+        keep = self.mask(subset)
+        vs = self._vertices
+        edges = [(vs[i], vs[j]) for i in bits(keep) for j in bits(self._rows[i] & keep)]
+        return Graph(self._labels(keep), edges)
 
     def complement(self) -> "Graph":
-        vs = self._vertices
-        edges = [
-            (u, v)
-            for i, u in enumerate(vs)
-            for v in vs[i + 1 :]
-            if v not in self._adj[u]
-        ]
-        return Graph(vs, edges)
+        full = (1 << self.n) - 1
+        return Graph(self._vertices, rows=[full & ~(row | 1 << i) for i, row in enumerate(self._rows)])
 
     def closed_nbhd(self, v) -> frozenset:
         """The ball of radius 1: the vertex together with its neighbours."""
@@ -163,29 +189,27 @@ class Graph:
 
     def components(self) -> list[frozenset]:
         """Connected components, each a vertex set, in sorted order."""
-        seen = set()
         out = []
-        for root in self._vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(frozenset(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for i in bits(frontier):
+                    reach |= self._rows[i]
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            out.append(frozenset(self._labels(comp)))
         return out
 
     def is_clique(self, subset) -> bool:
-        sub = frozenset(subset)
-        return all(len(self.neighbors(v) & sub) == len(sub) - 1 for v in sub)
+        sub = self.mask(subset)
+        return all((self._rows[i] | 1 << i) & sub == sub for i in bits(sub))
 
     def is_independent(self, subset) -> bool:
-        sub = frozenset(subset)
-        return all(self.neighbors(v).isdisjoint(sub) for v in sub)
+        sub = self.mask(subset)
+        return not any(self._rows[i] & sub for i in bits(sub))
 
     # -- compact form --------------------------------------------------------
 
@@ -193,19 +217,27 @@ class Graph:
         """Quotient by the true-twin relation u = v iff closed nbhds coincide.
 
         Class labels are deterministic: each class is named after its smallest
-        member and carries the union of the members' underlying primes.
+        member and carries the union of the members' underlying primes.  Two
+        classes whose labels would coincide are MalformedInput.
         """
-        buckets: dict[frozenset, list] = {}
-        for v in self._vertices:
-            buckets.setdefault(self._adj[v] | {v}, []).append(v)
+        vs, rows = self._vertices, self._rows
+        buckets: dict[int, list] = {}
+        for i, row in enumerate(rows):
+            buckets.setdefault(row | 1 << i, []).append(i)
         groups = list(buckets.values())  # each in label order already
-        labels = [_merge_label(group) for group in groups]
-        number = {label: k for k, label in enumerate(labels)}  # equal labels: one class
-        class_of = {v: label for label, group in zip(labels, groups) for v in group}
-        index = {v: number[label] for v, label in class_of.items()}
-        pairs = {(index[u], index[v]) for u, v in self._edges}
-        quotient = Graph(labels, [(labels[i], labels[j]) for i, j in pairs if i != j])
-        contents = {label: frozenset(group) for label, group in zip(labels, groups)}
+        labels = [_merge_label([vs[i] for i in group]) for group in groups]
+        contents = {label: frozenset(vs[i] for i in group) for label, group in zip(labels, groups)}
+        if len(contents) < len(labels):
+            twin = next(label for label in labels if labels.count(label) > 1)
+            raise MalformedInput(f"two true-twin classes would both be labelled {label_text(twin)!r}")
+        # Twins see the same classes, so the first vertex of a class stands
+        # for it: class k sees class l iff their first vertices are adjacent.
+        order = sorted(range(len(groups)), key=lambda k: label_key(labels[k]))
+        number = {groups[k][0]: position for position, k in enumerate(order)}
+        heads = sum(1 << i for i in number)
+        qrows = [sum(1 << number[j] for j in bits(rows[groups[k][0]] & heads)) for k in order]
+        quotient = Graph([labels[k] for k in order], rows=qrows)
+        class_of = {vs[i]: label for label, group in zip(labels, groups) for i in group}
         return CompactForm(quotient, class_of, contents)
 
     # -- forbidden-subgraph search -------------------------------------------
@@ -216,7 +248,7 @@ class Graph:
         A graph is split exactly when none of the three occurs (Foldes-Hammer).
         The witness is the one a scan of all 4-subsets, then all 5-subsets,
         in lexicographic vertex order would meet first, but the search runs
-        on int bitset adjacency rows:
+        on the bitset rows:
 
         * 2K2/C4 in O(n^3) bitset operations: the edges among the first three
           vertices a < b < c of a quad fix the neighbourhood its fourth
@@ -228,29 +260,29 @@ class Graph:
         No degree reasoning is used, so the search stays independent of the
         Hammer-Simeone degree route.
         """
-        vs = self._vertices
-        index = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for u, v in self._edges:
-            i, j = index[u], index[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+        rows = self._rows
         quad = _first_quad(rows)
         if quad is not None:
-            return _classify_quad(self, tuple(vs[i] for i in quad))
-        five = _lone_pentagon(rows)
-        if five is not None:
-            return ForbiddenWitness("C5", _pentagon_order(self, tuple(vs[i] for i in five)))
-        return None
+            pairs = [(x, y) for k, x in enumerate(quad) for y in quad[k + 1 :] if rows[x] >> y & 1]
+            if len(pairs) == 2:  # a 2K2, written as its two edges
+                kind, ring = "2K2", pairs[0] + pairs[1]
+            else:
+                kind, ring = "C4", _walk_cycle(rows, quad)
+        else:
+            five = _lone_pentagon(rows)
+            if five is None:
+                return None
+            kind, ring = "C5", _walk_cycle(rows, five)
+        return ForbiddenWitness(kind, tuple(self._vertices[i] for i in ring))
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
         """The bytes of json.dumps(doc, indent=2), each label encoded once."""
-        text = {v: json.dumps(encode_label(v), indent=2) for v in self._vertices}
-        deep = {v: t.replace("\n", "\n      ") for v, t in text.items()}
-        vertices = [t.replace("\n", "\n    ") for t in text.values()]
-        edges = [f"[\n      {deep[u]},\n      {deep[v]}\n    ]" for u, v in self._edges]
+        text = [json.dumps(encode_label(v), indent=2) for v in self._vertices]
+        deep = [t.replace("\n", "\n      ") for t in text]
+        vertices = [t.replace("\n", "\n    ") for t in text]
+        edges = [f"[\n      {deep[i]},\n      {deep[j]}\n    ]" for i, j in self._pairs()]
         return (
             f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {_json_list(vertices)},'
             f'\n  "edges": {_json_list(edges)}\n}}'
@@ -276,10 +308,10 @@ class Graph:
         return g
 
     def to_dot(self, name: str = "G") -> str:
-        text = {v: f'"{label_text(v, "=")}"' for v in self._vertices}
+        text = [f'"{label_text(v, "=")}"' for v in self._vertices]
         lines = [f"graph {name} {{"]
-        lines.extend(f"  {text[v]};" for v in self._vertices)
-        lines.extend(f"  {text[u]} -- {text[v]};" for u, v in self._edges)
+        lines.extend(f"  {t};" for t in text)
+        lines.extend(f"  {text[i]} -- {text[j]};" for i, j in self._pairs())
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -335,12 +367,14 @@ def same_class_graph(g1: Graph, g2: Graph) -> bool:
     return members_signature(g1) == members_signature(g2)
 
 
-def _bits(mask):
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits(mask: int, start: int = 0):
+    """Indices of the set bits of mask (non-negative), in increasing order,
+    each plus start.  One C-level pass over the binary digits; the rows of
+    prime graphs are dense, where this beats peeling off the lowest bit."""
+    return compress(count(start), bin(mask)[:1:-1].encode().translate(_BIT_VALUES))
 
 
 def _first_quad(rows):
@@ -365,7 +399,7 @@ def _first_quad(rows):
             only_b = rb & ~ra & above
             adjacent = ra >> b & 1
             rest = (~(ra | rb) if adjacent else ra & rb) & above
-            for c in _bits(only_a | only_b | rest):
+            for c in bits(only_a | only_b | rest):
                 if only_a >> c & 1:
                     want = only_b
                 elif only_b >> c & 1:
@@ -391,7 +425,7 @@ def _lone_pentagon(rows):
     full = (1 << len(rows)) - 1
     for v in range(len(rows)):
         far = full & ~rows[v] & ~(1 << v)
-        for u in _bits(far):
+        for u in bits(far):
             near = rows[u] & far
             if near:
                 w = (near & -near).bit_length() - 1
@@ -406,51 +440,14 @@ def _lone_pentagon(rows):
     return None
 
 
-def _classify_quad(g: Graph, quad):
-    pairs = [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-    ]
-    present = [g.adjacent(quad[i], quad[j]) for i, j in pairs]
-    count = sum(present)
-    if count == 2:
-        hit = [pairs[k] for k, yes in enumerate(present) if yes]
-        (a, b), (c, d) = hit
-        if len({a, b, c, d}) == 4:
-            return ForbiddenWitness(
-                "2K2", (quad[a], quad[b], quad[c], quad[d])
-            )
-    elif count == 4:
-        degs = [0, 0, 0, 0]
-        for k, yes in enumerate(present):
-            if yes:
-                i, j = pairs[k]
-                degs[i] += 1
-                degs[j] += 1
-        if degs == [2, 2, 2, 2]:
-            a = quad[0]
-            nb = [v for v in quad[1:] if g.adjacent(a, v)]
-            other = next(v for v in quad[1:] if v not in nb)
-            return ForbiddenWitness("C4", (a, nb[0], other, nb[1]))
-    return None
-
-
-def _pentagon_order(g: Graph, five):
-    if sum(1 for i in range(5) for j in range(i + 1, 5) if g.adjacent(five[i], five[j])) != 5:
-        return None
-    inside = {v: sum(1 for w in five if w != v and g.adjacent(v, w)) for v in five}
-    if any(d != 2 for d in inside.values()):
-        return None
-    # 5 edges, all inner degrees 2, so it is C5; walk the cycle.
-    start = five[0]
-    order = [start]
-    prev = None
-    cur = start
-    for _ in range(4):
-        nxt = next(
-            w for w in five if w != cur and w != prev and g.adjacent(cur, w)
-        )
-        order.append(nxt)
-        prev, cur = cur, nxt
+def _walk_cycle(rows, ring):
+    """The induced cycle on the sorted indices ring, walked from its first
+    vertex towards that vertex's smaller neighbour."""
+    order, prev = [ring[0]], None
+    while len(order) < len(ring):
+        step = next(w for w in ring if rows[order[-1]] >> w & 1 and w != prev)
+        prev = order[-1]
+        order.append(step)
     return tuple(order)
 
 

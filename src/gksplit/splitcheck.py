@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from .graph import ForbiddenWitness, Graph, label_key
+from .graph import ForbiddenWitness, Graph, bits, label_key
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,10 @@ def special_violation(g: Graph, clique, indep):
     None exactly when the split partition (C, I) is special, that is when
     every vertex of I has a non-neighbour in C.
     """
-    for v in sorted(indep, key=label_key):
-        if all(g.adjacent(v, u) for u in clique):
-            return v
+    want = g.mask(clique)
+    for i in bits(g.mask(indep)):
+        if g.rows[i] & want == want:
+            return g.vertices[i]
     return None
 
 
@@ -134,7 +135,7 @@ def is_split_degree(g: Graph) -> SplitVerdict:
         # The top-m degree sum is the same however ties are broken, and the
         # equality forces those m vertices to be a clique and the rest to be
         # independent (Hammer-Simeone), so any non-increasing order will do.
-        by_degree = sorted(g.vertices, key=lambda v: (-g.degree(v), label_key(v)))
+        by_degree = sorted(g.vertices, key=g.degree, reverse=True)  # stable: ties in label order
         clique, indep = by_degree[:m], by_degree[m:]
         if not (g.is_clique(clique) and g.is_independent(indep)):
             raise InternalInconsistency(
@@ -159,12 +160,11 @@ def _partition_from_2sat(g: Graph) -> SplitPartition | None:
     clauses are unsatisfiable.
     """
     vs = g.vertices
-    index = {v: i for i, v in enumerate(vs)}
+    full = (1 << len(vs)) - 1
     succ = []
-    for i, v in enumerate(vs):
-        nbrs = {index[u] for u in g.neighbors(v)}
-        succ.append([2 * j + 1 for j in range(len(vs)) if j != i and j not in nbrs])
-        succ.append([2 * j for j in sorted(nbrs)])
+    for i, row in enumerate(g.rows):
+        succ.append([2 * j + 1 for j in bits(full & ~(row | 1 << i))])
+        succ.append([2 * j for j in bits(row)])
     comp = _scc_ids(succ)
     if any(comp[2 * i] == comp[2 * i + 1] for i in range(len(vs))):
         return None

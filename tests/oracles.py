@@ -103,6 +103,22 @@ def pow_ppd(i, n):
     return out
 
 
+def altsym_edges(kind, n):
+    """Primes up to n and the edge set of the prime graph of Alt(n) or
+    Sym(n) by element orders: an element of order pq needs a p-cycle and a
+    disjoint q-cycle, so odd p != q are adjacent iff p + q <= n; for 2 and an
+    odd p that is p + 2 <= n in Sym, and p + 4 <= n in Alt, where the
+    2-part must be a pair of transpositions to keep the element even."""
+    two = 4 if kind == "alternating" else 2
+    primes = brute_primes(n)
+    edges = {
+        frozenset((p, q))
+        for p, q in combinations(primes, 2)
+        if q + (two if p == 2 else p) <= n
+    }
+    return primes, edges
+
+
 def adjacency(vertices, edges):
     adj = {v: set() for v in vertices}
     for e in edges:
@@ -260,12 +276,31 @@ def reference_edges(vertices, edges):
     return vs, sorted(pairs, key=lambda e: (_label_order(e[0]), _label_order(e[1])))
 
 
+def reference_components(vertices, edges):
+    """Connected components as vertex sets, by depth-first search from the
+    smallest vertex not yet reached, in label order."""
+    vs = sorted(set(vertices), key=_label_order)
+    adj = adjacency(vs, edges)
+    seen, out = set(), []
+    for root in vs:
+        if root not in seen:
+            comp, stack = {root}, [root]
+            while stack:
+                for w in adj[stack.pop()] - comp:
+                    comp.add(w)
+                    stack.append(w)
+            seen |= comp
+            out.append(frozenset(comp))
+    return out
+
+
 def reference_compact(g):
     """The true-twin quotient by bucketing closed neighbourhoods and sorting.
 
     Returns (vertices, edges, class_map, class_contents) with every class
     written as (name, members): named after its smallest vertex, members
     the union of the vertices' primes, or () when one of them has none.
+    ValueError when two classes get the same label.
     """
     adj = adjacency(g.vertices, g.edges)
     buckets = {}
@@ -279,6 +314,8 @@ def reference_compact(g):
         name = str(head) if isinstance(head, int) else head.name
         primes = [{v} if isinstance(v, int) else set(v.members) for v in group]
         label = (name, tuple(sorted(set().union(*primes)))) if all(primes) else (name, ())
+        if label in contents:
+            raise ValueError(f"two classes are both labelled {label}")
         contents[label] = frozenset(group)
         for v in group:
             class_of[v] = label

@@ -223,6 +223,9 @@ class TestWitnessCommands:
         (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, "4"]}'),
         (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [7, 3, 4, true]}'),
         (["split", "--in", "doc.json"], '{"vertices": [1, {"class": {"name": "1"}}], "edges": []}'),
+        (["compact", "--in", "doc.json"],
+         '{"vertices": [2, {"class": {"name": "2", "members": [2]}}, 3], '
+         '"edges": [[2, 3], [{"class": {"name": "2", "members": [2]}}, 3]]}'),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
@@ -230,7 +233,7 @@ class TestWitnessCommands:
         "theorem-a-negative-bound", "theorem-a-zero-bound", "zsigmondy-bound-below-first-base",
         "spectrum-zero-order", "boolean-label", "boolean-class-member",
         "spectrum-float-order", "spectrum-string-order", "spectrum-boolean-order",
-        "labels-that-print-alike",
+        "labels-that-print-alike", "twin-classes-share-a-label",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
@@ -330,8 +333,9 @@ def _exit_and_digest(argv, tmp_path, capsys):
 
 
 # sha256 of stdout and the exit code of the large Alt/Sym exports (168 primes,
-# 0.3 to 1 MB each) and of a theorem-a sweep past the README's bound, recorded
-# with the whole-document json.dumps and the all-pairs edge build.
+# 0.3 to 1 MB each) and of two theorem-a sweeps past the README's bound,
+# recorded with the whole-document json.dumps and the all-pairs edge build
+# (the sweep to 1000 with label-keyed neighbour sets, before the bitset rows).
 GOLDEN_LARGE = [
     (["build", "--group", "Alt(1000)", "--format", "json"], 0,
      "5584a6efbcff849ee16efa32c1c806c5e575e2d43ba688de6a3f2cf2d29a65ab"),
@@ -351,6 +355,8 @@ GOLDEN_LARGE = [
      "4161f114450235f409988984c3de7731da3e0b6e3abc7640f9322d4c01ec8ae0"),
     (["verify", "theorem-a", "--max-n", "320"], 0,
      "95a9bf595474d57cb0b72c8e21d19e601207ebc1ecd21409f23b36ec662b0eeb"),
+    (["verify", "theorem-a", "--max-n", "1000"], 0,
+     "5f10a5f7e139bc8bbb36f6432a42df47ed915924d892702dbeff83df6fbd06f0"),
 ]
 
 

@@ -4,6 +4,7 @@ from gksplit import gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import certificate_from_json, recheck
 from gksplit.errors import (
+    NotSimple,
     PreconditionViolated,
     RankTooSmall,
     UnsupportedFamily,
@@ -11,7 +12,7 @@ from gksplit.errors import (
 from gksplit.graph import Graph, same_class_graph
 from gksplit.splitcheck import is_split_degree, validate_partition
 
-from oracles import brute_order, brute_primes
+from oracles import altsym_edges, brute_order, brute_primes
 
 
 class TestAltSym:
@@ -52,6 +53,21 @@ class TestAltSym:
     def test_bad_kind(self):
         with pytest.raises(UnsupportedFamily):
             gkbuild.gk_altsym("dihedral", 9)
+
+    @pytest.mark.parametrize("kind", ["alternating", "symmetric"])
+    def test_rows_against_element_orders(self, kind):
+        # the prefix-mask rows against the order criterion, edge by edge
+        for n in range(2, 401):
+            if kind == "alternating" and n < 5:
+                with pytest.raises(NotSimple):
+                    gkbuild.gk_altsym(kind, n)
+                continue
+            g = gkbuild.gk_altsym(kind, n)
+            primes, edges = altsym_edges(kind, n)
+            assert list(g.vertices) == primes
+            assert {frozenset(e) for e in g.edges} == edges, (kind, n)
+            # equal rows too, so both halves of each row are right
+            assert g == Graph(primes, [tuple(e) for e in edges]), (kind, n)
 
 
 class TestIndexFunctions:

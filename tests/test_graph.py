@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +15,11 @@ from gksplit.graph import (
 )
 
 from oracles import (
+    adjacency,
     brute_first_forbidden,
     brute_has_forbidden,
     reference_compact,
+    reference_components,
     reference_edges,
     reference_graph_json,
 )
@@ -351,10 +354,16 @@ class TestAgainstReference:
     @example(([], []))
     @example(EDGELESS_CLASSES)
     @example(([2, ClassLabel("2", (2,)), 3], [(2, 3)]))
+    @example(([2, ClassLabel("2", (2,)), 3], [(2, 3), (ClassLabel("2", (2,)), 3)]))
     @settings(max_examples=300, deadline=None)
     def test_compact_form(self, data):
+        try:
+            vertices, edges, class_map, contents = reference_compact(Graph(*data))
+        except ValueError:
+            with pytest.raises(MalformedInput):
+                Graph(*data).compact_form()
+            return
         cf = Graph(*data).compact_form()
-        vertices, edges, class_map, contents = reference_compact(Graph(*data))
         assert [_plain(c) for c in cf.quotient.vertices] == vertices
         assert [(_plain(a), _plain(b)) for a, b in cf.quotient.edges] == edges
         assert {v: _plain(c) for v, c in cf.class_map.items()} == class_map
@@ -369,6 +378,54 @@ class TestAgainstReference:
         edges = {frozenset(e) for e in g.edges}
         assert g.is_clique(sub) == all(frozenset(p) in edges for p in pairs)
         assert g.is_independent(sub) == all(frozenset(p) not in edges for p in pairs)
+
+
+class TestRowAccessors:
+    """Every label-level view of the bitset rows against the plain edge list."""
+
+    @given(mixed_graphs(), st.data())
+    @example(([], []), None)
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference(self, graph, data):
+        g = Graph(*graph)
+        vs, es = reference_edges(*graph)
+        adj = adjacency(vs, es)
+        assert list(g.edges) == es
+        for v in vs:
+            assert g.neighbors(v) == adj[v] and g.closed_nbhd(v) == adj[v] | {v}
+            assert g.degree(v) == len(adj[v])
+            assert [g.adjacent(v, w) for w in vs] == [w in adj[v] for w in vs]
+        assert g.degree_sequence() == sorted((len(adj[v]) for v in vs), reverse=True)
+        assert g.components() == reference_components(vs, es)
+        others = [(u, v) for u, v in combinations(vs, 2) if v not in adj[u]]
+        assert (list(g.complement().vertices), list(g.complement().edges)) == reference_edges(vs, others)
+        if data is None:
+            return
+        sub = data.draw(st.lists(st.sampled_from(vs), unique=True) if vs else st.just([]))
+        pairs = list(combinations(sub, 2))
+        assert g.is_clique(sub) == all(v in adj[u] for u, v in pairs)
+        assert g.is_independent(sub) == all(v not in adj[u] for u, v in pairs)
+        h = g.induced(sub)
+        assert (list(h.vertices), list(h.edges)) == reference_edges(sub, [(u, v) for u, v in pairs if v in adj[u]])
+        shuffled = Graph(data.draw(st.permutations(vs)), [(v, u) for u, v in data.draw(st.permutations(es))])
+        assert shuffled == g and hash(shuffled) == hash(g)
+        if es:
+            assert Graph(vs, es[1:]) != g
+
+    @given(mixed_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unknown_vertex(self, graph, data):
+        g = Graph(*graph)
+        stranger = data.draw(mixed_labels.filter(lambda x: x not in g))
+        some = g.vertices[0] if g.n else stranger
+        for call in (
+            lambda: g.neighbors(stranger), lambda: g.closed_nbhd(stranger), lambda: g.degree(stranger),
+            lambda: g.adjacent(stranger, some), lambda: g.adjacent(some, stranger),
+            lambda: g.is_clique([stranger]), lambda: g.is_independent([stranger]),
+            lambda: g.induced([stranger]), lambda: g.is_clique([*g.vertices, stranger]),
+        ):
+            with pytest.raises(UnknownVertex):
+                call()
 
 
 class TestLabelsThatPrintAlike:
