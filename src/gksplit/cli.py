@@ -609,10 +609,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main reuses; built on main's first call, never at import.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
+        if getattr(args, "budget", 1) < 1:
+            raise GKSplitError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: factoring budget exhausted: {exc}", file=sys.stderr)
@@ -622,7 +630,7 @@ def main(argv=None) -> int:
         return 2
 
 
-#: programmatic entry point: run(argv) -> exit status
+#: programmatic entry point: run(argv) -> exit status, one parser per process
 run = main
 
 

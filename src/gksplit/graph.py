@@ -66,6 +66,10 @@ class ForbiddenWitness:
     vertices: tuple
 
 
+#: Graph._witness before find_forbidden has run; None means "no witness".
+_UNSCANNED = object()
+
+
 def witness_edges(witness: ForbiddenWitness) -> list[tuple]:
     v = witness.vertices
     if witness.kind == "2K2":
@@ -81,7 +85,7 @@ class Graph:
     and the rows (symmetric, loop-free) are taken as given.
     """
 
-    __slots__ = ("_vertices", "_index", "_rows", "_edges")
+    __slots__ = ("_vertices", "_index", "_rows", "_edges", "_witness")
 
     def __init__(self, vertices, edges=(), *, rows=None):
         if rows is None:
@@ -103,6 +107,7 @@ class Graph:
         self._index = index
         self._rows = tuple(rows)
         self._edges = None
+        self._witness = _UNSCANNED
 
     # -- basic accessors ---------------------------------------------------
 
@@ -245,6 +250,8 @@ class Graph:
     def find_forbidden(self):
         """The first induced 2K2, C4 or C5; None when the graph is split.
 
+        The scan runs once per graph; later calls return its result.
+
         A graph is split exactly when none of the three occurs (Foldes-Hammer).
         The witness is the one a scan of all 4-subsets, then all 5-subsets,
         in lexicographic vertex order would meet first, but the search runs
@@ -260,6 +267,11 @@ class Graph:
         No degree reasoning is used, so the search stays independent of the
         Hammer-Simeone degree route.
         """
+        if self._witness is _UNSCANNED:
+            self._witness = self._scan_forbidden()
+        return self._witness
+
+    def _scan_forbidden(self):
         rows = self._rows
         quad = _first_quad(rows)
         if quad is not None:

@@ -1,11 +1,16 @@
 """Exact integer number theory behind all adjacency criteria.
 
 Everything here is elementary and deterministic: factorization by batched
-trial division (a gcd with the product of each block of small primes, from a
-prime table grown on demand) plus a Floyd-cycle Pollard-rho second stage,
-under an explicit effort budget; Miller-Rabin primality (deterministic for
-inputs below 3.3e24); multiplicative orders; primitive prime divisors R_i(n)
-with the Bang-Zsigmondy exception list; and pi-parts.
+trial division (a gcd with the product of each block of small primes) plus a
+Floyd-cycle Pollard-rho second stage, under an explicit effort budget;
+Miller-Rabin primality (deterministic for inputs below 3.3e24);
+multiplicative orders; primitive prime divisors R_i(n) with the
+Bang-Zsigmondy exception list; and pi-parts.
+
+There is one prime table per process.  ``primes_upto`` and the trial-division
+blocks both read it; it is empty at import, sieved on first use and re-sieved
+to at least twice its limit whenever a larger limit is asked for, so a sweep
+over growing limits sieves a total linear in its largest limit.
 
 R_i(n) is read off the prime divisors of Phi_i(n), and Phi_i(n) is factored
 piece by piece: with the sign folded in and |n| = b^k for b not a perfect
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt, prod
 
 from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
@@ -84,16 +90,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(limit: int) -> list[int]:
+#: (sieve limit, every prime up to it in increasing order); empty until a
+#: caller needs primes.
+_prime_table: tuple[int, list[int]] = (1, [])
+
+
+def _sieve(limit: int) -> list[int]:
     """All primes <= limit by a sieve of Eratosthenes."""
-    if limit < 2:
-        return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(limit + 1), sieve))
+
+
+def primes_upto(limit: int) -> list[int]:
+    """All primes <= limit, in increasing order, as a new list.
+
+    Read off the shared prime table, which is re-sieved to at least twice
+    its limit when limit lies beyond it.  The list is a copy: changing it
+    leaves the table alone.
+    """
+    global _prime_table
+    top, primes = _prime_table
+    if limit > top:
+        top = max(limit, 2 * top)
+        primes = _sieve(top)
+        _prime_table = (top, primes)
+    return primes[: bisect_right(primes, limit)]
 
 
 @dataclass(frozen=True)
@@ -143,10 +168,10 @@ _trial_table: tuple[int, list[tuple[tuple[int, ...], int]]] = (1, [])
 def _trial_blocks(limit: int) -> list[tuple[tuple[int, ...], int]]:
     """Blocks of consecutive primes, with products, covering every prime <= limit.
 
-    limit is at most the trial bound.  The table is re-sieved to at least
-    twice its size whenever a factoring needs primes beyond it, so small
-    inputs never pay for the whole table and the total sieving cost stays
-    linear in the largest limit asked for.
+    limit is at most the trial bound.  The blocks are rebuilt from the shared
+    prime table, to at least twice their old limit, whenever a factoring
+    needs primes beyond them, so small inputs never pay for the whole table
+    and the total cost stays linear in the largest limit asked for.
     """
     global _trial_table
     if limit > _trial_table[0]:

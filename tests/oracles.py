@@ -6,14 +6,14 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 """
 
 import json
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import gcd
 
 
 def brute_primes(limit):
     out = []
     for n in range(2, limit + 1):
-        if all(n % p for p in out if p * p <= n):
+        if all(n % p for p in takewhile(lambda p: p * p <= n, out)):
             out.append(n)
     return out
 

@@ -226,6 +226,8 @@ class TestWitnessCommands:
         (["compact", "--in", "doc.json"],
          '{"vertices": [2, {"class": {"name": "2", "members": [2]}}, 3], '
          '"edges": [[2, 3], [{"class": {"name": "2", "members": [2]}}, 3]]}'),
+        (["verify", "theorem-d", "--group", "B4(3)", "--budget", "0"], None),
+        (["split", "--group", "Alt(5)", "--budget", "-1"], None),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
@@ -234,6 +236,7 @@ class TestWitnessCommands:
         "spectrum-zero-order", "boolean-label", "boolean-class-member",
         "spectrum-float-order", "spectrum-string-order", "spectrum-boolean-order",
         "labels-that-print-alike", "twin-classes-share-a-label",
+        "theorem-d-zero-budget", "split-negative-budget",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
@@ -428,11 +431,41 @@ def test_split_json_witness_bytes(graph, expected, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out == expected
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m gksplit argv`` in a new interpreter."""
     src = str(Path(gksplit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", "gksplit", "split", "--group", "Alt(7)"],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "gksplit", *argv], env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == 0, done.stderr
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    code, _, err = _fresh_process(["split", "--group", "Alt(7)"])
+    assert code == 0, err
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
+    # argparse wraps usage text to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["split", "--group", "Alt(7)", "--format", "json"],
+        ["split", "--group", "Alt(7)"],
+        ["compact", "--graph", "solvable"],
+        ["verify", "theorem-d"],
+        ["split", "--group", "Alt(5)", "--budget", "0"],
+        ["sporadic", "M11"],
+        ["split", "--group", "Alt(7)", "--format", "xml"],
+    ]
+    parsers = set()
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        parsers.add(id(cli._parser))
+        assert (code, out, err) == _fresh_process(argv), argv
+    assert len(parsers) == 1
+    assert cli.build_parser() is not cli.build_parser()

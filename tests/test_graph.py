@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gksplit import graph as graph_module
 from gksplit.errors import LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
     ClassLabel,
@@ -13,6 +14,7 @@ from gksplit.graph import (
     same_class_graph,
     witness_edges,
 )
+from gksplit.splitcheck import is_split_degree, is_split_forbidden
 
 from oracles import (
     adjacency,
@@ -264,6 +266,59 @@ class TestForbidden:
         got = g.find_forbidden()
         got = None if got is None else (got.kind, got.vertices)
         assert got == brute_first_forbidden(g.vertices, g.edges)
+
+
+def planted(kind=None):
+    """A split graph, clique 0..5 and independent side 6..11, with a 2K2 or
+    a C5 planted on the independent side when kind names one.  Around the C5
+    every clique vertex sees all five cycle vertices, so the graph has no
+    2K2 and no C4."""
+    edges = [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(11, 0), (11, 1)]
+    if kind != "C5":
+        edges += [(i, 0) for i in range(6, 11)] + ([(6, 7), (9, 10)] if kind else [])
+    else:
+        edges += [(i, j) for i in range(6, 11) for j in range(6)]
+        edges += [(6, 7), (7, 8), (8, 9), (9, 10), (10, 6)]
+    return Graph(range(12), edges)
+
+
+class TestWitnessMemo:
+    """find_forbidden scans each graph once; both split routes share the scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        real = graph_module._first_quad
+        monkeypatch.setattr(graph_module, "_first_quad", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["2K2", "C5"])
+    def test_both_routes_share_one_scan(self, kind, scans):
+        g = planted(kind)
+        degree, forbidden = is_split_degree(g), is_split_forbidden(g)
+        assert not degree.split and not forbidden.split
+        assert degree.forbidden == forbidden.forbidden == g.find_forbidden()
+        assert degree.forbidden.kind == kind
+        assert len(scans) == 1
+
+    def test_split_graph_keeps_none(self, scans):
+        g = planted()
+        assert is_split_forbidden(g).split
+        assert [g.find_forbidden() for _ in range(3)] == [None] * 3
+        assert len(scans) == 1
+
+    def test_derived_graphs_scan_on_their_own(self, scans):
+        g = cycle(4)
+        assert g.find_forbidden().kind == "C4"
+        assert g.complement().find_forbidden().kind == "2K2"
+        assert g.induced([0, 1, 2]).find_forbidden() is None
+        assert g.find_forbidden().kind == "C4"
+        assert len(scans) == 3
 
 
 class TestSerialization:

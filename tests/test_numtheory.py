@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import prod
@@ -76,6 +77,8 @@ class TestFactor:
         code = (
             "import gksplit.cli, gksplit.numtheory as nt\n"
             "assert nt._trial_table == (1, []), nt._trial_table[0]\n"
+            "assert nt._prime_table == (1, []), nt._prime_table[0]\n"
+            "assert gksplit.cli._parser is None\n"
             "nt.factor(10**6 + 3)\n"
             "assert nt._trial_table[0] < nt._TRIAL_BOUND, nt._trial_table[0]\n"
         )
@@ -137,6 +140,53 @@ class TestPiPart:
 class TestPrimeNeighbours:
     def test_primes_upto(self):
         assert nt.primes_upto(100) == brute_primes(100)
+
+
+def _no_sieve(limit):
+    raise AssertionError(f"sieved again, to {limit}")
+
+
+class TestPrimeTable:
+    LIMITS = [0, 1, 2, 1023, 1024, 1025, 5000, 100_001]
+
+    def test_shuffled_limits(self, monkeypatch):
+        everything = brute_primes(max(self.LIMITS))
+        for seed in range(4):
+            monkeypatch.setattr(nt, "_prime_table", (1, []))
+            limits = self.LIMITS * 2
+            random.Random(seed).shuffle(limits)
+            for limit in limits:
+                got = nt.primes_upto(limit)
+                assert got == [p for p in everything if p <= limit], (seed, limit)
+                # the answer is the caller's own list
+                got.append(4)
+                got[:1] = [9]
+
+    def test_table_grows_to_twice_its_limit(self, monkeypatch):
+        monkeypatch.setattr(nt, "_prime_table", (1, []))
+        nt.primes_upto(1000)
+        nt.primes_upto(1500)
+        assert nt._prime_table[0] == 2000
+        monkeypatch.setattr(nt, "_sieve", _no_sieve)
+        assert nt.primes_upto(2000) == brute_primes(2000)
+
+    def test_trial_blocks_read_the_table(self, monkeypatch):
+        monkeypatch.setattr(nt, "_prime_table", (1, []))
+        monkeypatch.setattr(nt, "_trial_table", (1, []))
+        blocks = nt._trial_blocks(5000)
+        covered = [p for block, _ in blocks for p in block]
+        assert covered == brute_primes(nt._trial_table[0])
+        monkeypatch.setattr(nt, "_sieve", _no_sieve)
+        assert nt.primes_upto(nt._prime_table[0]) == brute_primes(nt._prime_table[0])
+
+    def test_trial_blocks_sieve_nothing_the_table_holds(self, monkeypatch):
+        monkeypatch.setattr(nt, "_trial_table", (1, []))
+        monkeypatch.setattr(nt, "_prime_table", (1, []))
+        nt.primes_upto(nt._TRIAL_BOUND)
+        monkeypatch.setattr(nt, "_sieve", _no_sieve)
+        blocks = nt._trial_blocks(nt._TRIAL_BOUND)
+        assert [p for block, _ in blocks for p in block] == nt.primes_upto(nt._TRIAL_BOUND)
+        assert nt.factor(99991 * 99989).factors == ((99989, 1), (99991, 1))
 
 
 class TestPrimitiveRoot:
