@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import gcd
+from typing import NamedTuple
 
 from . import numtheory as nt
 from .errors import MalformedInput
@@ -47,8 +49,9 @@ KIND_NONSPLIT = "nonsplit"
 KIND_CHAIN = "lemma-chain"
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
+    """One certificate step; immutable, and a tuple so that it is cheap to build."""
+
     claim: str
     tag: str = TAG_ARITH
     check: dict | None = None
@@ -163,8 +166,6 @@ def _check_one(check: dict) -> bool:
     if op == "ppd_member":
         return check["r"] in nt.ppd_set(check["index"], check["base"])
     if op == "gcd_eq":
-        from math import gcd
-
         return gcd(check["a"], check["b"]) == check["equals"]
     raise ValueError(f"unknown check operation {op!r}")
 

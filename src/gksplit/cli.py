@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exceptional import descriptor_for
-from .graph import Graph, encode_label, label_text, same_class_graph
+from .graph import ClassLabel, Graph, encode_label, label_key, label_text, same_class_graph
 from .splitcheck import (
     SplitPartition,
     is_split_degree,
@@ -488,7 +488,19 @@ def _verify_theorem_d(args):
     good = verdict.split and not failures
     lines = [f"{'PASS' if good else 'FAIL'} {d}: compact prime graph split"]
     if verdict.partition is not None:
-        lines.append(_partition_text(verdict.partition))
+        part = verdict.partition
+        lines.append(_partition_text(part))
+        # a class is kept without members only when factoring ran out of
+        # budget; its nonemptiness, and so the verdict, rests on Zsigmondy
+        unknown = sorted(
+            (v for v in part.clique | part.independent if isinstance(v, ClassLabel) and not v.members),
+            key=label_key,
+        )
+        if unknown:
+            lines.append(
+                "  members unknown (factoring budget exhausted): "
+                + ", ".join(label_text(v) for v in unknown)
+            )
     lines.extend(f"  recheck failure: {f}" for f in failures)
     return good, lines
 

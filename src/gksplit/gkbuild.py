@@ -254,16 +254,15 @@ def classical_compact_partition(
         )
         clique_labels.append(make_label(e))
 
-    for a_pos, j1 in enumerate(indep_indices):
-        m1 = _phi_of_index(j1, ctx)
+    indep_classes = [(j, _phi_of_index(j, ctx)) for j in indep_indices]
+    for a_pos, (j1, m1) in enumerate(indep_classes):
         steps.append(
             step(f"phi-value {m1} of R_{j1}({q}) exceeds {n}/2", op="cmp", a=2 * m1, rel="gt", b=n)
         )
         steps.append(
             step(f"phi-value {m1} of R_{j1}({q}) is at most {n}", op="cmp", a=m1, rel="le", b=n)
         )
-        for j2 in indep_indices[a_pos + 1 :]:
-            m2 = _phi_of_index(j2, ctx)
+        for j2, m2 in indep_classes[a_pos + 1 :]:
             steps.append(
                 step(
                     f"classes R_{j1}({q}) and R_{j2}({q}) are nonadjacent: distinct order indices",

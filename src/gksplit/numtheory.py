@@ -17,7 +17,10 @@ piece by piece: with the sign folded in and |n| = b^k for b not a perfect
 power, |Phi_i(n)| is a product of values Phi_j(b), each much smaller than
 the whole (Phi_61(4) = Phi_61(2) Phi_122(2) is a product of two primes of
 61 and 60 bits, which neither trial division nor the rho budget splits as
-one integer).
+one integer).  Both steps need only the primes of i: Phi_i(n) is the
+Moebius product over the squarefree divisors of i, and a prime divisor r of
+Phi_i(n) lies in R_i(n) iff n^(i/p) != 1 (mod r) for each prime p | i, so no
+r - 1 is factored (``raw_order`` still does, for the certificate re-checker).
 
 Order convention.  For an odd prime r coprime to n, ``mult_order(r, n)`` is
 the least k with n^k = 1 (mod r).  For r = 2 and odd n the convention is
@@ -48,6 +51,10 @@ ZSIGMONDY_EXCEPTIONS = frozenset({(2, 1), (2, 6), (-2, 2), (-2, 3), (3, 1), (-3,
 #: Default effort budget: counts the primes trial division covers plus rho
 #: iterations.
 DEFAULT_BUDGET = 2_000_000
+
+#: Rho steps per gcd: the differences of one block are multiplied modulo n
+#: and tested with a single gcd.
+_RHO_BLOCK = 64
 
 _TRIAL_BOUND = 100_000
 
@@ -132,14 +139,14 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        prod = 1
+        product = 1
         last = 1
         for p, e in self.factors:
             if p <= last or e < 1 or not is_prime(p):
                 raise ValueError(f"malformed factorization of {self.value}")
             last = p
-            prod *= p**e
-        if prod != self.value:
+            product *= p**e
+        if product != self.value:
             raise ValueError(f"factors do not multiply to {self.value}")
 
     @property
@@ -183,19 +190,44 @@ def _trial_blocks(limit: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _rho_factor(n: int, budget: _Budget) -> int | None:
-    """Floyd-cycle Pollard rho, one gcd per step; deterministic parameter sweep, None on budget."""
+    """Floyd-cycle Pollard rho with a deterministic parameter sweep; None on budget.
+
+    Each step costs one budget unit.  The differences x - y of a block of up
+    to _RHO_BLOCK steps are multiplied modulo n and tested with one gcd; a
+    block whose gcd exceeds 1 is replayed step by step, so the divisor found
+    is the one a gcd after every step finds first, and the units of the steps
+    after it are refunded.  The result and the budget left are those of the
+    step-by-step loop, also when the budget runs out inside a block.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 64):
         x = y = 2
         d = 1
         while d == 1:
-            if not budget.spend():
+            block = min(_RHO_BLOCK, budget.remaining)
+            if block <= 0:
+                budget.remaining -= 1  # the step the budget cannot pay for
                 return None
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
+            budget.remaining -= block
+            x0, y0, acc = x, y, 1
+            for _ in range(block):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                acc = acc * (x - y) % n
+            if gcd(acc, n) == 1:
+                continue
+            # some difference of the block shares a factor with n: find the first
+            x, y = x0, y0
+            for used in range(1, block + 1):
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                d = gcd(abs(x - y), n)
+                if d != 1:
+                    break
+            budget.remaining += block - used
         if d != n:
             return d
     return None
@@ -315,33 +347,26 @@ def is_primitive_root(p: int, n: int) -> bool:
     return raw_order(n, p) == n - 1
 
 
-def _mobius(n: int) -> int:
-    mu = 1
-    for _, e in factor(n).factors:
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def cyclotomic_value(i: int, n: int) -> int:
     """Phi_i(n): the i-th cyclotomic polynomial evaluated at the integer n.
 
-    Computed by the Moebius product Phi_i(x) = prod_{d|i} (x^d - 1)^mu(i/d),
-    as an exact integer quotient.  Requires |n| > 1 so every factor is nonzero.
+    Computed by the Moebius product Phi_i(x) = prod (x^(i/d) - 1)^mu(d) over
+    the squarefree divisors d of i (mu vanishes on the others), as an exact
+    integer quotient.  Requires |n| > 1 so every factor is nonzero.
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"cyclotomic_value needs i >= 1 and |n| > 1")
+    # (d, mu(d)) for the squarefree divisors d of i, from one factorization of i
+    divisors = [(1, 1)]
+    for p, _ in factor(i).factors:
+        divisors += [(d * p, -mu) for d, mu in divisors]
     num = 1
     den = 1
-    for d in range(1, i + 1):
-        if i % d:
-            continue
-        mu = _mobius(i // d)
+    for d, mu in divisors:
         if mu == 1:
-            num *= n**d - 1
-        elif mu == -1:
-            den *= n**d - 1
+            num *= n ** (i // d) - 1
+        else:
+            den *= n ** (i // d) - 1
     return num // den
 
 
@@ -393,8 +418,10 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     Candidate primes are the divisors of Phi_i(n), which keeps the integers to
     factor small.  When |n| = b^k is a perfect power, Phi_i(n) is factored as
     its cyclotomic pieces Phi_j(b) (see _cyclotomic_split), each on its own
-    and under its own budget; each candidate's order is then checked exactly.
-    The prime 2 is assigned to R_1 or R_2 by the e(2, n) convention.
+    and under its own budget.  An odd candidate r has order exactly i iff
+    n^i = 1 (mod r) and n^(i/p) != 1 (mod r) for every prime p | i, which
+    takes the primes of i alone and factors no r - 1.  The prime 2 is
+    assigned to R_1 or R_2 by the e(2, n) convention.
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"ppd_set needs i >= 1 and |n| > 1")
@@ -408,10 +435,11 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
         if prod(pieces) != value:
             raise InternalInconsistency(f"cyclotomic pieces {pieces} do not multiply to |Phi_{i}({n})|")
         candidates = frozenset().union(*(prime_set(piece, budget) for piece in pieces))
+        cofactors = [i // p for p, _ in factor(i).factors]
         for r in candidates:
             if r == 2 or n % r == 0:
                 continue
-            if mult_order(r, n) == i:
+            if pow(n, i, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors):
                 out.add(r)
     if n % 2 != 0 and i in (1, 2) and mult_order(2, n) == i:
         out.add(2)

@@ -103,6 +103,44 @@ def pow_ppd(i, n):
     return out
 
 
+def cyclotomic_by_division(i, n):
+    """Phi_i(n) as n^i - 1 divided by Phi_d(n) for every proper divisor d of i,
+    each of those found the same way, smallest divisor first."""
+    values = {}
+    for k in range(1, i + 1):
+        if i % k:
+            continue
+        v = n**k - 1
+        for d, phi_d in values.items():
+            if k % d == 0:
+                v, rest = divmod(v, phi_d)
+                assert rest == 0, (k, n, d)
+        values[k] = v
+    return values[i]
+
+
+def floyd_rho(n, budget):
+    """Floyd-cycle Pollard rho with one gcd per step, the reference for the
+    batched rho: the same iterates, c sweep and one budget unit per step.
+    budget has spend(), which charges one unit and says whether it was paid
+    for; returns a divisor of n other than 1 and n, or None."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 64):
+        x = y = 2
+        d = 1
+        while d == 1:
+            if not budget.spend():
+                return None
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(abs(x - y), n)
+        if d != n:
+            return d
+    return None
+
+
 def altsym_edges(kind, n):
     """Primes up to n and the edge set of the prime graph of Alt(n) or
     Sym(n) by element orders: an element of order pq needs a p-cycle and a

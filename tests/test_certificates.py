@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gksplit import numtheory as nt
 from gksplit.certificates import (
     Certificate,
     CertStep,
@@ -66,6 +67,16 @@ class TestCheckOps:
         ]
         for s in bad_steps:
             assert recheck(chain(s)) == ["x"], s.check
+
+    def test_order_steps_recheck_through_raw_order(self, monkeypatch):
+        # the audit keeps its own order computation, whatever ppd_set does
+        seen = []
+        raw_order = nt.raw_order
+        monkeypatch.setattr(nt, "raw_order", lambda r, n: seen.append((r, n)) or raw_order(r, n))
+        monkeypatch.setattr(nt, "ppd_set", lambda *args, **kw: pytest.fail("ppd_set consulted"))
+        assert verify_certificate(chain(step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7)))
+        assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=1))) == ["x"]
+        assert seen == [(43, 4), (43, 4)]
 
     def test_unknown_op_surfaces(self):
         cert = chain(CertStep("mystery", "arithmetic", {"op": "telepathy"}))

@@ -162,6 +162,18 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert re.search(r"R61\{[0-9,]+\}", out) and re.search(r"R73\{[0-9,]+\}", out)
 
+    def test_theorem_d_names_unknown_members(self, capsys):
+        # one unit of budget factors Phi_2(3) = 4 and Phi_6(3) = 7 and no other
+        # class: the classes stay (Zsigmondy), and a note names them in label order
+        assert cli.main(["verify", "theorem-d", "--group", "B4(3)", "--budget", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "PASS B4(3): compact prime graph split\n"
+            "C = {R2{2}, R4, p{3}}  I = {R3, R6{7}, R8}\n"
+            "  members unknown (factoring budget exhausted): R3, R4, R8\n"
+        )
+        assert cli.main(["verify", "theorem-d", "--group", "B4(3)"]) == 0
+        assert "members unknown" not in capsys.readouterr().out
+
     def test_zsigmondy(self, capsys):
         code = cli.main(["verify", "zsigmondy", "--max-n", "8"])
         assert code == 0

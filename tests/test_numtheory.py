@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from gksplit import numtheory as nt
 from gksplit.errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
-from oracles import brute_factor, brute_order, brute_ppd, brute_primes, pow_ppd
+from oracles import (
+    brute_factor,
+    brute_order,
+    brute_ppd,
+    brute_primes,
+    cyclotomic_by_division,
+    floyd_rho,
+    pow_ppd,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -222,16 +230,20 @@ class TestPpd:
     #: perfect-power bases, whose Phi_i values split into pieces Phi_j(b)
     POWER_BASES = (4, 8, 9, 16, 27, 32, 64, 81, 128, 243, 512, 729, 2187)
     PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    NEGATIVE_POWER_BASES = (-4, -8, -9, -16, -25, -27, -32, -36, -49, -64, -81, -125, -128, -243, -729)
+    #: indices with three or more distinct prime divisors, each prime p
+    #: giving a power n^(i/p) that the order filter must test
+    MANY_PRIME_INDICES = (42, 60, 66, 70, 78, 84, 90, 102, 105, 110, 120, 126, 130, 140, 210)
 
     @pytest.mark.parametrize(
         "bases",
-        [range(-30, -1), PRIME_BASES, POWER_BASES, (-4, -8, -9, -27, -32, -64, -243)],
+        [range(-30, -1), PRIME_BASES, POWER_BASES, NEGATIVE_POWER_BASES],
         ids=["negative", "prime", "perfect-power", "negative-perfect-power"],
     )
     def test_against_pow_oracle(self, bases):
         checked = 0
         for n in bases:
-            for i in range(1, 40):
+            for i in (*range(1, 40), *self.MANY_PRIME_INDICES):
                 # the oracle's trial scan grows like sqrt(Phi_i(n)): keep it small
                 if abs(nt.cyclotomic_value(i, n)).bit_length() > 48:
                     continue
@@ -317,6 +329,72 @@ class TestCyclotomic:
             if i % d == 0:
                 prod *= nt.cyclotomic_value(d, n)
         assert prod == n**i - 1
+
+
+    @given(
+        st.one_of(st.integers(1, 210), st.sampled_from((30, 105, 210))),
+        st.integers(2, 50),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_against_division(self, i, n, negative):
+        n = -n if negative else n
+        assert nt.cyclotomic_value(i, n) == cyclotomic_by_division(i, n)
+
+
+def _semiprimes(seed, count, bits):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, q = (rng.randrange(3, 1 << bits) | 1 for _ in range(2))
+        if nt.is_prime(p) and nt.is_prime(q):
+            out.append(p * q)
+    return out
+
+
+class TestRho:
+    """The batched rho against the per-step Floyd loop in the oracles."""
+
+    @staticmethod
+    def _both(n, budget):
+        fast, slow = nt._Budget(budget), nt._Budget(budget)
+        return (nt._rho_factor(n, fast), fast.remaining), (floyd_rho(n, slow), slow.remaining)
+
+    def test_same_divisor_and_budget_left(self):
+        # small semiprimes include x = y (mod n) collisions, where the c sweep moves on
+        for n in _semiprimes(1, 40, 24) + _semiprimes(2, 200, 8) + [9, 15, 21, 25, 49, 10403, 2**2 * 3]:
+            fast, slow = self._both(n, nt.DEFAULT_BUDGET)
+            assert fast == slow, n
+
+    def test_budget_ending_mid_block(self):
+        for n in _semiprimes(3, 12, 22) + [11 * 13, 101 * 103]:
+            _, (_, left) = self._both(n, nt.DEFAULT_BUDGET)
+            used = nt.DEFAULT_BUDGET - left
+            for budget in {0, 1, used - 65, used - 64, used - 63, used - 1, used, used + 1, used + 63, used // 2}:
+                if budget >= 0:
+                    fast, slow = self._both(n, budget)
+                    assert fast == slow, (n, budget)
+
+    def test_budget_runs_out_on_a_prime(self):
+        # a prime has no proper divisor: every c runs until the budget is gone
+        for budget in (0, 1, 63, 64, 65, 1000, 4097):
+            fast, slow = self._both(1_000_003, budget)
+            assert fast == slow == (None, -1), budget
+
+    def test_factor_partials_match_per_step_rho(self, monkeypatch):
+        cases = [(n, b) for n in _semiprimes(4, 8, 28) for b in (300, 2_000, 5_000, 20_000)]
+        cases += [(2 * 3 * (10**9 + 7) * (10**9 + 9), b) for b in (5, 400, 70_000)]
+
+        def outcome(n, budget):
+            try:
+                return nt.factor(n, budget).factors
+            except BudgetExceeded as exc:
+                return ("partial", exc.partial.factors)
+
+        fast = [outcome(n, b) for n, b in cases]
+        monkeypatch.setattr(nt, "_rho_factor", floyd_rho)
+        assert fast == [outcome(n, b) for n, b in cases]
+        assert any(r[0] == "partial" for r in fast) and any(r[0] != "partial" for r in fast)
 
 
 class TestPrimality:
