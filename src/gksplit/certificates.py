@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import gcd
 from typing import NamedTuple
 
 from . import numtheory as nt
 from .errors import MalformedInput
 from .graph import ForbiddenWitness, decode_label, encode_label
-from .splitcheck import SplitPartition
+from .splitcheck import SplitPartition, partition_doc
 
 _SCHEMA = "gksplit/certificate/1"
 
@@ -86,12 +85,7 @@ class Certificate:
             ],
         }
         if self.partition is not None:
-            c, i = self.partition.as_sorted()
-            doc["partition"] = {
-                "clique": [encode_label(v) for v in c],
-                "independent": [encode_label(v) for v in i],
-                "special": self.partition.special,
-            }
+            doc["partition"] = partition_doc(self.partition)
         if self.witness is not None:
             doc["witness"] = {
                 "kind": self.witness.kind,
@@ -137,8 +131,6 @@ def _check_one(check: dict) -> bool:
         return n > 1 and not nt.is_prime(n)
     if op == "mult_order":
         return nt.mult_order(check["r"], check["base"]) == check["equals"]
-    if op == "raw_order":
-        return nt.raw_order(check["r"], check["base"]) == check["equals"]
     if op == "divides":
         return check["b"] % check["a"] == 0
     if op == "not_divides":
@@ -163,10 +155,6 @@ def _check_one(check: dict) -> bool:
         return lo_ok and hi_ok
     if op == "primitive_root":
         return nt.is_primitive_root(check["p"], check["mod"])
-    if op == "ppd_member":
-        return check["r"] in nt.ppd_set(check["index"], check["base"])
-    if op == "gcd_eq":
-        return gcd(check["a"], check["b"]) == check["equals"]
     raise ValueError(f"unknown check operation {op!r}")
 
 
@@ -184,10 +172,6 @@ def recheck(cert: Certificate) -> list[str]:
         if not ok:
             failures.append(s.claim)
     return failures
-
-
-def verify_certificate(cert: Certificate) -> bool:
-    return not recheck(cert)
 
 
 def certificate_from_json(text: str) -> Certificate:

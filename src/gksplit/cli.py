@@ -29,11 +29,12 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exceptional import descriptor_for
-from .graph import ClassLabel, Graph, encode_label, label_key, label_text, same_class_graph
+from .graph import ClassLabel, Graph, label_key, label_text, same_class_graph
 from .splitcheck import (
     SplitPartition,
     is_split_degree,
     is_split_forbidden,
+    partition_doc,
     validate_partition,
 )
 
@@ -115,9 +116,7 @@ def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
             f"the compact form of {d} is certified by a partition, not materialized "
             "as a graph; use 'verify theorem-d --group ...' instead"
         )
-    if isinstance(obj, Graph):
-        return obj
-    return obj.quotient
+    return obj
 
 
 def _read_text(path: str) -> str:
@@ -201,15 +200,6 @@ def _render_graph(g: Graph, fmt: str, title: str) -> str:
     return _graph_table(g, title)
 
 
-def _partition_doc(p: SplitPartition) -> dict:
-    c, i = p.as_sorted()
-    return {
-        "clique": [encode_label(v) for v in c],
-        "independent": [encode_label(v) for v in i],
-        "special": p.special,
-    }
-
-
 def _partition_text(p: SplitPartition) -> str:
     c, i = p.as_sorted()
     return (
@@ -252,7 +242,7 @@ def _cmd_split(args) -> int:
     if args.format == "json":
         doc = {"schema": _RESULT_SCHEMA, "input": title, "split": verdict.split, "m_index": verdict.m_index}
         if verdict.split:
-            doc["partition"] = _partition_doc(verdict.partition)
+            doc["partition"] = partition_doc(verdict.partition)
         else:
             doc["witness"] = {
                 "kind": verdict.forbidden.kind,

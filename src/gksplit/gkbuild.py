@@ -214,9 +214,11 @@ def classical_compact_partition(
     clique side: the characteristic plus one class per nonempty R_e(q) with
     small phi-value.  Nonemptiness comes from the Bang-Zsigmondy exception
     list; class members are filled in when factoring fits the budget.  The
-    certificate records, for every pair of independent classes, the
-    arithmetic behind their nonadjacency, and flags the group-theoretic
-    clique claims as assumptions.
+    certificate checks each independent class's phi-value m against
+    n/2 < m <= n and states Lemma 5.3(iii) once: two such classes are
+    nonadjacent, since their indices differ, m1 + m2 > n, and neither
+    phi-value divides the other (the larger is below twice the smaller).
+    The group-theoretic clique claims are flagged as assumptions.
     """
     if ctx.n < 4:
         raise RankTooSmall(f"prk must be at least 4, got {ctx.n}")
@@ -235,8 +237,15 @@ def classical_compact_partition(
                 step(f"R_{j}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=j)
             )
             continue
+        m = _phi_of_index(j, ctx)
         steps.append(
             step(f"R_{j}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=j)
+        )
+        steps.append(
+            step(
+                f"phi-value {m} of R_{j}({q}) lies in ({n}/2, {n}]",
+                op="in_interval", x=m, lo=n // 2, hi=n,
+            )
         )
         indep_indices.append(j)
         indep_labels.append(make_label(j))
@@ -254,30 +263,12 @@ def classical_compact_partition(
         )
         clique_labels.append(make_label(e))
 
-    indep_classes = [(j, _phi_of_index(j, ctx)) for j in indep_indices]
-    for a_pos, (j1, m1) in enumerate(indep_classes):
-        steps.append(
-            step(f"phi-value {m1} of R_{j1}({q}) exceeds {n}/2", op="cmp", a=2 * m1, rel="gt", b=n)
+    steps.append(
+        assume(
+            f"classes with distinct order indices and phi-values in ({n}/2, {n}] are nonadjacent",
+            TAG_L53,
         )
-        steps.append(
-            step(f"phi-value {m1} of R_{j1}({q}) is at most {n}", op="cmp", a=m1, rel="le", b=n)
-        )
-        for j2, m2 in indep_classes[a_pos + 1 :]:
-            steps.append(
-                step(
-                    f"classes R_{j1}({q}) and R_{j2}({q}) are nonadjacent: distinct order indices",
-                    TAG_L53,
-                    op="cmp", a=j1, rel="ne", b=j2,
-                )
-            )
-            steps.append(
-                step(f"phi-values {m1} + {m2} exceed {n}", op="cmp", a=m1 + m2, rel="gt", b=n)
-            )
-            lo, hi = sorted((m1, m2))
-            if lo < hi:
-                steps.append(
-                    step(f"{lo} does not divide {hi}", op="not_divides", a=lo, b=hi)
-                )
+    )
     steps.append(
         assume(
             f"characteristic {ctx.p} and the small-index classes form a clique",
@@ -716,13 +707,13 @@ def _exceptional_family_string(d: groups.GroupDescriptor) -> str:
 
 def theoremD_verify(
     d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
-) -> tuple[object, SplitVerdict, Certificate]:
+) -> tuple[Graph | None, SplitVerdict, Certificate]:
     """Split verdict with certificate for the compact prime graph of d.
 
-    Returns (graph-or-compact-form-or-None, verdict, certificate).  For
-    classical groups of prk >= 4 no graph is materialized (the published
-    criteria give the partition, not the full adjacency); for sporadic
-    groups the embedded partition is returned with its table assumption.
+    Returns (compact-graph-or-None, verdict, certificate).  For classical
+    groups of prk >= 4 no graph is materialized (the published criteria give
+    the partition, not the full adjacency); for sporadic groups the embedded
+    partition is returned with its table assumption.
     """
     if d.kind in ("alternating", "symmetric"):
         g = gk_altsym(d.kind, d.n)
@@ -740,7 +731,7 @@ def theoremD_verify(
             partition=part,
             context={"group": str(d)},
         )
-        return compact, verdict, cert
+        return compact.quotient, verdict, cert
     if d.kind == "sporadic":
         if d.tits:
             graph, part, cert = tits_compact(budget)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from .graph import ForbiddenWitness, Graph, bits, label_key
+from .graph import ForbiddenWitness, Graph, bits, encode_label, label_key
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,23 @@ class SplitPartition:
         )
 
 
+def partition_doc(p: SplitPartition) -> dict:
+    """The JSON block of a partition, shared by split results and certificates."""
+    c, i = p.as_sorted()
+    return {
+        "clique": [encode_label(v) for v in c],
+        "independent": [encode_label(v) for v in i],
+        "special": p.special,
+    }
+
+
 @dataclass(frozen=True)
 class SplitVerdict:
     """Outcome of a split check.
 
-    m_index is None only for verdicts not derived from a degree sequence
-    (certificate-backed claims about graphs that were never materialized).
+    m_index is None for verdicts not derived from a degree sequence: those of
+    the forbidden route, and certificate-backed claims about graphs that
+    were never materialized.
     """
 
     split: bool
@@ -225,12 +236,11 @@ def is_split_forbidden(g: Graph) -> SplitVerdict:
     verdict nor the partition uses any degree reasoning.
     """
     witness = g.find_forbidden()
-    m = m_index(g) if g.n else None
     if witness is not None:
-        return SplitVerdict(False, m, None, witness)
+        return SplitVerdict(False, None, None, witness)
     partition = _partition_from_2sat(g)
     if partition is None:
         raise InternalInconsistency(
             "no forbidden subgraph, yet no split partition exists"
         )
-    return SplitVerdict(True, m, partition)
+    return SplitVerdict(True, None, partition)

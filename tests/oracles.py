@@ -65,6 +65,29 @@ def brute_ppd(i, n, prime_limit=300000):
     return out
 
 
+def classical_phi(e, kind, eps=1):
+    """phi-value of the class R_e(q) of a classical group.
+
+    Linear groups (eps = 1) keep e; unitary groups (eps = -1) apply
+    nu: e for e = 0 (4), e/2 for e = 2 (4), 2e for odd e.  Symplectic and
+    orthogonal groups apply eta: e for odd e, e/2 for even e.
+    """
+    if kind == "linear-unitary":
+        if eps == 1 or e % 4 == 0:
+            return e
+        return e // 2 if e % 2 == 0 else 2 * e
+    return e if e % 2 else e // 2
+
+
+def ppd_class_empty(i, q):
+    """R_i(q) is empty, for a field size q >= 2 (Bang-Zsigmondy).
+
+    Under the order convention for the prime 2 (e(2, q) = 1 iff q = 1 mod 4)
+    the empty classes are R_1(2), R_6(2) and R_1(3).
+    """
+    return (q, i) in {(2, 1), (2, 6), (3, 1)}
+
+
 def pow_ppd(i, n):
     """R_i(n): the primes r dividing n^i - 1 whose order is i, by plain pow.
 

@@ -13,7 +13,6 @@ from gksplit.certificates import (
     certificate_from_json,
     recheck,
     step,
-    verify_certificate,
 )
 from gksplit.errors import MalformedInput
 from gksplit.graph import ClassLabel, ForbiddenWitness
@@ -39,12 +38,9 @@ class TestCheckOps:
             step("(12)_pi(6) = 12", op="pi_part_eq", a=12, pi_of=6, equals=12),
             step("7 in (6.5, 13]", op="in_interval", x=7, lo=6, hi=13),
             step("2 prim root mod 11", op="primitive_root", p=2, mod=11),
-            step("5 in R_4(2)", op="ppd_member", r=5, index=4, base=2),
             step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7),
-            step("raw order of 2 mod 7 is 3", op="raw_order", r=7, base=2, equals=3),
-            step("gcd(12, 18) = 6", op="gcd_eq", a=12, b=18, equals=6),
         )
-        assert verify_certificate(good)
+        assert not recheck(good)
 
     def test_each_op_can_fail(self):
         bad_steps = [
@@ -60,10 +56,7 @@ class TestCheckOps:
             step("x", op="pi_part_eq", a=12, pi_of=6, equals=4),
             step("x", op="in_interval", x=6, lo=6, hi=13),
             step("x", op="primitive_root", p=2, mod=7),
-            step("x", op="ppd_member", r=3, index=4, base=2),
             step("x", op="mult_order", r=43, base=4, equals=6),
-            step("x", op="raw_order", r=7, base=2, equals=2),
-            step("x", op="gcd_eq", a=12, b=18, equals=3),
         ]
         for s in bad_steps:
             assert recheck(chain(s)) == ["x"], s.check
@@ -74,7 +67,7 @@ class TestCheckOps:
         raw_order = nt.raw_order
         monkeypatch.setattr(nt, "raw_order", lambda r, n: seen.append((r, n)) or raw_order(r, n))
         monkeypatch.setattr(nt, "ppd_set", lambda *args, **kw: pytest.fail("ppd_set consulted"))
-        assert verify_certificate(chain(step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7)))
+        assert not recheck(chain(step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7)))
         assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=1))) == ["x"]
         assert seen == [(43, 4), (43, 4)]
 
@@ -83,9 +76,25 @@ class TestCheckOps:
         failures = recheck(cert)
         assert failures and "checker error" in failures[0]
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"op": "ppd_member", "r": 5, "index": 101, "base": 3},
+            {"op": "gcd_eq", "a": 12, "b": 18, "equals": 6},
+            {"op": "raw_order", "r": 7, "base": 2, "equals": 3},
+        ],
+        ids=["ppd_member", "gcd_eq", "raw_order"],
+    )
+    def test_ops_nothing_emits_are_rejected(self, check, monkeypatch):
+        # outside the closed language even when the claim is true, and
+        # rejected before any number theory runs
+        monkeypatch.setattr(nt, "ppd_set", lambda *args, **kw: pytest.fail("ppd_set consulted"))
+        forged = certificate_from_json(chain(CertStep("forged", "arithmetic", check)).to_json())
+        assert recheck(forged) == [f"forged: checker error unknown check operation {check['op']!r}"]
+
     def test_assumptions_not_checked(self):
         cert = chain(assume("group-theoretic claim", TAG_L52))
-        assert verify_certificate(cert)
+        assert not recheck(cert)
         assert cert.assumptions() and not cert.checked_steps()
 
 
@@ -98,7 +107,7 @@ class TestSerialization:
         again = certificate_from_json(cert.to_json())
         assert again.kind == cert.kind
         assert [s.claim for s in again.steps] == [s.claim for s in cert.steps]
-        assert verify_certificate(again)
+        assert not recheck(again)
 
     def test_round_trip_class_labels(self):
         r3, r7, r9 = ClassLabel("R3", (7,)), ClassLabel("R7", (43, 127)), ClassLabel("R9", (19, 73))
@@ -123,7 +132,7 @@ class TestSerialization:
         doc = json.loads(cert.to_json())
         doc["steps"][0]["check"]["equals"] = 8  # forge the claimed order
         forged = certificate_from_json(json.dumps(doc))
-        assert not verify_certificate(forged)
+        assert recheck(forged)
 
     @pytest.mark.parametrize(
         "text",

@@ -1,8 +1,11 @@
+import json
+from itertools import combinations
+
 import pytest
 
 from gksplit import gkbuild, groups
 from gksplit import numtheory as nt
-from gksplit.certificates import certificate_from_json, recheck
+from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
     NotSimple,
     PreconditionViolated,
@@ -12,7 +15,7 @@ from gksplit.errors import (
 from gksplit.graph import Graph, same_class_graph
 from gksplit.splitcheck import is_split_degree, validate_partition
 
-from oracles import altsym_edges, brute_order, brute_primes
+from oracles import altsym_edges, brute_order, brute_primes, classical_phi, ppd_class_empty
 
 
 class TestAltSym:
@@ -128,6 +131,22 @@ class TestIndexFunctions:
         assert gkbuild.PhiContext.from_descriptor(groups.classical("C", 4, 2)).delta == frozenset()
 
 
+def theorem_c_grid():
+    """(descriptor, kind, eps, prk) at every point of the Theorem-C grid."""
+    for family, eps in (("A", 1), ("2A", -1)):
+        for dim in range(4, 21):
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                yield groups.classical(family, dim - 1, q), "linear-unitary", eps, dim
+    for family in ("B", "C", "D", "2D"):
+        for rank in range(4, 13):
+            for q in (2, 3, 5):
+                yield groups.classical(family, rank, q), "symplectic-orthogonal", 1, rank
+
+
+def interval_steps(cert):
+    return [s for s in cert.steps if s.check is not None and s.check["op"] == "in_interval"]
+
+
 class TestClassicalPartition:
     def test_psl5_2(self):
         ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 2))
@@ -170,6 +189,50 @@ class TestClassicalPartition:
         again = certificate_from_json(cert.to_json())
         assert not recheck(again)
         assert again.partition.clique == part.clique
+
+    def test_grid_phi_values_match_oracle(self):
+        # One in_interval step per independent class, its phi-value recomputed
+        # from nu/eta; every pair fact behind Lemma 5.3(iii) follows from
+        # those values, so the certificate need not list the pairs.
+        for d, kind, eps, n in theorem_c_grid():
+            ctx = gkbuild.PhiContext.from_descriptor(d)
+            assert ctx.n == n, d
+            part, cert = gkbuild.classical_compact_partition(ctx)
+            assert not recheck(cert), d
+            indices = cert.context["independent_indices"]
+            assert indices == [
+                e for e in range(1, 2 * n + 1)
+                if n < 2 * classical_phi(e, kind, eps) and classical_phi(e, kind, eps) <= n
+                and not ppd_class_empty(e, d.q)
+            ], d
+            assert {label.name for label in part.independent} == {f"R{j}" for j in indices}
+            steps = interval_steps(cert)
+            assert len(steps) == len(indices), d
+            phi_values = {}
+            for j in indices:
+                (s,) = [s for s in steps if f"R_{j}({d.q}) " in s.claim]
+                phi_values[j] = classical_phi(j, kind, eps)
+                assert s.check == {"op": "in_interval", "x": phi_values[j], "lo": n // 2, "hi": n}, d
+            for (j1, m1), (j2, m2) in combinations(phi_values.items(), 2):
+                assert j1 != j2
+                assert m1 + m2 > n, (d, j1, j2)
+                lo, hi = sorted((m1, m2))
+                assert lo == hi or hi % lo, (d, j1, j2)
+            lemma = [s for s in cert.assumptions() if s.tag == TAG_L53 and "nonadjacent" in s.claim]
+            assert len(lemma) == 1, d
+            assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3, d
+
+    def test_a63_2_linear_and_each_phi_bound_checked(self):
+        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 63, 2))
+        part, cert = gkbuild.classical_compact_partition(ctx)
+        assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3
+        doc = json.loads(cert.to_json())
+        positions = [k for k, s in enumerate(doc["steps"]) if s["check"] and s["check"]["op"] == "in_interval"]
+        assert len(positions) == 32
+        for k in positions:
+            forged = json.loads(cert.to_json())
+            forged["steps"][k]["check"]["x"] = ctx.n // 2
+            assert recheck(certificate_from_json(json.dumps(forged))) == [doc["steps"][k]["claim"]]
 
     def test_empty_independent_side_is_fine(self):
         # nothing in the grid produces it, but the partition type allows I = {}
@@ -454,7 +517,7 @@ class TestTheoremD:
     def test_singleton_prime_graph(self):
         obj, verdict, cert = gkbuild.theoremD_verify(groups.symmetric(2))
         assert verdict.split
-        assert obj.quotient.n == 1
+        assert obj.n == 1
 
     def test_psl5_2(self):
         obj, verdict, cert = gkbuild.theoremD_verify(groups.classical("A", 4, 2))
