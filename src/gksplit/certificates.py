@@ -149,10 +149,7 @@ def _check_one(check: dict) -> bool:
     if op == "pi_part_eq":
         return nt.pi_part(check["a"], nt.prime_set(check["pi_of"])) == check["equals"]
     if op == "in_interval":
-        x = check["x"]
-        lo_ok = x > check["lo"] if check.get("lo_open", True) else x >= check["lo"]
-        hi_ok = x < check["hi"] if check.get("hi_open", False) else x <= check["hi"]
-        return lo_ok and hi_ok
+        return check["lo"] < check["x"] <= check["hi"]
     if op == "primitive_root":
         return nt.is_primitive_root(check["p"], check["mod"])
     raise ValueError(f"unknown check operation {op!r}")

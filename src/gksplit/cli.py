@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .exceptional import descriptor_for
-from .graph import ClassLabel, Graph, label_key, label_text, same_class_graph
+from .graph import ClassLabel, Graph, edge_count, edge_text, label_key, label_text, same_class_graph
 from .splitcheck import (
     SplitPartition,
     is_split_degree,
@@ -183,10 +183,12 @@ def _emit(text: str, out: str | None):
 
 
 def _graph_table(g: Graph, title: str) -> str:
-    lines = [title, f"vertices ({g.n}): " + " ".join(label_text(v) for v in g.vertices)]
-    if g.edges:
-        lines.append(f"edges ({len(g.edges)}):")
-        lines.extend(f"  {label_text(u)} -- {label_text(v)}" for u, v in g.edges)
+    text = [label_text(v) for v in g.vertices]
+    lines = [title, f"vertices ({g.n}): " + " ".join(text)]
+    edges = edge_text(g.rows, text, "  ", " -- ", "", "\n")
+    if edges:
+        lines.append(f"edges ({edge_count(g.rows)}):")
+        lines.extend(edges)
     else:
         lines.append("edges (0): none")
     return "\n".join(lines)

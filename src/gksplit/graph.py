@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress, count
+from operator import itemgetter
 
 from .errors import LoopEdge, MalformedInput, UnknownVertex
 
@@ -123,8 +124,8 @@ class Graph:
     @property
     def edges(self) -> tuple:
         if self._edges is None:
-            vs = self._vertices
-            self._edges = tuple((vs[i], vs[j]) for i, j in self._pairs())
+            vs, rows = self._vertices, self._rows
+            self._edges = tuple((vs[i], vs[j]) for i, r in enumerate(rows) for j in bits(r >> i + 1, i + 1))
         return self._edges
 
     @property
@@ -146,10 +147,6 @@ class Graph:
 
     def _labels(self, mask) -> list:
         return [self._vertices[i] for i in bits(mask)]
-
-    def _pairs(self) -> list[tuple[int, int]]:
-        """Index pairs i < j of the edges, in lexicographic order."""
-        return [(i, j) for i, row in enumerate(self._rows) for j in bits(row >> i + 1, i + 1)]
 
     def neighbors(self, v) -> frozenset:
         return frozenset(self._labels(self._rows[self._at(v)]))
@@ -174,7 +171,7 @@ class Graph:
         return hash((self._vertices, self._rows))
 
     def __repr__(self):
-        return f"Graph({self.n} vertices, {len(self.edges)} edges)"
+        return f"Graph({self.n} vertices, {edge_count(self._rows)} edges)"
 
     # -- constructions -----------------------------------------------------
 
@@ -224,6 +221,9 @@ class Graph:
         Class labels are deterministic: each class is named after its smallest
         member and carries the union of the members' underlying primes.  Two
         classes whose labels would coincide are MalformedInput.
+
+        Each quotient row is read off its class head's bitset row in one
+        pass over the row's binary digits, with no loop over edges.
         """
         vs, rows = self._vertices, self._rows
         buckets: dict[int, list] = {}
@@ -235,12 +235,18 @@ class Graph:
         if len(contents) < len(labels):
             twin = next(label for label in labels if labels.count(label) > 1)
             raise MalformedInput(f"two true-twin classes would both be labelled {label_text(twin)!r}")
-        # Twins see the same classes, so the first vertex of a class stands
-        # for it: class k sees class l iff their first vertices are adjacent.
+        # Twins see the same classes, so the first vertex of a class, its
+        # head, stands for it: two classes are adjacent iff their heads are.
+        # bin(row | 1 << n) is "0b1" and then the n digits of the row, bit i
+        # at index n + 2 - i; the heads' digits read in descending class
+        # label order spell the class's quotient row in binary.
         order = sorted(range(len(groups)), key=lambda k: label_key(labels[k]))
-        number = {groups[k][0]: position for position, k in enumerate(order)}
-        heads = sum(1 << i for i in number)
-        qrows = [sum(1 << number[j] for j in bits(rows[groups[k][0]] & heads)) for k in order]
+        heads = [groups[k][0] for k in order]
+        qrows = []
+        if heads:  # itemgetter takes at least one index
+            top = 1 << len(vs)
+            pick = itemgetter(*[len(vs) + 2 - i for i in reversed(heads)])
+            qrows = [int("".join(pick(bin(rows[i] | top))), 2) for i in heads]
         quotient = Graph([labels[k] for k in order], rows=qrows)
         class_of = {vs[i]: label for label, group in zip(labels, groups) for i in group}
         return CompactForm(quotient, class_of, contents)
@@ -290,15 +296,23 @@ class Graph:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        """The bytes of json.dumps(doc, indent=2), each label encoded once."""
-        text = [json.dumps(encode_label(v), indent=2) for v in self._vertices]
+        """The bytes of json.dumps(doc, indent=2) for the graph document.
+
+        Each label is encoded once (``_label_json``), the edge list is
+        written one bitset row at a time (``edge_text``), and one join
+        writes the whole document: the list's frame rides on its first and
+        last rows.
+        """
+        text = [_label_json(v) for v in self._vertices]
         deep = [t.replace("\n", "\n      ") for t in text]
         vertices = [t.replace("\n", "\n    ") for t in text]
-        edges = [f"[\n      {deep[i]},\n      {deep[j]}\n    ]" for i, j in self._pairs()]
-        return (
-            f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {_json_list(vertices)},'
-            f'\n  "edges": {_json_list(edges)}\n}}'
-        )
+        head = f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {_json_list(vertices)},\n  "edges": '
+        edges = edge_text(self._rows, deep, "[\n      ", ",\n      ", "\n    ]", ",\n    ")
+        if not edges:
+            return head + "[]\n}"
+        edges[0] = f"{head}[\n    {edges[0]}"
+        edges[-1] = f"{edges[-1]}\n  ]\n}}"
+        return ",\n    ".join(edges)
 
     @staticmethod
     def from_json(text: str) -> "Graph":
@@ -320,12 +334,14 @@ class Graph:
         return g
 
     def to_dot(self, name: str = "G") -> str:
+        """Graphviz text: one quoted vertex line per label (``R5={11,31}``
+        for classes), then one ``u -- v`` line per edge, joined per row."""
         text = [f'"{label_text(v, "=")}"' for v in self._vertices]
         lines = [f"graph {name} {{"]
         lines.extend(f"  {t};" for t in text)
-        lines.extend(f"  {text[i]} -- {text[j]};" for i, j in self._pairs())
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines.extend(edge_text(self._rows, text, "  ", " -- ", ";", "\n"))
+        lines.append("}\n")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -382,11 +398,39 @@ def same_class_graph(g1: Graph, g2: Graph) -> bool:
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _flags(mask: int) -> bytes:
+    """One byte per binary digit of mask (non-negative), lowest bit first:
+    1 where the bit is set, 0 where not; a selector for ``compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+
+
 def bits(mask: int, start: int = 0):
     """Indices of the set bits of mask (non-negative), in increasing order,
     each plus start.  One C-level pass over the binary digits; the rows of
     prime graphs are dense, where this beats peeling off the lowest bit."""
-    return compress(count(start), bin(mask)[:1:-1].encode().translate(_BIT_VALUES))
+    return compress(count(start), _flags(mask))
+
+
+def edge_count(rows) -> int:
+    """The number of edges of a graph with these adjacency rows."""
+    return sum(row.bit_count() for row in rows) // 2
+
+
+def edge_text(rows, text, left: str, mid: str, right: str, sep: str) -> list[str]:
+    """The edges i < j written as left + text[i] + mid + text[j] + right and
+    joined by sep, in lexicographic order; one string per row that has an
+    edge to a later vertex, so sep.join of the result is the whole list.
+
+    Each row is one C-level join over the texts its upper bits select.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        upper = row >> i + 1
+        if upper:
+            head = left + text[i] + mid
+            body = (right + sep + head).join(compress(text[i + 1 :], _flags(upper)))
+            out.append(f"{head}{body}{right}")
+    return out
 
 
 def _first_quad(rows):
@@ -488,6 +532,14 @@ def decode_label(obj):
         return ClassLabel(str(cls["name"]), tuple(int(x) for x in members))
     except (KeyError, TypeError, ValueError):
         raise MalformedInput(f"cannot decode vertex label {obj!r}") from None
+
+
+def _label_json(label) -> str:
+    """json.dumps(encode_label(label), indent=2), written out directly."""
+    if isinstance(label, int):
+        return str(label)
+    members = "[\n      " + ",\n      ".join(map(str, label.members)) + "\n    ]" if label.members else "[]"
+    return f'{{\n  "class": {{\n    "name": {json.dumps(label.name)},\n    "members": {members}\n  }}\n}}'
 
 
 def _json_list(items) -> str:

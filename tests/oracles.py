@@ -329,6 +329,34 @@ def reference_graph_json(g):
     return json.dumps(doc, indent=2)
 
 
+def _label_text(label, sep=""):
+    if isinstance(label, int):
+        return str(label)
+    if label.members:
+        return label.name + sep + "{" + ",".join(str(m) for m in label.members) + "}"
+    return label.name
+
+
+def reference_graph_dot(g, name="G"):
+    """Graphviz text with one line per vertex, then one line per edge."""
+    lines = [f"graph {name} {{"]
+    lines += [f'  "{_label_text(v, "=")}";' for v in g.vertices]
+    lines += [f'  "{_label_text(u, "=")}" -- "{_label_text(v, "=")}";' for u, v in g.edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_graph_table(g, title):
+    """The CLI's table: the vertex line, then a counted edge list or 'none'."""
+    lines = [title, f"vertices ({len(g.vertices)}): " + " ".join(_label_text(v) for v in g.vertices)]
+    if g.edges:
+        lines.append(f"edges ({len(g.edges)}):")
+        lines += [f"  {_label_text(u)} -- {_label_text(v)}" for u, v in g.edges]
+    else:
+        lines.append("edges (0): none")
+    return "\n".join(lines)
+
+
 def reference_edges(vertices, edges):
     """Sorted vertices and edges of a simple graph, each edge oriented and
     the list sorted in label order."""

@@ -61,6 +61,12 @@ class TestCheckOps:
         for s in bad_steps:
             assert recheck(chain(s)) == ["x"], s.check
 
+    def test_interval_is_open_below_closed_above_whatever_the_step_says(self):
+        # (lo, hi] is the op's one meaning; extra keys cannot widen it
+        assert recheck(chain(step("x", op="in_interval", x=6, lo=6, hi=13, lo_open=False))) == ["x"]
+        assert recheck(chain(step("x", op="in_interval", x=13, lo=6, hi=13, hi_open=True))) == []
+        assert recheck(chain(step("x", op="in_interval", x=14, lo=6, hi=13, hi_open=True))) == ["x"]
+
     def test_order_steps_recheck_through_raw_order(self, monkeypatch):
         # the audit keeps its own order computation, whatever ppd_set does
         seen = []

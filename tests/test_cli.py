@@ -372,6 +372,14 @@ GOLDEN_LARGE = [
      "95a9bf595474d57cb0b72c8e21d19e601207ebc1ecd21409f23b36ec662b0eeb"),
     (["verify", "theorem-a", "--max-n", "1000"], 0,
      "5f10a5f7e139bc8bbb36f6432a42df47ed915924d892702dbeff83df6fbd06f0"),
+    # The table format and a compact graph at degree 3000 (6.6 MB), recorded
+    # with one f-string per edge and json.dumps(indent=2) per label.
+    (["build", "--group", "Alt(1000)"], 0,
+     "eba6dffe87c8b62d7a9d332c430404533fdba0f43717c881bb64f7e6968ce4c2"),
+    (["compact", "--group", "Sym(1000)"], 0,
+     "d350b4f9e808518ed1c5ace7e307abadb025fc005ff29a802bed10c9ae6e8b4a"),
+    (["compact", "--group", "Alt(3000)", "--format", "json"], 0,
+     "521cc363c1b34c4dd82bc14c03734dfa1346243c300249be809a8a5d39a8a6e3"),
 ]
 
 

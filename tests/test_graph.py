@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gksplit import graph as graph_module
+from gksplit.cli import _graph_table
 from gksplit.errors import LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
     ClassLabel,
@@ -23,7 +24,9 @@ from oracles import (
     reference_compact,
     reference_components,
     reference_edges,
+    reference_graph_dot,
     reference_graph_json,
+    reference_graph_table,
 )
 
 
@@ -408,8 +411,31 @@ class TestAgainstReference:
     @given(mixed_graphs())
     @example(([], []))
     @example(EDGELESS_CLASSES)
+    @example(([2, ClassLabel("R\u00e9", (3, 5))], [(ClassLabel("R\u00e9", (3, 5)), 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_to_dot(self, data):
+        g = Graph(*data)
+        assert g.to_dot() == reference_graph_dot(g)
+        assert g.to_dot("H") == reference_graph_dot(g, "H")
+
+    @given(mixed_graphs())
+    @example(([], []))
+    @example(EDGELESS_CLASSES)
+    @example(([2, ClassLabel("R\u00e9", (3, 5))], [(ClassLabel("R\u00e9", (3, 5)), 2)]))
+    @settings(max_examples=300, deadline=None)
+    def test_graph_table(self, data):
+        g = Graph(*data)
+        assert _graph_table(g, "title") == reference_graph_table(g, "title")
+        assert repr(g) == f"Graph({len(g.vertices)} vertices, {len(g.edges)} edges)"
+
+    @given(mixed_graphs())
+    @example(([], []))
+    @example(EDGELESS_CLASSES)
     @example(([2, ClassLabel("2", (2,)), 3], [(2, 3)]))
     @example(([2, ClassLabel("2", (2,)), 3], [(2, 3), (ClassLabel("2", (2,)), 3)]))
+    # classes "11" < "13" < "2" < "3" in label order, heads 2 < 3 < 11 < 13
+    @example(([2, 3, 11, 13], [(2, 11), (11, 13), (13, 3)]))
+    @example(([5, 7, 11], [(5, 7), (5, 11), (7, 11)]))  # a single class
     @settings(max_examples=300, deadline=None)
     def test_compact_form(self, data):
         try:
