@@ -361,13 +361,15 @@ class CompactForm:
 def _merge_label(group) -> ClassLabel:
     head = group[0]
     name = str(head) if isinstance(head, int) else head.name
-    members = []
+    members = set()
     for v in group:
-        got = label_members(v)
-        if not got:
+        if isinstance(v, int):
+            members.add(v)
+        elif v.members:
+            members.update(v.members)
+        else:
             return ClassLabel(name)
-        members.extend(got)
-    return ClassLabel(name, tuple(sorted(set(members))))
+    return ClassLabel(name, tuple(sorted(members)))
 
 
 def members_signature(g: Graph):

@@ -10,9 +10,10 @@ two is the Foldes-Hammer forbidden-subgraph characterization: split iff no
 induced 2K2, C4 or C5.  ``Graph.find_forbidden`` looks for the first such
 witness on bitset rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2);
 a split partition comes from a 2-SAT instance with one clause per vertex
-pair, solved by strongly connected components in O(n^2).  Neither part of
-route two reads a degree.  The two routes must always agree; a disagreement
-is raised as InternalInconsistency, never repaired.
+pair, solved by a bitset Kosaraju over the adjacency rows in O(n) big-int
+steps.  Neither part of route two reads a degree.  The two routes must
+always agree; a disagreement is raised as InternalInconsistency, never
+repaired.
 """
 
 from __future__ import annotations
@@ -71,11 +72,11 @@ def m_index(g: Graph) -> int:
     """max{i : d_i >= i-1} over the non-increasing degree sequence."""
     if g.n == 0:
         raise PreconditionViolated("m_index is undefined for the empty graph")
-    best = 0
-    for i, d in enumerate(g.degree_sequence(), start=1):
-        if d >= i - 1:
-            best = i
-    return best
+    return _m_of(g.degree_sequence())
+
+
+def _m_of(degs) -> int:
+    return max(i for i, d in enumerate(degs, start=1) if d >= i - 1)
 
 
 def validate_partition(g: Graph, p: SplitPartition) -> tuple[bool, str | None]:
@@ -139,15 +140,17 @@ def is_split_degree(g: Graph) -> SplitVerdict:
     """Degree-sequence split check with partition extraction."""
     if g.n == 0:
         return SplitVerdict(True, None, SplitPartition(frozenset(), frozenset(), True))
-    m = m_index(g)
-    degs = g.degree_sequence()
+    degree = [row.bit_count() for row in g.rows]
+    by_degree = sorted(range(g.n), key=degree.__getitem__, reverse=True)  # stable: ties in label order
+    degs = [degree[i] for i in by_degree]
+    m = _m_of(degs)
     split = sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
     if split:
         # The top-m degree sum is the same however ties are broken, and the
         # equality forces those m vertices to be a clique and the rest to be
         # independent (Hammer-Simeone), so any non-increasing order will do.
-        by_degree = sorted(g.vertices, key=g.degree, reverse=True)  # stable: ties in label order
-        clique, indep = by_degree[:m], by_degree[m:]
+        vs = g.vertices
+        clique, indep = [vs[i] for i in by_degree[:m]], [vs[i] for i in by_degree[m:]]
         if not (g.is_clique(clique) and g.is_independent(indep)):
             raise InternalInconsistency(
                 "degree equality holds but no clique/independent partition was found"
@@ -166,67 +169,55 @@ def _partition_from_2sat(g: Graph) -> SplitPartition | None:
 
     The variable of v says "v is in C".  An edge forbids both ends in I and
     a non-edge forbids both ends in C, so the clauses are satisfiable exactly
-    when g is split.  Literal 2i is "vertex i in C" and 2i+1 is "vertex i in
-    I"; each clause becomes two implications, O(n^2) in all.  None when the
-    clauses are unsatisfiable.
+    when g is split.  Literal i is "vertex i in C" and n + i is "vertex i in
+    I"; a set of literals is one int of 2n bits.  The implications out of i
+    go to the I-literals of its non-neighbours, those out of n + i to the
+    C-literals of its neighbours, and as the rows are symmetric the same two
+    masks with the halves swapped lead back in.  Kosaraju's two passes visit
+    each literal once: O(n) big-int steps.  None when the clauses are
+    unsatisfiable.
     """
-    vs = g.vertices
-    full = (1 << len(vs)) - 1
-    succ = []
-    for i, row in enumerate(g.rows):
-        succ.append([2 * j + 1 for j in bits(full & ~(row | 1 << i))])
-        succ.append([2 * j for j in bits(row)])
-    comp = _scc_ids(succ)
-    if any(comp[2 * i] == comp[2 * i + 1] for i in range(len(vs))):
-        return None
-    # Tarjan numbers components sinks first, so the literal whose component
-    # has the smaller id is the one to make true.
-    clique = [v for i, v in enumerate(vs) if comp[2 * i] < comp[2 * i + 1]]
-    indep = [v for i, v in enumerate(vs) if comp[2 * i] > comp[2 * i + 1]]
-    return flag_special(g, clique, indep)
-
-
-def _scc_ids(succ) -> list[int]:
-    """Strongly connected component ids by an iterative Tarjan search.
-
-    Ids are given in the order components complete, which is a reverse
-    topological order of the component graph.
-    """
-    order = [-1] * len(succ)
-    low = [0] * len(succ)
-    comp = [-1] * len(succ)
-    stack = []
-    seen = done = 0
-    for root in range(len(succ)):
-        if order[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, k = work.pop()
-            if k == 0:
-                order[v] = low[v] = seen
-                seen += 1
-                stack.append(v)
-            for k in range(k, len(succ[v])):
-                w = succ[v][k]
-                if order[w] < 0:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    break
-                if comp[w] < 0:  # still on the stack
-                    low[v] = min(low[v], order[w])
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+    non = [full & ~(row | 1 << i) for i, row in enumerate(rows)]
+    # Pass 1: depth-first along the implications, lowest literal first,
+    # recording the order in which literals finish.
+    left, finished = (1 << 2 * n) - 1, []
+    while left:
+        stack = [(left & -left).bit_length() - 1]
+        left &= left - 1
+        while stack:
+            v = stack[-1]
+            ahead = left & (non[v] << n if v < n else rows[v - n])
+            if ahead:
+                w = (ahead & -ahead).bit_length() - 1
+                left ^= 1 << w
+                stack.append(w)
             else:
-                if low[v] == order[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = done
-                        if w == v:
-                            break
-                    done += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-    return comp
+                finished.append(stack.pop())
+    # Pass 2: close each component over the reversed implications, latest
+    # finish first.  Components come out in topological order; each makes
+    # its literals true and their negations false, so of a literal and its
+    # negation the one whose component comes later stays true.
+    left, true = (1 << 2 * n) - 1, 0
+    for v in reversed(finished):
+        if not left >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        left ^= comp
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = left & (rows[u] << n if u < n else non[u - n])
+            left ^= new
+            frontier |= new
+            comp |= new
+        negated = comp >> n | (comp & full) << n
+        if comp & negated:
+            return None
+        true = true & ~negated | comp
+    vs = g.vertices
+    return flag_special(g, [vs[i] for i in bits(true & full)], [vs[i] for i in bits(true >> n)])
 
 
 def is_split_forbidden(g: Graph) -> SplitVerdict:

@@ -380,6 +380,12 @@ GOLDEN_LARGE = [
      "d350b4f9e808518ed1c5ace7e307abadb025fc005ff29a802bed10c9ae6e8b4a"),
     (["compact", "--group", "Alt(3000)", "--format", "json"], 0,
      "521cc363c1b34c4dd82bc14c03734dfa1346243c300249be809a8a5d39a8a6e3"),
+    # The split verb at scale: the degree route's partition, recorded with the
+    # clique side sorted by label-keyed degree lookups.
+    (["split", "--group", "Sym(1000)", "--format", "json"], 0,
+     "00e4ee4354a2dd4e7d98050c7a570dcde9df0e550b3a976436b33228b8b7da7c"),
+    (["split", "--group", "Alt(1000)"], 0,
+     "061583098d171292501fcc297920eba42d9c19f37e0db39eabfbdb6c00929e27"),
 ]
 
 

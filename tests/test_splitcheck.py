@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gksplit.errors import InvalidPartition, PreconditionViolated
+from gksplit.gkbuild import gk_altsym
 from gksplit.graph import Graph
 from gksplit.splitcheck import (
     SplitPartition,
+    _partition_from_2sat,
     is_split_degree,
     is_split_forbidden,
     m_index,
@@ -179,6 +181,28 @@ class TestAgreementSmall:
                 b = is_split_forbidden(g).split
                 c = brute_is_split(g.vertices, g.edges)
                 assert a == b == c, (n, edges)
+
+
+class TestTwoSat:
+    """The 2-SAT solver on its own: the witness scan runs first in
+    ``is_split_forbidden``, so only a direct call reaches the unsatisfiable
+    side."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_exhaustive_against_brute_force(self, n):
+        for edges in graphs_on(n):
+            g = Graph(range(n), edges)
+            p = _partition_from_2sat(g)
+            assert (p is not None) == brute_is_split(range(n), edges), edges
+            if p is not None:
+                ok, reason = validate_partition(g, p)
+                assert ok, (edges, reason)
+
+    @pytest.mark.parametrize("kind", ["Alt", "Sym"])
+    def test_partition_validates_at_degree_2000(self, kind):
+        g = gk_altsym(kind, 2000)
+        ok, reason = validate_partition(g, _partition_from_2sat(g))
+        assert ok, reason
 
 
 def random_split_graph(rng, n):
