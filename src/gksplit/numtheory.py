@@ -2,8 +2,9 @@
 
 Everything here is elementary and deterministic: factorization by batched
 trial division (a gcd with the product of each block of small primes) plus a
-Floyd-cycle Pollard-rho second stage, under an explicit effort budget;
-Miller-Rabin primality (deterministic for inputs below 3.3e24);
+Floyd-cycle Pollard-rho second stage, under an explicit effort budget, with
+one bounded memo per process; Miller-Rabin primality (a proof for inputs
+below 3.317e24, a fixed-base strong-probable-prime test above);
 multiplicative orders; primitive prime divisors R_i(n) with the
 Bang-Zsigmondy exception list; and pi-parts.
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
 
@@ -62,16 +64,37 @@ _TRIAL_BOUND = 100_000
 #: 1,100 bits near the trial bound) tests all of them at once.
 _TRIAL_BLOCK = 64
 
-# Deterministic Miller-Rabin witness set for n < 3.317e24 (Sorenson-Webster);
-# above that bound the extended witness list makes the test a fixed-witness
-# strong-probable-prime check, ample for the integer sizes this package meets.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_EXTRA_WITNESSES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+#: Miller-Rabin bases: the first 25 primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# Witness tiers at the bounds psi_t of OEIS A014233 (Jaeschke, Math. Comp. 61,
+# 1993; Sorenson-Webster, Math. Comp. 86, 2017): psi_t is the least odd
+# composite that is a strong probable prime to each of the first t prime
+# bases, so below it those t bases decide primality.  psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, which leaves ten bounds.  At and above psi_13 every
+# base of _MR_BASES is tried, a strong-probable-prime check, not a proof.
+_MR_TIER_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_TIER_BASES = tuple(_MR_BASES[:t] for t in (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, len(_MR_BASES)))
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test; deterministic for n < 3.3e24."""
+    """Miller-Rabin primality test on the bases of n's witness tier.
+
+    Exact for n < 3317044064679887385961981 (psi_13), where the first t
+    prime bases with n < psi_t decide; above that, a strong-probable-prime
+    test to the first 25 prime bases.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -81,10 +104,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _MR_WITNESSES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        witnesses = _MR_WITNESSES + _MR_EXTRA_WITNESSES
-    for a in witnesses:
+    for a in _MR_TIER_BASES[bisect_right(_MR_TIER_BOUNDS, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -241,7 +261,21 @@ def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
     budget: each prime trial division covers and each rho step costs one
     unit.  Raises BudgetExceeded (carrying the partial factorization found so
     far) rather than running unboundedly.
+
+    Results are memoized per process on (n, budget), the _FACTOR_MEMO_SIZE
+    most recently used of them, so factor(n) and factor(n, DEFAULT_BUDGET)
+    return one shared Factorization.  A budget exhaustion is never memoized:
+    each call that runs out of budget redoes the work and raises afresh.
     """
+    return _factor(n, budget)
+
+
+_FACTOR_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _factor(n: int, budget: int) -> Factorization:
+    """The work behind factor; lru_cache keeps what it returns, not what it raises."""
     if n < 1:
         raise PreconditionViolated(f"factor() needs n >= 1, got {n}")
     counts: dict[int, int] = {}

@@ -61,6 +61,14 @@ class TestCheckOps:
         for s in bad_steps:
             assert recheck(chain(s)) == ["x"], s.check
 
+    def test_forged_primality_of_a_strong_pseudoprime_fails(self):
+        # psi_12 = 399165290221 * 798330580441 is a strong probable prime to
+        # each of the bases 2..37, so twelve Miller-Rabin bases call it prime
+        psi_12 = 318665857834031151167461
+        forged = certificate_from_json(chain(step("x", op="is_prime", n=psi_12)).to_json())
+        assert recheck(forged) == ["x"]
+        assert not recheck(chain(step("x", op="is_composite", n=psi_12)))
+
     def test_interval_is_open_below_closed_above_whatever_the_step_says(self):
         # (lo, hi] is the op's one meaning; extra keys cannot widen it
         assert recheck(chain(step("x", op="in_interval", x=6, lo=6, hi=13, lo_open=False))) == ["x"]

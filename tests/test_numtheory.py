@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +396,26 @@ class TestRho:
         assert fast == [outcome(n, b) for n, b in cases]
         assert any(r[0] == "partial" for r in fast) and any(r[0] != "partial" for r in fast)
 
+    def test_factor_matches_per_step_rho_from_a_cold_memo(self, monkeypatch):
+        # factor's memo would answer the per-step pass from the batched one,
+        # so each pass starts with it empty
+        cases = [(n, b) for n in _semiprimes(4, 8, 28) for b in (2_000, 20_000)]
+
+        def outcomes():
+            nt._factor.cache_clear()
+            out = []
+            for n, b in cases:
+                try:
+                    out.append(nt.factor(n, b).factors)
+                except BudgetExceeded as exc:
+                    out.append(("partial", exc.partial.factors))
+            return out
+
+        fast = outcomes()
+        monkeypatch.setattr(nt, "_rho_factor", floyd_rho)
+        assert fast == outcomes()
+        assert any(r[0] == "partial" for r in fast) and any(r[0] != "partial" for r in fast)
+
 
 class TestPrimality:
     def test_against_sieve(self):
@@ -410,3 +430,77 @@ class TestPrimality:
     def test_large(self):
         assert nt.is_prime(2**61 - 1)
         assert not nt.is_prime(2**67 - 1)
+
+    def test_against_sieve_through_the_small_tiers(self):
+        # the bases 2 and (2, 3) alone decide below 2047 and 1373653
+        limit = 2 * 10**6
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+        assert bytes(nt.is_prime(n) for n in range(limit)) == sieve
+
+    @pytest.mark.parametrize("bound, bases", list(zip(nt._MR_TIER_BOUNDS, nt._MR_TIER_BASES)))
+    def test_tier_bounds_are_composite(self, bound, bases):
+        # each bound psi_t fools every base of the tier below it, so the
+        # next tier's bases are the ones that expose it
+        assert all(_strong_probable_prime(bound, a) for a in bases)
+        assert not nt.is_prime(bound)
+
+    def test_psi_12_is_factored(self):
+        # a strong probable prime to the bases 2..37 (Sorenson-Webster 2017)
+        assert nt.factor(318665857834031151167461).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestFactorMemo:
+    N = 2 * (10**9 + 7) * (10**9 + 9)
+
+    def _partial(self, budget):
+        with pytest.raises(BudgetExceeded) as exc:
+            nt.factor(self.N, budget)
+        return exc.value.partial
+
+    def test_budget_exhaustion_is_never_memoized(self, monkeypatch):
+        nt._factor.cache_clear()
+        runs = []
+        trial_blocks = nt._trial_blocks
+        monkeypatch.setattr(nt, "_trial_blocks", lambda limit: runs.append(limit) or trial_blocks(limit))
+        before = [self._partial(budget) for budget in (5, 100)]
+        assert nt.factor(self.N).factors == ((2, 1), (10**9 + 7, 1), (10**9 + 9, 1))
+        assert [self._partial(budget) for budget in (5, 100)] == before
+        assert [p.factors for p in before] == [(), ((2, 1),)]
+        # each exhausted call factored anew; only the success was kept
+        assert len(runs) == 5 and nt._factor.cache_info().currsize == 1
+
+    def test_default_budget_shares_one_entry(self):
+        n = 3 * 1_000_003 * 1_000_033
+        assert nt.factor(n) is nt.factor(n, nt.DEFAULT_BUDGET) is nt.factor(n, budget=nt.DEFAULT_BUDGET)
+
+    def test_memo_is_bounded(self):
+        size = nt._FACTOR_MEMO_SIZE
+        assert nt._factor.cache_info().maxsize == size
+        for n in range(2, 2 * size):
+            nt.factor(n)
+        assert nt._factor.cache_info().currsize == size
+        # the oldest entries were dropped, the newest are kept
+        misses = nt._factor.cache_info().misses
+        nt.factor(2 * size - 1)
+        assert nt._factor.cache_info().misses == misses
+        nt.factor(2)
+        assert nt._factor.cache_info().misses == misses + 1
