@@ -114,9 +114,9 @@ def altsym_partition(n: int) -> SplitPartition:
     if n < 2:
         raise PreconditionViolated("degree must be at least 2")
     half = n // 2 if n != 6 else 2
-    clique = frozenset(p for p in nt.primes_upto(half))
-    indep = frozenset(p for p in nt.primes_upto(n) if p > half)
-    return SplitPartition(clique, indep)
+    primes = nt.primes_upto(n)
+    k = bisect_right(primes, half)
+    return SplitPartition(frozenset(primes[:k]), frozenset(primes[k:]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
 
-from .errors import LoopEdge, MalformedInput, UnknownVertex
+from .errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 
 _SCHEMA = "gksplit/graph/1"
 
@@ -67,7 +67,8 @@ class ForbiddenWitness:
     vertices: tuple
 
 
-#: Graph._witness before find_forbidden has run; None means "no witness".
+#: Graph._witness and Graph._clique_side before they are computed; None
+#: means "no witness" and "no split partition".
 _UNSCANNED = object()
 
 
@@ -86,7 +87,7 @@ class Graph:
     and the rows (symmetric, loop-free) are taken as given.
     """
 
-    __slots__ = ("_vertices", "_index", "_rows", "_edges", "_witness")
+    __slots__ = ("_vertices", "_index", "_rows", "_edges", "_witness", "_clique_side")
 
     def __init__(self, vertices, edges=(), *, rows=None):
         if rows is None:
@@ -109,6 +110,7 @@ class Graph:
         self._rows = tuple(rows)
         self._edges = None
         self._witness = _UNSCANNED
+        self._clique_side = _UNSCANNED
 
     # -- basic accessors ---------------------------------------------------
 
@@ -206,12 +208,10 @@ class Graph:
         return out
 
     def is_clique(self, subset) -> bool:
-        sub = self.mask(subset)
-        return all((self._rows[i] | 1 << i) & sub == sub for i in bits(sub))
+        return _is_clique(self._rows, self.mask(subset))
 
     def is_independent(self, subset) -> bool:
-        sub = self.mask(subset)
-        return not any(self._rows[i] & sub for i in bits(sub))
+        return _is_independent(self._rows, self.mask(subset))
 
     # -- compact form --------------------------------------------------------
 
@@ -253,12 +253,25 @@ class Graph:
 
     # -- forbidden-subgraph search -------------------------------------------
 
+    def clique_side(self):
+        """The clique side of a split partition as a bitset, from the 2-SAT
+        of ``_split_mask``; None when the graph is not split.  Solved once
+        per graph; later calls return its result."""
+        if self._clique_side is _UNSCANNED:
+            self._clique_side = _split_mask(self._rows)
+        return self._clique_side
+
     def find_forbidden(self):
         """The first induced 2K2, C4 or C5; None when the graph is split.
 
-        The scan runs once per graph; later calls return its result.
+        A graph is split exactly when none of the three occurs (Foldes-Hammer)
+        and exactly when its 2-SAT is satisfiable (``clique_side``), so the
+        2-SAT decides first.  When it is satisfiable, its partition is checked
+        against the rows and None is returned without a scan.  Only when it is
+        unsatisfiable does the witness scan run.  A partition that fails the
+        check, or a scan that finds nothing after an unsatisfiable 2-SAT, is
+        InternalInconsistency.  The answer is kept; later calls return it.
 
-        A graph is split exactly when none of the three occurs (Foldes-Hammer).
         The witness is the one a scan of all 4-subsets, then all 5-subsets,
         in lexicographic vertex order would meet first, but the search runs
         on the bitset rows:
@@ -274,7 +287,16 @@ class Graph:
         Hammer-Simeone degree route.
         """
         if self._witness is _UNSCANNED:
-            self._witness = self._scan_forbidden()
+            side = self.clique_side()
+            if side is None:
+                witness = self._scan_forbidden()
+                if witness is None:
+                    raise InternalInconsistency("the 2-SAT is unsatisfiable, yet no forbidden subgraph exists")
+            elif not (_is_clique(self._rows, side) and _is_independent(self._rows, (1 << self.n) - 1 & ~side)):
+                raise InternalInconsistency("the 2-SAT partition is not a clique and an independent set")
+            else:
+                witness = None
+            self._witness = witness
         return self._witness
 
     def _scan_forbidden(self):
@@ -318,8 +340,13 @@ class Graph:
     def from_json(text: str) -> "Graph":
         try:
             doc = json.loads(text)
-            vertices = [decode_label(x) for x in doc["vertices"]]
-            edges = [(decode_label(u), decode_label(v)) for u, v in doc["edges"]]
+            # An int label decodes to itself; everything else, bool included,
+            # goes through decode_label.
+            vertices = [x if type(x) is int else decode_label(x) for x in doc["vertices"]]
+            edges = [
+                (u if type(u) is int else decode_label(u), v if type(v) is int else decode_label(v))
+                for u, v in doc["edges"]
+            ]
         except KeyError as exc:
             raise MalformedInput(f"graph document lacks field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -433,6 +460,69 @@ def edge_text(rows, text, left: str, mid: str, right: str, sep: str) -> list[str
             body = (right + sep + head).join(compress(text[i + 1 :], _flags(upper)))
             out.append(f"{head}{body}{right}")
     return out
+
+
+def _split_mask(rows):
+    """The clique side of a split partition as a 2-SAT solution
+    (Aspvall-Plass-Tarjan 1979), or None when the clauses are unsatisfiable.
+
+    The variable of v says "v is in C".  An edge forbids both ends in I and
+    a non-edge forbids both ends in C, so the clauses are satisfiable exactly
+    when the graph is split.  Literal i is "vertex i in C" and n + i is
+    "vertex i in I"; a set of literals is one int of 2n bits.  The
+    implications out of i go to the I-literals of its non-neighbours, those
+    out of n + i to the C-literals of its neighbours, and as the rows are
+    symmetric the same two masks with the halves swapped lead back in.
+    Kosaraju's two passes visit each literal once: O(n) big-int steps.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    non = [full & ~(row | 1 << i) for i, row in enumerate(rows)]
+    # Pass 1: depth-first along the implications, lowest literal first,
+    # recording the order in which literals finish.
+    left, finished = (1 << 2 * n) - 1, []
+    while left:
+        stack = [(left & -left).bit_length() - 1]
+        left &= left - 1
+        while stack:
+            v = stack[-1]
+            ahead = left & (non[v] << n if v < n else rows[v - n])
+            if ahead:
+                w = (ahead & -ahead).bit_length() - 1
+                left ^= 1 << w
+                stack.append(w)
+            else:
+                finished.append(stack.pop())
+    # Pass 2: close each component over the reversed implications, latest
+    # finish first.  Components come out in topological order; each makes
+    # its literals true and their negations false, so of a literal and its
+    # negation the one whose component comes later stays true.
+    left, true = (1 << 2 * n) - 1, 0
+    for v in reversed(finished):
+        if not left >> v & 1:
+            continue
+        comp = frontier = 1 << v
+        left ^= comp
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = left & (rows[u] << n if u < n else non[u - n])
+            left ^= new
+            frontier |= new
+            comp |= new
+        negated = comp >> n | (comp & full) << n
+        if comp & negated:
+            return None
+        true = true & ~negated | comp
+    return true & full
+
+
+def _is_clique(rows, sub) -> bool:
+    return all((rows[i] | 1 << i) & sub == sub for i in bits(sub))
+
+
+def _is_independent(rows, sub) -> bool:
+    return not any(rows[i] & sub for i in bits(sub))
 
 
 def _first_quad(rows):

@@ -7,11 +7,13 @@ sorted d1 >= ... >= dn and m = max{i : d_i >= i-1}, the graph is split iff
 
 in which case the m vertices of largest degree form the clique side.  Route
 two is the Foldes-Hammer forbidden-subgraph characterization: split iff no
-induced 2K2, C4 or C5.  ``Graph.find_forbidden`` looks for the first such
-witness on bitset rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2);
-a split partition comes from a 2-SAT instance with one clause per vertex
-pair, solved by a bitset Kosaraju over the adjacency rows in O(n) big-int
-steps.  Neither part of route two reads a degree.  The two routes must
+induced 2K2, C4 or C5.  ``Graph.find_forbidden`` first solves a 2-SAT
+instance with one clause per vertex pair, by a bitset Kosaraju over the
+adjacency rows in O(n) big-int steps; it is satisfiable exactly when the
+graph is split, and its solution, checked against the rows, is the split
+partition.  Only when it is unsatisfiable does the search for the first
+witness run on the rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2).
+Neither part of route two reads a degree.  The two routes must
 always agree; a disagreement is raised as InternalInconsistency, never
 repaired.
 """
@@ -165,73 +167,24 @@ def is_split_degree(g: Graph) -> SplitVerdict:
 
 
 def _partition_from_2sat(g: Graph) -> SplitPartition | None:
-    """A split partition as a 2-SAT solution (Aspvall-Plass-Tarjan 1979).
-
-    The variable of v says "v is in C".  An edge forbids both ends in I and
-    a non-edge forbids both ends in C, so the clauses are satisfiable exactly
-    when g is split.  Literal i is "vertex i in C" and n + i is "vertex i in
-    I"; a set of literals is one int of 2n bits.  The implications out of i
-    go to the I-literals of its non-neighbours, those out of n + i to the
-    C-literals of its neighbours, and as the rows are symmetric the same two
-    masks with the halves swapped lead back in.  Kosaraju's two passes visit
-    each literal once: O(n) big-int steps.  None when the clauses are
-    unsatisfiable.
-    """
-    n, rows = g.n, g.rows
-    full = (1 << n) - 1
-    non = [full & ~(row | 1 << i) for i, row in enumerate(rows)]
-    # Pass 1: depth-first along the implications, lowest literal first,
-    # recording the order in which literals finish.
-    left, finished = (1 << 2 * n) - 1, []
-    while left:
-        stack = [(left & -left).bit_length() - 1]
-        left &= left - 1
-        while stack:
-            v = stack[-1]
-            ahead = left & (non[v] << n if v < n else rows[v - n])
-            if ahead:
-                w = (ahead & -ahead).bit_length() - 1
-                left ^= 1 << w
-                stack.append(w)
-            else:
-                finished.append(stack.pop())
-    # Pass 2: close each component over the reversed implications, latest
-    # finish first.  Components come out in topological order; each makes
-    # its literals true and their negations false, so of a literal and its
-    # negation the one whose component comes later stays true.
-    left, true = (1 << 2 * n) - 1, 0
-    for v in reversed(finished):
-        if not left >> v & 1:
-            continue
-        comp = frontier = 1 << v
-        left ^= comp
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = left & (rows[u] << n if u < n else non[u - n])
-            left ^= new
-            frontier |= new
-            comp |= new
-        negated = comp >> n | (comp & full) << n
-        if comp & negated:
-            return None
-        true = true & ~negated | comp
+    """The split partition of the 2-SAT (``Graph.clique_side``), or None
+    when the clauses are unsatisfiable."""
+    side = g.clique_side()
+    if side is None:
+        return None
     vs = g.vertices
-    return flag_special(g, [vs[i] for i in bits(true & full)], [vs[i] for i in bits(true >> n)])
+    return flag_special(g, [vs[i] for i in bits(side)], [vs[i] for i in bits((1 << g.n) - 1 & ~side)])
 
 
 def is_split_forbidden(g: Graph) -> SplitVerdict:
     """Forbidden-subgraph split check; the independent oracle for the degree route.
 
-    When split, the partition comes from a 2-SAT instance, so neither the
-    verdict nor the partition uses any degree reasoning.
+    ``Graph.find_forbidden`` decides by the 2-SAT and scans for a witness
+    only when the clauses are unsatisfiable.  When split, the partition is
+    that 2-SAT's, solved once per graph, so neither the verdict nor the
+    partition uses any degree reasoning.
     """
     witness = g.find_forbidden()
     if witness is not None:
         return SplitVerdict(False, None, None, witness)
-    partition = _partition_from_2sat(g)
-    if partition is None:
-        raise InternalInconsistency(
-            "no forbidden subgraph, yet no split partition exists"
-        )
-    return SplitVerdict(True, None, partition)
+    return SplitVerdict(True, None, _partition_from_2sat(g))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gksplit.errors import InvalidPartition, PreconditionViolated
+from gksplit import graph as graph_module
+from gksplit.errors import InternalInconsistency, InvalidPartition, PreconditionViolated
 from gksplit.gkbuild import gk_altsym
 from gksplit.graph import Graph
 from gksplit.splitcheck import (
@@ -19,7 +20,7 @@ from gksplit.splitcheck import (
 )
 
 from oracles import brute_chromatic, brute_is_split, graphs_on
-from test_graph import M22_SOLVABLE, complete, cycle, path, pseudo_split_graphs, small_graphs
+from test_graph import M22_SOLVABLE, complete, cycle, path, planted, pseudo_split_graphs, small_graphs
 
 
 class TestMIndex:
@@ -184,9 +185,10 @@ class TestAgreementSmall:
 
 
 class TestTwoSat:
-    """The 2-SAT solver on its own: the witness scan runs first in
-    ``is_split_forbidden``, so only a direct call reaches the unsatisfiable
-    side."""
+    """The 2-SAT decides the forbidden route: ``Graph.find_forbidden`` solves
+    it first, checks a solution against the rows and scans for a witness
+    only when the clauses are unsatisfiable.  One solve per graph serves
+    both routes, and a forged solution raises instead of giving a verdict."""
 
     @pytest.mark.parametrize("n", range(7))
     def test_exhaustive_against_brute_force(self, n):
@@ -203,6 +205,55 @@ class TestTwoSat:
         g = gk_altsym(kind, 2000)
         ok, reason = validate_partition(g, _partition_from_2sat(g))
         assert ok, reason
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_decides_as_the_scan_does(self, n):
+        for edges in graphs_on(n):
+            g = Graph(range(n), edges)
+            scan = Graph(range(n), edges)._scan_forbidden()
+            assert g.find_forbidden() == scan, edges
+            assert (g.clique_side() is not None) == (scan is None), edges
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        real = graph_module._split_mask
+        monkeypatch.setattr(graph_module, "_split_mask", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind", [None, "2K2", "C5"])
+    def test_one_solve_across_both_routes(self, kind, solves):
+        g = planted(kind)
+        degree, forbidden = is_split_degree(g), is_split_forbidden(g)
+        assert degree.split == forbidden.split == (kind is None)
+        assert g.find_forbidden() == forbidden.forbidden
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize(
+        "kind, forge",
+        [
+            (None, lambda real, rows: real(rows) ^ 1),
+            (None, lambda real, rows: None),
+            ("2K2", lambda real, rows: 0b111111),
+        ],
+        ids=["vertex-0-on-the-wrong-side", "split-called-unsatisfiable", "clique-side-for-2K2"],
+    )
+    def test_forged_solution_raises(self, kind, forge, monkeypatch):
+        real = graph_module._split_mask
+        monkeypatch.setattr(graph_module, "_split_mask", lambda rows: forge(real, rows))
+        g = planted(kind)
+        with pytest.raises(InternalInconsistency):
+            is_split_forbidden(g)
+        with pytest.raises(InternalInconsistency):
+            g.find_forbidden()
+        if kind is not None:
+            with pytest.raises(InternalInconsistency):
+                is_split_degree(g)
 
 
 def random_split_graph(rng, n):
