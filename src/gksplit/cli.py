@@ -1,6 +1,9 @@
-"""Command line surface.
+"""Command line surface: parse the arguments, acquire the graph, print.
 
-Verbs: build, split, compact, verify, witness, export, sporadic.
+Verbs: build, split, compact, verify, witness, export, sporadic.  The verify
+campaigns live in ``campaigns``; this module checks their flags, calls them
+and prints their lines.  ``--graph compact`` compacts a graph from any
+source; ``--graph solvable`` needs ``--group``.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
 revalidates; 2 = error, malformed input included; 3 = factoring budget
@@ -19,7 +22,7 @@ import json
 import re
 import sys
 
-from . import gkbuild, groups, numtheory as nt
+from . import campaigns, gkbuild, groups, numtheory as nt
 from .certificates import recheck
 from .errors import (
     BudgetExceeded,
@@ -28,15 +31,8 @@ from .errors import (
     MalformedInput,
     UnsupportedFamily,
 )
-from .exceptional import descriptor_for
-from .graph import ClassLabel, Graph, edge_count, edge_text, label_key, label_text, same_class_graph
-from .splitcheck import (
-    SplitPartition,
-    is_split_degree,
-    is_split_forbidden,
-    partition_doc,
-    validate_partition,
-)
+from .graph import Graph, edge_count, edge_text, label_text
+from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text
 
 _RESULT_SCHEMA = "gksplit/result/1"
 
@@ -151,22 +147,26 @@ def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
 
 
 def _acquire_graph(args) -> tuple[Graph, str]:
-    sources = [bool(args.group), bool(getattr(args, "spectrum", None)), bool(getattr(args, "infile", None))]
+    sources = [bool(args.group), bool(args.spectrum), bool(args.infile)]
     if sum(sources) != 1:
         raise GKSplitError("exactly one input source required: --group, --spectrum or --in")
-    if getattr(args, "infile", None):
-        return Graph.from_json(_read_text(args.infile)), args.infile
-    if getattr(args, "spectrum", None):
-        d, g = _load_spectrum_file(args.spectrum)
+    if args.group:
+        d = parse_descriptor(args.group)
+        if args.graph == "solvable":
+            return _solvable_graph_for(d), f"solvable graph of {d}"
         if args.graph == "compact":
-            g = g.compact_form().quotient
-        return g, f"spectrum of {d}"
-    d = parse_descriptor(args.group)
+            return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
+        return _prime_graph_for(d), f"prime graph of {d}"
     if args.graph == "solvable":
-        return _solvable_graph_for(d), f"solvable graph of {d}"
+        raise GKSplitError("--graph solvable needs --group; --spectrum and --in give no solvable graph")
+    if args.infile:
+        g, title = Graph.from_json(_read_text(args.infile)), args.infile
+    else:
+        d, g = _load_spectrum_file(args.spectrum)
+        title = f"spectrum of {d}"
     if args.graph == "compact":
-        return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
-    return _prime_graph_for(d), f"prime graph of {d}"
+        g = g.compact_form().quotient
+    return g, title
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +200,6 @@ def _render_graph(g: Graph, fmt: str, title: str) -> str:
     if fmt == "dot":
         return g.to_dot()
     return _graph_table(g, title)
-
-
-def _partition_text(p: SplitPartition) -> str:
-    c, i = p.as_sorted()
-    return (
-        "C = {" + ", ".join(label_text(v) for v in c) + "}  "
-        "I = {" + ", ".join(label_text(v) for v in i) + "}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def _cmd_split(args) -> int:
     else:
         lines = [f"{title}: {'split' if verdict.split else 'NOT split'} (m = {verdict.m_index})"]
         if verdict.split:
-            lines.append(_partition_text(verdict.partition))
+            lines.append(partition_text(verdict.partition))
         else:
             w = verdict.forbidden
             lines.append(
@@ -345,197 +337,28 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    runner = {
-        "theorem-a": _verify_theorem_a,
-        "theorem-b": _verify_theorem_b,
-        "theorem-c": _verify_theorem_c,
-        "theorem-d": _verify_theorem_d,
-        "zsigmondy": _verify_zsigmondy,
-        "spectrum": _verify_spectrum,
-    }[args.which]
-    ok, lines = runner(args)
+    which, bound = args.which, args.max_n
+    # a sweep starts at degree (theorem-a) or base (zsigmondy) 2; without
+    # --max-n the campaign's own default bound applies
+    if which in ("theorem-a", "zsigmondy") and bound is not None and bound < 2:
+        raise GKSplitError(f"verify {which} needs --max-n of at least 2, got {bound}")
+    sweep = () if bound is None else (bound,)
+    if which == "theorem-a":
+        ok, lines = campaigns.theorem_a(*sweep)
+    elif which == "theorem-b":
+        ok, lines = campaigns.theorem_b()
+    elif which == "theorem-c":
+        ok, lines = campaigns.theorem_c(args.budget)
+    elif which == "theorem-d":
+        if not args.group:
+            raise GKSplitError("verify theorem-d needs --group")
+        ok, lines = campaigns.theorem_d(parse_descriptor(args.group), args.budget)
+    elif which == "zsigmondy":
+        ok, lines = campaigns.zsigmondy(*sweep, budget=args.budget)
+    else:
+        ok, lines = campaigns.spectrum(args.budget)
     _emit("\n".join(lines), args.out)
     return 0 if ok else 1
-
-
-def _sweep_bound(args, default: int) -> int:
-    """The --max-n bound of a sweep: default when absent, else at least 2,
-    the first degree (theorem-a) or base (zsigmondy) the sweep checks."""
-    if args.max_n is None:
-        return default
-    if args.max_n < 2:
-        raise GKSplitError(f"verify {args.which} needs --max-n of at least 2, got {args.max_n}")
-    return args.max_n
-
-
-def _verify_theorem_a(args):
-    lines = []
-    ok = True
-    top = _sweep_bound(args, 300)
-    for kind, start in (("symmetric", 2), ("alternating", 5)):
-        for n in range(start, top + 1):
-            g = gkbuild.gk_altsym(kind, n)
-            verdict = is_split_degree(g)
-            part = gkbuild.altsym_partition(n)
-            valid, reason = validate_partition(g, part)
-            good = verdict.split and valid
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {kind} n={n}" + ("" if good else f" ({reason})"))
-    lines.append(("PASS" if ok else "FAIL") + f" theorem-a up to n={top}")
-    return ok, lines
-
-
-def _verify_theorem_b(args):
-    lines = []
-    ok = True
-    for rec in groups.sporadic_table():
-        pi = rec.prime_spectrum
-        good = (
-            rec.prime_partition.clique | rec.prime_partition.independent == pi
-            and not rec.prime_partition.clique & rec.prime_partition.independent
-        )
-        if rec.solvable_partition is not None:
-            sp = rec.solvable_partition
-            good &= sp.clique | sp.independent == pi and not sp.clique & sp.independent
-        if rec.name == "M22":
-            g = Graph(sorted(pi), rec.solvable_edges)
-            verdict = is_split_degree(g)
-            good &= not verdict.split
-            good &= set(verdict.forbidden.vertices) == {3, 5, 7, 11}
-            contents = {tuple(sorted(c)) for c in g.compact_form().class_contents.values()}
-            good &= contents == {(11,), (5,), (2,), (3, 7)}
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} {rec.name}")
-    return ok, lines
-
-
-_THEOREM_C_GRID = {
-    "linear-unitary": (range(4, 21), (2, 3, 4, 5, 7, 8, 9)),
-    "symplectic-orthogonal": (range(4, 13), (2, 3, 5)),
-}
-
-_EXCEPTIONAL_SAMPLES = [
-    ("A1", (4, 5, 7, 8, 9, 11, 13, 27)),
-    ("A2", (5, 7, 13)),
-    ("2A2", (5, 7, 8)),
-    ("B2", (3, 5, 7)),
-    ("B3", (3, 5, 7)),
-    ("G2", (4, 5, 13, 27)),
-    ("F4", (3, 4, 5, 8)),
-    ("E6", (2, 3, 4, 5)),
-    ("2E6", (2, 5, 8)),
-    ("E7", (2, 3, 4)),
-    ("E8", (2, 3, 4)),
-    ("2B2", (8, 32, 128)),
-    ("3D4", (2, 3, 4)),
-    ("2G2", (27, 243, 2187)),
-    ("2F4", (8, 32, 128)),
-]
-
-
-def _verify_theorem_c(args):
-    lines = []
-    ok = True
-    dims, qs = _THEOREM_C_GRID["linear-unitary"]
-    for family in ("A", "2A"):
-        good = True
-        for dim in dims:
-            for q in qs:
-                ctx = gkbuild.PhiContext.from_descriptor(
-                    groups.classical(family, dim - 1, q), args.budget
-                )
-                part, cert = gkbuild.classical_compact_partition(ctx, args.budget)
-                good &= not recheck(cert)
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} {family}-series dimensions 4..20")
-    ranks, qs = _THEOREM_C_GRID["symplectic-orthogonal"]
-    for family in ("B", "C", "D", "2D"):
-        good = True
-        for rank in ranks:
-            for q in qs:
-                ctx = gkbuild.PhiContext.from_descriptor(
-                    groups.classical(family, rank, q), args.budget
-                )
-                part, cert = gkbuild.classical_compact_partition(ctx, args.budget)
-                good &= not recheck(cert)
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} {family}-series ranks 4..12")
-    for family, qlist in _EXCEPTIONAL_SAMPLES:
-        good = True
-        for q in qlist:
-            graph, part, cert = gkbuild.exceptional_compact(family, q, args.budget)
-            valid, _ = validate_partition(graph, part)
-            good &= valid and not recheck(cert)
-        ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} {family} at q in {qlist}")
-    return ok, lines
-
-
-def _verify_theorem_d(args):
-    if not args.group:
-        raise GKSplitError("verify theorem-d needs --group")
-    d = parse_descriptor(args.group)
-    obj, verdict, cert = gkbuild.theoremD_verify(d, args.budget)
-    failures = recheck(cert)
-    good = verdict.split and not failures
-    lines = [f"{'PASS' if good else 'FAIL'} {d}: compact prime graph split"]
-    if verdict.partition is not None:
-        part = verdict.partition
-        lines.append(_partition_text(part))
-        # a class is kept without members only when factoring ran out of
-        # budget; its nonemptiness, and so the verdict, rests on Zsigmondy
-        unknown = sorted(
-            (v for v in part.clique | part.independent if isinstance(v, ClassLabel) and not v.members),
-            key=label_key,
-        )
-        if unknown:
-            lines.append(
-                "  members unknown (factoring budget exhausted): "
-                + ", ".join(label_text(v) for v in unknown)
-            )
-    lines.extend(f"  recheck failure: {f}" for f in failures)
-    return good, lines
-
-
-def _verify_zsigmondy(args):
-    max_base = _sweep_bound(args, 20)
-    lines = []
-    ok = True
-    bases = list(range(2, max_base + 1)) + list(range(-2, -max_base - 1, -1))
-    for base in bases:
-        for i in range(1, 13):
-            empty = not nt.ppd_set(i, base, args.budget)
-            expected = nt.is_zsigmondy_exception(i, base)
-            good = empty == expected
-            ok &= good
-            if not good:
-                lines.append(f"FAIL R_{i}({base})")
-    lines.append(("PASS" if ok else "FAIL") + f" primitive-divisor exceptions, |base| <= {max_base}, index <= 12")
-    return ok, lines
-
-
-_SPECTRUM_CHECKS = [
-    ("A1", (4, 5, 7, 8, 9, 11, 13, 27)),
-    ("2B2", (8, 32, 128)),
-    ("2G2", (27,)),
-    ("B2", (3,)),
-    ("B3", (3,)),
-    (groups.TITS_NAME, (2,)),
-]
-
-
-def _verify_spectrum(args):
-    lines = []
-    ok = True
-    for family, qlist in _SPECTRUM_CHECKS:
-        for q in qlist:
-            mu = groups.spectrum_formulas(descriptor_for(family, q))
-            lhs = groups.gk_from_spectrum(mu).compact_form().quotient
-            rhs, part, cert = gkbuild.exceptional_compact(family, q, args.budget)
-            good = same_class_graph(lhs, rhs) and validate_partition(rhs, part)[0]
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {family} q={q}")
-    return ok, lines
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +366,14 @@ def _verify_spectrum(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, graph_choice=True):
+def _add_common(p):
     p.add_argument("--group", help="group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22")
     p.add_argument("--spectrum", help="JSON file {'group': descriptor, 'mu': [orders...]}")
     p.add_argument("--in", dest="infile", help="graph JSON file")
-    if graph_choice:
-        p.add_argument(
-            "--graph", choices=("prime", "solvable", "compact"), default="prime",
-            help="which graph of the group to use",
-        )
+    p.add_argument(
+        "--graph", choices=("prime", "solvable", "compact"), default="prime",
+        help="which graph of the group to use",
+    )
     p.add_argument("--format", choices=("json", "dot", "table"), default="table")
     p.add_argument("--out", help="write output to FILE instead of stdout")
     p.add_argument("--budget", type=int, default=nt.DEFAULT_BUDGET, help="factoring effort budget")

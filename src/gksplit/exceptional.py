@@ -2,9 +2,9 @@
 
 The diagram topologies live in ``data/diagrams.json``; this module evaluates
 them at a concrete field size.  Diagrams are data, predicates are code: the
-closed predicate language covers three-part comparisons of q -+ 1, character-
-istic tests, membership of 5 in R_4, divisibility, and field-size parity, so
-the resource file can be audited line by line against the published drawings.
+closed predicate language covers three-part comparisons of q -+ 1, membership
+of 5 in R_4, divisibility, q even, q equal to a value, and negation, so the
+resource file can be audited line by line against the published drawings.
 
 Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
 2B2, 2G2, 2F4, 3D4, and the Tits group.  For the families whose construction
@@ -126,18 +126,14 @@ def _expr_value(name: str, q: int, eps: int) -> int:
     return _EXPRS[name](q)
 
 
-def _eval_pred(pred, q: int, p: int, eps: int, trail: list) -> bool:
+def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
     """Evaluate a predicate, appending machine-checkable steps to the trail."""
     if pred is None:
         return True
-    if "all" in pred:
-        return all(_eval_pred(sub, q, p, eps, trail) for sub in pred["all"])
-    if "any" in pred:
-        return any(_eval_pred(sub, q, p, eps, trail) for sub in pred["any"])
     if "not" in pred:
-        return not _eval_pred(pred["not"], q, p, eps, trail)
-    kind = pred["pred"]
-    if kind == "three_part_eq":
+        return not _eval_pred(pred["not"], q, eps, trail)
+    kind = pred.get("pred")
+    if kind in ("three_part_eq", "three_part_gt"):
         a = _expr_value(pred["expr"], q, eps)
         got = nt.pi_part(a, {3})
         trail.append(
@@ -146,21 +142,7 @@ def _eval_pred(pred, q: int, p: int, eps: int, trail: list) -> bool:
                 op="pi_part_eq", a=a, pi_of=3, equals=got,
             )
         )
-        return got == pred["value"]
-    if kind == "three_part_gt":
-        a = _expr_value(pred["expr"], q, eps)
-        got = nt.pi_part(a, {3})
-        trail.append(
-            step(
-                f"three-part of {a} is {got}",
-                op="pi_part_eq", a=a, pi_of=3, equals=got,
-            )
-        )
-        return got > pred["value"]
-    if kind == "char_is":
-        return p == pred["value"]
-    if kind == "char_is_not":
-        return p != pred["value"]
+        return got == pred["value"] if kind == "three_part_eq" else got > pred["value"]
     if kind == "member":
         r, i = pred["r"], pred["index"]
         if q % r == 0:
@@ -171,8 +153,6 @@ def _eval_pred(pred, q: int, p: int, eps: int, trail: list) -> bool:
                 step(f"order of {q} modulo {r} is {i}", op="mult_order", r=r, base=q, equals=i)
             )
         return got
-    if kind == "nonempty":
-        return not nt.is_zsigmondy_exception(pred["index"], q)
     if kind == "divides":
         a = _expr_value(pred["expr"], q, eps)
         got = a % pred["d"] == 0
@@ -181,11 +161,9 @@ def _eval_pred(pred, q: int, p: int, eps: int, trail: list) -> bool:
         return got
     if kind == "q_even":
         return q % 2 == 0
-    if kind == "q_odd":
-        return q % 2 == 1
     if kind == "q_eq":
         return q == pred["value"]
-    raise ValueError(f"unknown predicate {kind!r}")
+    raise ValueError(f"unknown predicate {pred!r}")
 
 
 def _class_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> frozenset[int] | None:
@@ -232,7 +210,7 @@ def _build_diagram(variant, q, p, eps, budget):
     trail: list = []
     labels: dict[str, ClassLabel] = {}
     for vspec in variant["vertices"]:
-        if not _eval_pred(vspec.get("when"), q, p, eps, trail):
+        if not _eval_pred(vspec.get("when"), q, eps, trail):
             continue
         members = _class_members(vspec["members"], q, p, eps, budget, trail)
         if members is None:
@@ -240,15 +218,15 @@ def _build_diagram(variant, q, p, eps, budget):
         labels[vspec["tag"]] = ClassLabel(vspec["tag"], tuple(sorted(members)))
     edges = []
     for u, v, cond in variant["edges"]:
-        if u in labels and v in labels and _eval_pred(cond, q, p, eps, trail):
+        if u in labels and v in labels and _eval_pred(cond, q, eps, trail):
             edges.append((labels[u], labels[v]))
     graph = Graph(labels.values(), edges)
     return graph, labels, trail
 
 
-def _partition_from_alternatives(variant, graph, labels, q, p, eps, trail):
+def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
     for alt in variant["partitions"]:
-        if not _eval_pred(alt.get("when"), q, p, eps, trail):
+        if not _eval_pred(alt.get("when"), q, eps, trail):
             continue
         clique = [labels[t] for t in alt["clique"] if t in labels]
         indep = [labels[t] for t in alt["independent"] if t in labels]
@@ -308,7 +286,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
     template = _load()["families"][key]
     for variant in template["variants"]:
         trail: list = []
-        if not _eval_pred(variant.get("when"), q, p, eps, trail):
+        if not _eval_pred(variant.get("when"), q, eps, trail):
             continue
         if variant["strategy"] == "spectrum":
             graph, part, extra = _build_spectrum_variant(
@@ -318,7 +296,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
         else:
             graph, labels, build_trail = _build_diagram(variant, q, p, eps, budget)
             trail.extend(build_trail)
-            part = _partition_from_alternatives(variant, graph, labels, q, p, eps, trail)
+            part = _partition_from_alternatives(variant, graph, labels, q, eps, trail)
         trail.append(
             assume(
                 f"class graph is the published compact diagram of {family} at q={q}",

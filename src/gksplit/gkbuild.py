@@ -19,7 +19,7 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import groups, numtheory as nt
@@ -179,21 +179,16 @@ def j_set(ctx: PhiContext) -> tuple[int, ...]:
     """
     if ctx.n < 4:
         raise RankTooSmall(f"prk must be at least 4, got {ctx.n}")
-    n = ctx.n
-    if ctx.kind == "linear-unitary":
-        return tuple(sorted(nu_eps(m, ctx.eps) for m in range(n // 2 + 1, n + 1)))
-    out = [e for e in range(n // 2 + 1, n + 1) if e % 2]
-    out += [2 * m for m in range(n // 2 + 1, n + 1)]
-    return tuple(sorted(out))
+    return _order_indices(ctx, range(ctx.n // 2 + 1, ctx.n + 1))
 
 
-def _small_indices(ctx: PhiContext) -> tuple[int, ...]:
-    """Order indices whose phi-value is at most n/2 (clique side classes)."""
-    n = ctx.n
+def _order_indices(ctx: PhiContext, phis: range) -> tuple[int, ...]:
+    """Order indices whose phi-value lies in phis: j_set's range, or [1, n/2]
+    for the clique side classes."""
     if ctx.kind == "linear-unitary":
-        return tuple(sorted(nu_eps(m, ctx.eps) for m in range(1, n // 2 + 1)))
-    out = [e for e in range(1, n // 2 + 1) if e % 2]
-    out += [2 * m for m in range(1, n // 2 + 1)]
+        return tuple(sorted(nu_eps(m, ctx.eps) for m in phis))
+    out = [e for e in phis if e % 2]
+    out += [2 * m for m in phis]
     return tuple(sorted(out))
 
 
@@ -251,7 +246,7 @@ def classical_compact_partition(
         indep_labels.append(make_label(j))
 
     clique_labels = [ClassLabel("p", (ctx.p,))]
-    for e in _small_indices(ctx):
+    for e in _order_indices(ctx, range(1, n // 2 + 1)):
         if nt.is_zsigmondy_exception(e, q):
             continue
         m = _phi_of_index(e, ctx)
@@ -739,9 +734,7 @@ def theoremD_verify(
             return graph, verdict, cert
         record = groups.sporadic_record(d.name)
         groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
-        part = SplitPartition(
-            record.prime_partition.clique, record.prime_partition.independent, True
-        )
+        part = replace(record.prime_partition, special=True)
         cert = Certificate(
             KIND_SPLIT,
             (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),

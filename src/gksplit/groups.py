@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .graph import Graph
+from .splitcheck import SplitPartition
 
 CLASSICAL_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
 EXCEPTIONAL_FAMILIES = ("G2", "F4", "E6", "2E6", "E7", "E8", "2B2", "2G2", "2F4", "3D4")
@@ -363,18 +364,12 @@ def gk_from_spectrum(s: SpectrumData) -> Graph:
 
 
 @dataclass(frozen=True)
-class Partition2:
-    clique: frozenset[int]
-    independent: frozenset[int]
-
-
-@dataclass(frozen=True)
 class SporadicRecord:
     name: str
     aliases: tuple[str, ...]
     order_factors: tuple[tuple[int, int], ...]
-    prime_partition: Partition2
-    solvable_partition: Partition2 | None
+    prime_partition: SplitPartition
+    solvable_partition: SplitPartition | None
     solvable_witness: tuple[int, ...] | None
     solvable_edges: tuple[tuple[int, int], ...] | None
     notes: str | None
@@ -416,10 +411,10 @@ def _load_table() -> list[SporadicRecord]:
     return records
 
 
-def _partition(block) -> Partition2 | None:
+def _partition(block) -> SplitPartition | None:
     if block is None:
         return None
-    return Partition2(frozenset(block["clique"]), frozenset(block["independent"]))
+    return SplitPartition(frozenset(block["clique"]), frozenset(block["independent"]))
 
 
 def sporadic_table() -> list[SporadicRecord]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from .graph import ForbiddenWitness, Graph, bits, encode_label, label_key
+from .graph import ForbiddenWitness, Graph, bits, encode_label, label_key, label_text
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,15 @@ def partition_doc(p: SplitPartition) -> dict:
         "independent": [encode_label(v) for v in i],
         "special": p.special,
     }
+
+
+def partition_text(p: SplitPartition) -> str:
+    """The table line of a partition, shared by split results and theorem D."""
+    c, i = p.as_sorted()
+    return (
+        "C = {" + ", ".join(label_text(v) for v in c) + "}  "
+        "I = {" + ", ".join(label_text(v) for v in i) + "}"
+    )
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,19 @@ class TestSplitCommand:
         assert code == 2
 
 
+    def test_compact_graph_of_an_in_graph(self, tmp_path, capsys):
+        # --graph compact compacts an --in graph, as the compact verb does
+        m22, compacted = tmp_path / "m22.json", tmp_path / "compact.json"
+        assert cli.main(["build", "--group", "M22", "--graph", "solvable", "--format", "json", "--out", str(m22)]) == 0
+        assert cli.main(["compact", "--in", str(m22), "--format", "json", "--out", str(compacted)]) == 0
+        assert cli.main(["split", "--in", str(m22), "--graph", "compact", "--format", "json"]) == 0
+        direct = json.loads(capsys.readouterr().out)
+        assert cli.main(["split", "--in", str(compacted), "--format", "json"]) == 0
+        via_file = json.loads(capsys.readouterr().out)
+        assert direct["split"] is via_file["split"] is True
+        assert direct["partition"] == via_file["partition"]
+
+
 class TestBuildExport:
     def test_round_trip(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -240,6 +253,8 @@ class TestWitnessCommands:
          '"edges": [[2, 3], [{"class": {"name": "2", "members": [2]}}, 3]]}'),
         (["verify", "theorem-d", "--group", "B4(3)", "--budget", "0"], None),
         (["split", "--group", "Alt(5)", "--budget", "-1"], None),
+        (["split", "--in", "doc.json", "--graph", "solvable"], '{"vertices": [2, 3], "edges": [[2, 3]]}'),
+        (["build", "--spectrum", "doc.json", "--graph", "solvable"], '{"group": "A1(7)", "mu": [7, 3, 4]}'),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
@@ -249,6 +264,7 @@ class TestWitnessCommands:
         "spectrum-float-order", "spectrum-string-order", "spectrum-boolean-order",
         "labels-that-print-alike", "twin-classes-share-a-label",
         "theorem-d-zero-budget", "split-negative-budget",
+        "solvable-graph-of-an-in-graph", "solvable-graph-of-a-spectrum",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):

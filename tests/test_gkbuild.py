@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from gksplit import gkbuild, groups
+from gksplit import exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
@@ -506,6 +506,18 @@ class TestExceptionalGraphs:
         g1, p1, _ = gkbuild.exceptional_compact("B3", 5)
         g2, p2, _ = gkbuild.exceptional_compact("C3", 5)
         assert same_class_graph(g1, g2)
+
+    @pytest.mark.parametrize(
+        "pred",
+        [{"all": []}, {"any": []}, {"pred": "char_is", "value": 2}, {"pred": "char_is_not", "value": 2},
+         {"pred": "nonempty", "index": 4}, {"pred": "q_odd"}],
+        ids=["all", "any", "char_is", "char_is_not", "nonempty", "q_odd"],
+    )
+    def test_predicate_kinds_no_diagram_uses_are_rejected(self, pred):
+        # the predicate language is what data/diagrams.json uses; a kind
+        # outside it is a typo in the data and must fail loudly
+        with pytest.raises(ValueError, match="unknown predicate"):
+            exceptional._eval_pred(pred, 5, 1, [])
 
 
 class TestTheoremD:
