@@ -257,38 +257,35 @@ def _cmd_split(args) -> int:
     return 0 if verdict.split else 1
 
 
+def _sporadic_doc(p) -> dict:
+    return {"clique": sorted(p.clique), "independent": sorted(p.independent)}
+
+
+def _sporadic_text(p) -> str:
+    return "C={clique} I={independent}".format_map(_sporadic_doc(p))
+
+
 def _cmd_sporadic(args) -> int:
     records = groups.sporadic_table()
     if args.name:
         records = [groups.sporadic_record(args.name)]
     if args.format == "json":
-        doc = []
-        for r in records:
-            doc.append(
-                {
-                    "name": r.name,
-                    "prime_partition": {
-                        "clique": sorted(r.prime_partition.clique),
-                        "independent": sorted(r.prime_partition.independent),
-                    },
-                    "solvable_partition": None
-                    if r.solvable_partition is None
-                    else {
-                        "clique": sorted(r.solvable_partition.clique),
-                        "independent": sorted(r.solvable_partition.independent),
-                    },
-                    "solvable_witness": list(r.solvable_witness) if r.solvable_witness else None,
-                }
-            )
+        doc = [
+            {
+                "name": r.name,
+                "prime_partition": _sporadic_doc(r.prime_partition),
+                "solvable_partition": None if r.solvable_partition is None else _sporadic_doc(r.solvable_partition),
+                "solvable_witness": list(r.solvable_witness) if r.solvable_witness else None,
+            }
+            for r in records
+        ]
         _emit(json.dumps(doc, indent=2), args.out)
         return 0
     lines = []
     for r in records:
-        pp = r.prime_partition
-        lines.append(f"{r.name}: prime graph C={sorted(pp.clique)} I={sorted(pp.independent)}")
+        lines.append(f"{r.name}: prime graph {_sporadic_text(r.prime_partition)}")
         if r.solvable_partition:
-            sp = r.solvable_partition
-            lines.append(f"    solvable graph C={sorted(sp.clique)} I={sorted(sp.independent)}")
+            lines.append(f"    solvable graph {_sporadic_text(r.solvable_partition)}")
         else:
             lines.append(f"    solvable graph NOT split; 2K2 witness {sorted(r.solvable_witness)}")
     _emit("\n".join(lines), args.out)

@@ -313,7 +313,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
     raise InternalInconsistency(f"no diagram variant applies for {family} at q={q}")
 
 
-def tits_compact(budget: int = nt.DEFAULT_BUDGET):
+def tits_compact():
     """The Tits group: its prime graph equals its own compact form."""
     descriptor = groups.sporadic(groups.TITS_NAME)
     mu = groups.spectrum_formulas(descriptor)

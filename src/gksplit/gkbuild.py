@@ -729,7 +729,7 @@ def theoremD_verify(
         return compact.quotient, verdict, cert
     if d.kind == "sporadic":
         if d.tits:
-            graph, part, cert = tits_compact(budget)
+            graph, part, cert = tits_compact()
             verdict = is_split_degree(graph)
             return graph, verdict, cert
         record = groups.sporadic_record(d.name)

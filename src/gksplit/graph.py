@@ -208,10 +208,10 @@ class Graph:
         return out
 
     def is_clique(self, subset) -> bool:
-        return _is_clique(self._rows, self.mask(subset))
+        return is_clique_mask(self._rows, self.mask(subset))
 
     def is_independent(self, subset) -> bool:
-        return _is_independent(self._rows, self.mask(subset))
+        return is_independent_mask(self._rows, self.mask(subset))
 
     # -- compact form --------------------------------------------------------
 
@@ -287,15 +287,13 @@ class Graph:
         Hammer-Simeone degree route.
         """
         if self._witness is _UNSCANNED:
-            side = self.clique_side()
+            side, witness = self.clique_side(), None
             if side is None:
                 witness = self._scan_forbidden()
                 if witness is None:
                     raise InternalInconsistency("the 2-SAT is unsatisfiable, yet no forbidden subgraph exists")
-            elif not (_is_clique(self._rows, side) and _is_independent(self._rows, (1 << self.n) - 1 & ~side)):
+            elif not is_split_side(self._rows, side):
                 raise InternalInconsistency("the 2-SAT partition is not a clique and an independent set")
-            else:
-                witness = None
             self._witness = witness
         return self._witness
 
@@ -517,12 +515,19 @@ def _split_mask(rows):
     return true & full
 
 
-def _is_clique(rows, sub) -> bool:
+def is_clique_mask(rows, sub) -> bool:
+    """Whether the vertex indices in the bitset sub are pairwise adjacent in rows."""
     return all((rows[i] | 1 << i) & sub == sub for i in bits(sub))
 
 
-def _is_independent(rows, sub) -> bool:
+def is_independent_mask(rows, sub) -> bool:
+    """Whether no two vertex indices in the bitset sub are adjacent in rows."""
     return not any(rows[i] & sub for i in bits(sub))
+
+
+def is_split_side(rows, side) -> bool:
+    """Whether the bitset side is a clique in rows and the other vertices are independent."""
+    return is_clique_mask(rows, side) and is_independent_mask(rows, (1 << len(rows)) - 1 & ~side)
 
 
 def _first_quad(rows):

@@ -13,9 +13,12 @@ adjacency rows in O(n) big-int steps; it is satisfiable exactly when the
 graph is split, and its solution, checked against the rows, is the split
 partition.  Only when it is unsatisfiable does the search for the first
 witness run on the rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2).
-Neither part of route two reads a degree.  The two routes must
-always agree; a disagreement is raised as InternalInconsistency, never
-repaired.
+Neither part of route two reads a degree.  The two routes must always agree;
+a disagreement is raised as InternalInconsistency, never repaired.
+
+Both routes decide their partition as a clique-side bitset over the vertex
+indices.  One special test on masks serves every caller, and the labels are
+built once, when the ``SplitPartition`` is made.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from .graph import ForbiddenWitness, Graph, bits, encode_label, label_key, label_text
+from .graph import ForbiddenWitness, Graph, bits, encode_label, is_clique_mask, is_independent_mask, is_split_side
+from .graph import label_key, label_text
 
 
 @dataclass(frozen=True)
@@ -94,57 +98,59 @@ def validate_partition(g: Graph, p: SplitPartition) -> tuple[bool, str | None]:
     """Check every invariant of a split partition against g.
 
     Returns (True, None) or (False, reason).  The special condition is only
-    demanded when the partition claims it.
+    demanded when the partition claims it.  Past the label checks of overlap
+    and cover, I is the complement of C, and C is masked once.
     """
     if p.clique & p.independent:
         return False, f"C and I overlap on {sorted(p.clique & p.independent, key=label_key)}"
     if p.clique | p.independent != set(g.vertices):
         return False, "C and I do not cover the vertex set"
-    if not g.is_clique(p.clique):
+    side = g.mask(p.clique)
+    rest = (1 << g.n) - 1 & ~side
+    if not is_clique_mask(g.rows, side):
         return False, "C is not a clique"
-    if not g.is_independent(p.independent):
+    if not is_independent_mask(g.rows, rest):
         return False, "I is not independent"
-    if p.special:
-        v = special_violation(g, p.clique, p.independent)
-        if v is not None:
-            return False, f"{v!r} in I is adjacent to all of C"
+    if p.special and (v := _dominator(g.rows, side, rest)) is not None:
+        return False, f"{g.vertices[v]!r} in I is adjacent to all of C"
     return True, None
 
 
-def special_violation(g: Graph, clique, indep):
-    """The first vertex of I, in label order, adjacent to every vertex of C.
+def _dominator(rows, side: int, rest: int) -> int | None:
+    """The special test: the first index of I (bitset rest) whose row holds
+    all of C (bitset side).  None exactly when the split partition is
+    special, that is when every vertex of I has a non-neighbour in C."""
+    return next((i for i in bits(rest) if rows[i] & side == side), None)
 
-    None exactly when the split partition (C, I) is special, that is when
-    every vertex of I has a non-neighbour in C.
-    """
-    want = g.mask(clique)
-    for i in bits(g.mask(indep)):
-        if g.rows[i] & want == want:
-            return g.vertices[i]
-    return None
+
+def _partition(g: Graph, side: int) -> SplitPartition:
+    """The split partition of g whose clique side is the bitset ``side``:
+    its labels are built here, once, and its special flag read off the rows."""
+    rest, at = (1 << g.n) - 1 & ~side, g.vertices.__getitem__
+    clique, indep = frozenset(map(at, bits(side))), frozenset(map(at, bits(rest)))
+    return SplitPartition(clique, indep, _dominator(g.rows, side, rest) is None)
 
 
 def specialize(g: Graph, p: SplitPartition) -> SplitPartition:
-    """Move I-vertices adjacent to all of C into C until the partition is special."""
+    """p made special: the first I-vertex adjacent to all of C, if any, moves into C."""
     ok, reason = validate_partition(g, SplitPartition(p.clique, p.independent))
     if not ok:
         raise InvalidPartition(reason)
-    clique = set(p.clique)
-    indep = set(p.independent)
-    while (v := special_violation(g, clique, indep)) is not None:
-        indep.discard(v)
-        clique.add(v)
-    out = SplitPartition(frozenset(clique), frozenset(indep), special=True)
-    ok, reason = validate_partition(g, out)
-    if not ok:  # pragma: no cover - the loop establishes the condition
-        raise InternalInconsistency(f"specialize produced an invalid partition: {reason}")
+    side = g.mask(p.clique)
+    if (v := _dominator(g.rows, side, (1 << g.n) - 1 & ~side)) is not None:
+        # One move suffices: v sees all of C, so C + v is a clique, and I is
+        # independent, so every other vertex of I misses v in the new C.
+        side |= 1 << v
+    out = _partition(g, side)
+    if not (out.special and is_split_side(g.rows, side)):
+        raise InternalInconsistency("specialize produced an invalid partition")  # pragma: no cover
     return out
 
 
 def flag_special(g: Graph, clique, indep) -> SplitPartition:
     """The split partition (C, I) of g, with its special flag computed."""
     clique, indep = frozenset(clique), frozenset(indep)
-    return SplitPartition(clique, indep, special_violation(g, clique, indep) is None)
+    return SplitPartition(clique, indep, _dominator(g.rows, g.mask(clique), g.mask(indep)) is None)
 
 
 def is_split_degree(g: Graph) -> SplitVerdict:
@@ -160,18 +166,13 @@ def is_split_degree(g: Graph) -> SplitVerdict:
         # The top-m degree sum is the same however ties are broken, and the
         # equality forces those m vertices to be a clique and the rest to be
         # independent (Hammer-Simeone), so any non-increasing order will do.
-        vs = g.vertices
-        clique, indep = [vs[i] for i in by_degree[:m]], [vs[i] for i in by_degree[m:]]
-        if not (g.is_clique(clique) and g.is_independent(indep)):
-            raise InternalInconsistency(
-                "degree equality holds but no clique/independent partition was found"
-            )
-        return SplitVerdict(True, m, flag_special(g, clique, indep))
+        side = sum(1 << i for i in by_degree[:m])
+        if not is_split_side(g.rows, side):
+            raise InternalInconsistency("degree equality holds but no clique/independent partition was found")
+        return SplitVerdict(True, m, _partition(g, side))
     witness = g.find_forbidden()
     if witness is None:
-        raise InternalInconsistency(
-            "degree equality fails but no forbidden subgraph exists"
-        )
+        raise InternalInconsistency("degree equality fails but no forbidden subgraph exists")
     return SplitVerdict(False, m, None, witness)
 
 
@@ -179,10 +180,7 @@ def _partition_from_2sat(g: Graph) -> SplitPartition | None:
     """The split partition of the 2-SAT (``Graph.clique_side``), or None
     when the clauses are unsatisfiable."""
     side = g.clique_side()
-    if side is None:
-        return None
-    vs = g.vertices
-    return flag_special(g, [vs[i] for i in bits(side)], [vs[i] for i in bits((1 << g.n) - 1 & ~side)])
+    return None if side is None else _partition(g, side)
 
 
 def is_split_forbidden(g: Graph) -> SplitVerdict:

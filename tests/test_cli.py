@@ -346,6 +346,10 @@ GOLDEN = [
      "88582a71898428ecd8fbbd267bf8a3f85b2e05defc0856f9dac216d4b3e6dda8"),
     (["witness", "psl11", "--format", "json"], 0,
      "3b92c035952ac230995cb44638d730e80f8f1ea46d83dec677c66098252bf946"),
+    (["sporadic"], 0,
+     "463c810ed6c0450968bcf3c95cf5f655efdef7348952c4ed9a590c604c1a5b8d"),
+    (["sporadic", "--format", "json"], 0,
+     "0f238d5dda8d28bb08f0d904814201e42fca42963f497dd59b4c324441c15f44"),
 ]
 
 

@@ -172,6 +172,61 @@ class TestSpecialize:
         with pytest.raises(InvalidPartition):
             specialize(star, SplitPartition(frozenset(), frozenset({1, 2, 3})))
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_special_flag_both_ways_exhaustive(self, n):
+        """Each route's special flag is the definition, true or false, on
+        every split graph of up to 6 vertices; ``specialize`` of either
+        partition is special, keeps the old clique and moves one vertex,
+        or none when the partition is special already."""
+        for edge_list in graphs_on(n):
+            g = Graph(range(n), edge_list)
+            edges = {frozenset(e) for e in edge_list}
+
+            def special(p):
+                return all(any(frozenset((u, c)) not in edges for c in p.clique) for u in p.independent)
+
+            for verdict in (is_split_degree(g), is_split_forbidden(g)):
+                if not verdict.split:
+                    continue
+                p = verdict.partition
+                assert p.special == special(p), edge_list
+                out = specialize(g, p)
+                assert validate_partition(g, out) == (True, None) and out.special and special(out), edge_list
+                assert p.clique <= out.clique and len(out.clique - p.clique) == (0 if p.special else 1), edge_list
+
+
+class TestPartitionMasks:
+    """Both routes build their partition from a clique-side bitset, so they
+    turn no label set into a mask; ``validate_partition`` masks at most twice."""
+
+    @pytest.fixture
+    def masks(self, monkeypatch):
+        calls = []
+
+        def counting(self, subset):
+            calls.append(subset)
+            return real(self, subset)
+
+        real = Graph.mask
+        monkeypatch.setattr(Graph, "mask", counting)
+        return calls
+
+    @pytest.mark.parametrize("route", [is_split_degree, is_split_forbidden, _partition_from_2sat])
+    def test_routes_mask_no_label_set(self, route, masks):
+        g = gk_altsym("Alt", 300)
+        masks.clear()
+        assert route(g) is not None
+        assert masks == []
+
+    @pytest.mark.parametrize("special", [False, True])
+    def test_validate_masks_at_most_twice(self, special, masks):
+        g = gk_altsym("Alt", 300)
+        p = is_split_degree(g).partition
+        p = specialize(g, p) if special else SplitPartition(p.clique, p.independent)
+        masks.clear()
+        assert validate_partition(g, p) == (True, None)
+        assert len(masks) <= 2
+
 
 class TestAgreementSmall:
     def test_exhaustive_up_to_five(self):
