@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, count
-from operator import itemgetter
+from operator import and_, itemgetter, or_
 
 from .errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 
@@ -276,9 +277,17 @@ class Graph:
         in lexicographic vertex order would meet first, but the search runs
         on the bitset rows:
 
-        * 2K2/C4 in O(n^3) bitset operations: the edges among the first three
-          vertices a < b < c of a quad fix the neighbourhood its fourth
-          vertex d > c must have, so the smallest d is one lowest-bit read;
+        * 2K2/C4: a per-vertex pretest (``_starts_quad``) finds the smallest
+          vertex a of any quad.  With N and F the neighbours and the
+          non-neighbours of a above a, it tries only the edges among the
+          vertices of F that miss some vertex of N and the non-edges among
+          the vertices of N that see some vertex of F.  Building those two
+          sets costs O(n) bitset operations per a; the pair loops are nearly
+          empty on a graph close to split, but cubic over all a in the
+          worst case.  For that a alone, the edges among a < b < c fix the
+          neighbourhood the fourth vertex d > c must have, so the smallest
+          d is one lowest-bit read: O(n^2) bitset operations.  When no a
+          passes there is no quad;
         * C5 in O(n^2): a graph with no 2K2 and no C4 has at most one induced
           C5 (Blazsik-Hujter-Pluhar-Tuza 1993), so the first one found is the
           lexicographically first.
@@ -350,6 +359,10 @@ class Graph:
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"malformed graph document: {exc}") from None
         g = Graph(vertices, edges)
+        # Distinct ints never print alike, and ints sort before classes, so
+        # only a document whose last label is a class needs the check.
+        if not g.vertices or isinstance(g.vertices[-1], int):
+            return g
         seen = {}
         for v in g.vertices:
             for sep in ("", "="):
@@ -533,36 +546,73 @@ def is_split_side(rows, side) -> bool:
 def _first_quad(rows):
     """Lexicographically first a < b < c < d inducing a 2K2 or a C4, or None.
 
-    On {a, b, c} a 2K2 or C4 leaves one edge x-y (then d sees only the third
-    vertex) or a path y-x-z (then d sees y and z but not x).  Write A and B
-    for the vertices above b adjacent to a only and to b only.  With a ~ b:
-    c in A needs d in N(c) & B, c in B needs d in N(c) & A, and c adjacent
-    to neither needs d in N(c), also adjacent to neither.  With a !~ b: c in
-    A needs d in B - N(c), c in B needs d in A - N(c), and c adjacent to
-    both needs d adjacent to both and not to c.
+    The smallest a is the first vertex that passes ``_starts_quad``; the
+    (b, c) loop runs for that a alone.  On {a, b, c} a 2K2 or C4 leaves one
+    edge x-y (then d sees only the third vertex) or a path y-x-z (then d
+    sees y and z but not x).  Write A and B for the vertices above b
+    adjacent to a only and to b only.  With a ~ b: c in A needs d in
+    N(c) & B, c in B needs d in N(c) & A, and c adjacent to neither needs d
+    in N(c), also adjacent to neither.  With a !~ b: c in A needs d in
+    B - N(c), c in B needs d in A - N(c), and c adjacent to both needs d
+    adjacent to both and not to c.
     """
     n = len(rows)
     full = (1 << n) - 1
-    for a in range(n):
-        ra = rows[a]
-        for b in range(a + 1, n):
-            rb = rows[b]
-            above = full >> (b + 1) << (b + 1)
-            only_a = ra & ~rb & above
-            only_b = rb & ~ra & above
-            adjacent = ra >> b & 1
-            rest = (~(ra | rb) if adjacent else ra & rb) & above
-            for c in bits(only_a | only_b | rest):
-                if only_a >> c & 1:
-                    want = only_b
-                elif only_b >> c & 1:
-                    want = only_a
-                else:
-                    want = rest
-                hit = (rows[c] & want if adjacent else want & ~rows[c]) >> (c + 1)
-                if hit:
-                    return a, b, c, c + (hit & -hit).bit_length()
-    return None
+    a = next((a for a in range(n) if _starts_quad(rows, a)), None)
+    if a is None:
+        return None
+    ra = rows[a]
+    for b in range(a + 1, n):
+        rb = rows[b]
+        above = full >> (b + 1) << (b + 1)
+        only_a = ra & ~rb & above
+        only_b = rb & ~ra & above
+        adjacent = ra >> b & 1
+        rest = (~(ra | rb) if adjacent else ra & rb) & above
+        for c in bits(only_a | only_b | rest):
+            if only_a >> c & 1:
+                want = only_b
+            elif only_b >> c & 1:
+                want = only_a
+            else:
+                want = rest
+            hit = (rows[c] & want if adjacent else want & ~rows[c]) >> (c + 1)
+            if hit:
+                return a, b, c, c + (hit & -hit).bit_length()
+    raise InternalInconsistency(f"vertex {a} starts an induced 2K2 or C4, yet no quad starts at it")
+
+
+def _starts_quad(rows, a):
+    """Whether a is the smallest vertex of some induced 2K2 or C4.
+
+    Write N and F for the neighbours and the non-neighbours of a above a.
+    A C4 a-x-z-y needs non-adjacent x, y in N with a common neighbour z in
+    F; a 2K2 a-x, y-w needs adjacent y, w in F with a common non-neighbour
+    x in N.  So only the vertices of F that miss some vertex of N (miss)
+    and those of N that see some vertex of F (see) can take part, and one
+    mask test per edge inside miss and per non-edge inside see decides.
+    Building the two sets takes O(n) bitset steps; the pair loops are
+    nearly empty on a graph close to split, but O(n^2) in the worst case,
+    so over all a the test is still cubic at worst.
+    """
+    above = (1 << len(rows)) - 1 >> (a + 1) << (a + 1)
+    near = rows[a] & above
+    far = above & ~near
+    miss = far & ~reduce(and_, compress(rows, _flags(near)), far)
+    see = near & reduce(or_, compress(rows, _flags(far)), 0)
+    for y, row in zip(bits(miss), compress(rows, _flags(miss))):
+        pair = row & miss
+        if pair:
+            lone = near & ~row
+            if any(lone & ~rows[w] for w in bits(pair)):
+                return True
+    for x, row in zip(bits(see), compress(rows, _flags(see))):
+        gap = see & ~row & ~(1 << x)
+        if gap:
+            reach = row & far
+            if any(reach & rows[y] for y in bits(gap)):
+                return True
+    return False
 
 
 def _lone_pentagon(rows):

@@ -12,7 +12,10 @@ instance with one clause per vertex pair, by a bitset Kosaraju over the
 adjacency rows in O(n) big-int steps; it is satisfiable exactly when the
 graph is split, and its solution, checked against the rows, is the split
 partition.  Only when it is unsatisfiable does the search for the first
-witness run on the rows, 2K2/C4 in O(n^3) and the then unique C5 in O(n^2).
+witness run on the rows: a per-vertex pretest finds the smallest vertex of
+any induced 2K2 or C4 (O(n^2) bitset steps on a graph close to split, cubic
+at worst) and the quad search runs from that vertex alone; the then unique
+C5 takes O(n^2).
 Neither part of route two reads a degree.  The two routes must always agree;
 a disagreement is raised as InternalInconsistency, never repaired.
 

@@ -8,6 +8,7 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 import json
 from itertools import combinations, takewhile
 from math import gcd
+from random import Random
 
 
 def brute_primes(limit):
@@ -292,6 +293,20 @@ def brute_first_forbidden(vertices, edges):
     return None
 
 
+def brute_quad_starts(vertices, edges):
+    """The vertices that are the smallest of some induced 2K2 or C4, by
+    trying every 4-subset of the sorted vertices."""
+    adj = adjacency(vertices, edges)
+    out = set()
+    for sub in combinations(sorted(vertices), 4):
+        if sub[0] not in out:
+            inside = set(sub)
+            degrees = {len(adj[v] & inside) for v in sub}
+            if degrees in ({1}, {2}):  # a perfect matching or a 4-cycle
+                out.add(sub[0])
+    return out
+
+
 def _walk_cycle(sub, adj):
     order = [sub[0]]
     prev = None
@@ -410,3 +425,32 @@ def reference_compact(g):
             class_of[v] = label
     edges = {tuple(sorted((class_of[u], class_of[v]))) for u, v in g.edges}
     return sorted(contents), sorted(e for e in edges if e[0] != e[1]), class_of, contents
+
+
+# -- non-split graphs whose witness sits on the top indices -----------------
+
+
+def witness_last_graph(n, top="C5", seed=0):
+    """A split-like graph on 0..n-1 with its only forbidden subgraphs on top.
+
+    The clique is 0..n//2-1 and a seeded random half of it hosts pendants,
+    which fill the indices up to the top.  The top five indices are a C5
+    joined to the whole clique ("C5"); for "2K2" the top seven are that C5
+    and then an edge on the top two, also joined to the clique, so that edge
+    and a C5 edge make an induced 2K2.  Returns (vertices, edges), the edges
+    as sorted pairs in lexicographic order.  Only random() is drawn, whose
+    stream is the same on every Python version.
+    """
+    rng = Random(seed)
+    k = n // 2
+    ring = list(range(n - (7 if top == "2K2" else 5), n - (2 if top == "2K2" else 0)))
+    if ring[0] < k:
+        raise ValueError(f"{n} vertices leave no room for the clique below the top")
+    hosts = [v for v in range(k) if rng.random() < 0.5] or [0]
+    edges = {(u, v) for u in range(k) for v in range(u + 1, k)}
+    edges |= {(hosts[int(rng.random() * len(hosts))], p) for p in range(k, ring[0])}
+    edges |= {(u, v) for u in range(k) for v in range(ring[0], n)}
+    edges |= {tuple(sorted((ring[i], ring[(i + 1) % 5]))) for i in range(5)}
+    if top == "2K2":
+        edges.add((n - 2, n - 1))
+    return list(range(n)), sorted(edges)

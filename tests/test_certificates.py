@@ -61,6 +61,16 @@ class TestCheckOps:
         for s in bad_steps:
             assert recheck(chain(s)) == ["x"], s.check
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_composite_needs_more_than_one(self, n):
+        # neither 0 nor 1 is prime, and neither is composite
+        assert recheck(chain(step("x", op="is_composite", n=n))) == ["x"]
+
+    def test_ge_holds_on_equality_only_from_above(self):
+        assert not recheck(chain(step("x", op="cmp", a=7, rel="ge", b=7)))
+        assert not recheck(chain(step("x", op="cmp", a=8, rel="ge", b=7)))
+        assert recheck(chain(step("x", op="cmp", a=6, rel="ge", b=7))) == ["x"]
+
     def test_forged_primality_of_a_strong_pseudoprime_fails(self):
         # psi_12 = 399165290221 * 798330580441 is a strong probable prime to
         # each of the bases 2..37, so twelve Miller-Rabin bases call it prime

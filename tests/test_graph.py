@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gksplit import graph as graph_module
 from gksplit.cli import _graph_table
-from gksplit.errors import LoopEdge, MalformedInput, UnknownVertex
+from gksplit.errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
     ClassLabel,
     Graph,
@@ -21,6 +21,8 @@ from oracles import (
     adjacency,
     brute_first_forbidden,
     brute_has_forbidden,
+    brute_quad_starts,
+    graphs_on,
     reference_compact,
     reference_components,
     reference_edges,
@@ -72,6 +74,45 @@ def pseudo_split_graphs(max_n=9):
             u, v = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
             edges.append((u, v))
         return Graph(labels, edges)
+
+    return build()
+
+
+#: The witnesses that clique_first_graphs puts on the top labels, as edges
+#: on 0, 1, ...: a C5, a 2K2, a C4, and a C5 beside an edge.
+_TOP_WITNESSES = {
+    "C5": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+    "2K2": [(0, 1), (2, 3)],
+    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "C5+edge": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6)],
+}
+
+
+def clique_first_graphs(max_clique=5, max_hanging=3):
+    """Hypothesis strategy: a large clique on the lowest labels, vertices
+    with random edges to it next, and a witness on the top labels, every one
+    of its vertices joined to the whole clique.
+
+    Without the extra edge one draw may add, the top labels hold every
+    witness, so a scan that starts at the bottom meets the clique first and
+    the witness last.
+    """
+
+    @st.composite
+    def build(draw):
+        k = draw(st.integers(1, max_clique))
+        m = draw(st.integers(0, max_hanging))
+        top = _TOP_WITNESSES[draw(st.sampled_from(sorted(_TOP_WITNESSES)))]
+        base, size = k + m, 1 + max(v for e in top for v in e)
+        n = base + size
+        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges += [(u, v) for u in range(k) for v in range(k, base) if draw(st.booleans())]
+        edges += [(u, v) for u in range(k) for v in range(base, n)]
+        edges += [(base + u, base + v) for u, v in top]
+        if draw(st.booleans()):
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            edges.append((u, v))
+        return Graph(range(n), edges)
 
     return build()
 
@@ -269,6 +310,34 @@ class TestForbidden:
         got = g.find_forbidden()
         got = None if got is None else (got.kind, got.vertices)
         assert got == brute_first_forbidden(g.vertices, g.edges)
+
+    @given(clique_first_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_first_witness_on_clique_first_graphs(self, g):
+        got = g.find_forbidden()
+        got = None if got is None else (got.kind, got.vertices)
+        assert got == brute_first_forbidden(g.vertices, g.edges)
+
+
+class TestStartsQuad:
+    """The pretest of the quad scan: is a the smallest vertex of some
+    induced 2K2 or C4?"""
+
+    def test_exhaustive_up_to_six_vertices(self):
+        for n in range(7):
+            for edges in graphs_on(n):
+                rows = [0] * n
+                for u, v in edges:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                starts = brute_quad_starts(range(n), edges)
+                assert [graph_module._starts_quad(rows, a) for a in range(n)] == [a in starts for a in range(n)], edges
+
+    def test_pretest_without_a_quad_is_an_inconsistency(self, monkeypatch):
+        assert cycle(5).find_forbidden().kind == "C5"
+        monkeypatch.setattr(graph_module, "_starts_quad", lambda rows, a: True)
+        with pytest.raises(InternalInconsistency):
+            cycle(5).find_forbidden()
 
 
 def planted(kind=None):
