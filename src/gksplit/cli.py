@@ -9,71 +9,28 @@ Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
 revalidates; 2 = error, malformed input included; 3 = factoring budget
 exhausted (never a silent pass).
 
-Group descriptors follow the order-table symbols: ``Alt(12)``, ``Sym(9)``,
-``A3(4)``, ``2A4(9)``, ``B2(3)``, ``D7(5)``, ``2D4(3)``, ``G2(4)``,
-``2B2(32)``, ``3D4(2)``, ``E8(5)``, sporadic names (``M22``, ``Co1``,
-``Fi24'``, ``HN``, ...), and ``2F4(2)'`` (or ``Tits``).
+Group descriptors are parsed by ``groups.parse_descriptor``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from . import campaigns, gkbuild, groups, numtheory as nt
 from .certificates import recheck
 from .errors import (
     BudgetExceeded,
-    DescriptorSyntaxError,
     GKSplitError,
     MalformedInput,
     UnsupportedFamily,
 )
 from .graph import Graph, edge_count, edge_text, label_text
+from .groups import parse_descriptor
 from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text
 
 _RESULT_SCHEMA = "gksplit/result/1"
-
-_LIE_RE = re.compile(r"^([23]?)([A-G])(\d+)\((\d+)\)$")
-_PERM_RE = re.compile(r"^(Alt|Sym)\((\d+)\)$", re.IGNORECASE)
-
-_EXCEPTIONAL_NAMES = set(groups.EXCEPTIONAL_FAMILIES)
-
-
-def parse_descriptor(text: str) -> groups.GroupDescriptor:
-    """Parse a descriptor string; syntax errors carry the offending position."""
-    text = text.strip()
-    if not text:
-        raise DescriptorSyntaxError("empty descriptor", 0)
-    if text in (groups.TITS_NAME, "Tits", "tits"):
-        return groups.sporadic(groups.TITS_NAME)
-    m = _PERM_RE.match(text)
-    if m:
-        n = int(m.group(2))
-        if m.group(1).lower() == "alt":
-            return groups.alternating(n)
-        return groups.symmetric(n)
-    m = _LIE_RE.match(text)
-    if m:
-        twist, letter, sub, q = m.group(1), m.group(2), int(m.group(3)), int(m.group(4))
-        family = f"{twist}{letter}{sub}"
-        if family in _EXCEPTIONAL_NAMES:
-            return groups.exceptional(family, q)
-        if letter in ("A", "B", "C", "D") and twist in ("", "2"):
-            return groups.classical(f"{twist}{letter}", sub, q)
-        raise DescriptorSyntaxError(f"unknown family {family!r} in {text!r}", 0)
-    try:
-        return groups.sporadic(text)
-    except UnsupportedFamily:
-        pass
-    for pos, ch in enumerate(text):
-        if not (ch.isalnum() or ch in "()'"):
-            raise DescriptorSyntaxError(f"unexpected character {ch!r}", pos)
-    if "(" in text and not text.rstrip("'").endswith(")"):
-        raise DescriptorSyntaxError("missing closing parenthesis", len(text))
-    raise DescriptorSyntaxError(f"cannot parse group descriptor {text!r}", 0)
 
 
 # ---------------------------------------------------------------------------

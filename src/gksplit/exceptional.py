@@ -29,30 +29,29 @@ from .certificates import (
 )
 from .errors import InternalInconsistency, UnsupportedFamily
 from .graph import ClassLabel, Graph
-from .splitcheck import SplitPartition, flag_special, validate_partition
+from .splitcheck import flag_special, validate_partition
 
 _DIAGRAMS: dict | None = None
 
-#: family string accepted by exceptional_compact -> (template key, epsilon,
-#: (classical family, rank) for the small-rank classical groups, else None)
+#: family string accepted by exceptional_compact -> (template key, epsilon)
 _FAMILY_MAP = {
-    "A1": ("A1", 1, ("A", 1)),
-    "A2": ("A2", 1, ("A", 2)),
-    "2A2": ("A2", -1, ("2A", 2)),
-    "B2": ("B2", 1, ("B", 2)),
-    "C2": ("B2", 1, ("B", 2)),
-    "B3": ("B3C3", 1, ("B", 3)),
-    "C3": ("B3C3", 1, ("C", 3)),
-    "G2": ("G2", 1, None),
-    "F4": ("F4", 1, None),
-    "E6": ("E6", 1, None),
-    "2E6": ("E6", -1, None),
-    "E7": ("E7", 1, None),
-    "E8": ("E8", 1, None),
-    "2B2": ("2B2", 1, None),
-    "2G2": ("2G2", 1, None),
-    "2F4": ("2F4", 1, None),
-    "3D4": ("3D4", 1, None),
+    "A1": ("A1", 1),
+    "A2": ("A2", 1),
+    "2A2": ("A2", -1),
+    "B2": ("B2", 1),
+    "C2": ("B2", 1),
+    "B3": ("B3C3", 1),
+    "C3": ("B3C3", 1),
+    "G2": ("G2", 1),
+    "F4": ("F4", 1),
+    "E6": ("E6", 1),
+    "2E6": ("E6", -1),
+    "E7": ("E7", 1),
+    "E8": ("E8", 1),
+    "2B2": ("2B2", 1),
+    "2G2": ("2G2", 1),
+    "2F4": ("2F4", 1),
+    "3D4": ("3D4", 1),
 }
 
 
@@ -71,16 +70,13 @@ def _load() -> dict:
 def descriptor_for(family: str, q: int) -> groups.GroupDescriptor:
     """The group a family string names at field size q.
 
-    ``Tits`` (or its order-table symbol) and ("2F4", 2) name the Tits group.
+    Each name in ``groups.TITS_ALIASES``, and ("2F4", 2), names the Tits group.
     """
-    if family in (groups.TITS_NAME, "Tits") or (family == "2F4" and q == 2):
+    if family in groups.TITS_ALIASES or (family, q) == ("2F4", 2):
         return groups.sporadic(groups.TITS_NAME)
     if family not in _FAMILY_MAP:
         raise UnsupportedFamily(f"no compact diagram for family {family!r}")
-    classical = _FAMILY_MAP[family][2]
-    if classical is None:
-        return groups.exceptional(family, q)
-    return groups.classical(*classical, q)
+    return groups.parse_descriptor(f"{family}({q})")
 
 
 def nu(n: int) -> int:
@@ -261,14 +257,11 @@ def _build_spectrum_variant(descriptor, rule, q, p):
                 indep.add(label)
         else:
             raise ValueError(f"unknown partition rule {rule['kind']!r}")
-    part = SplitPartition(frozenset(clique), frozenset(indep))
+    part = flag_special(graph, clique, indep)
     ok, reason = validate_partition(graph, part)
     if not ok:
         raise InternalInconsistency(f"spectrum partition invalid at q={q}: {reason}")
-    trail = [
-        assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),
-    ]
-    return graph, part, trail
+    return graph, part, [assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum")]
 
 
 def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
@@ -281,7 +274,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
     descriptor = descriptor_for(family, q)
     if descriptor.tits:
         return tits_compact()
-    key, eps, _ = _FAMILY_MAP[family]
+    key, eps = _FAMILY_MAP[family]
     p, _ = groups.char_and_degree(q)
     template = _load()["families"][key]
     for variant in template["variants"]:
@@ -315,20 +308,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
 
 def tits_compact():
     """The Tits group: its prime graph equals its own compact form."""
-    descriptor = groups.sporadic(groups.TITS_NAME)
-    mu = groups.spectrum_formulas(descriptor)
-    prime_graph = groups.gk_from_spectrum(mu)
-    compact = prime_graph.compact_form()
-    graph = compact.quotient
-    clique = frozenset(l for l in graph.vertices if set(l.members) & {2, 3})
-    part = flag_special(graph, clique, frozenset(graph.vertices) - clique)
-    ok, reason = validate_partition(graph, part)
-    if not ok:  # pragma: no cover
-        raise InternalInconsistency(f"Tits partition failed: {reason}")
-    cert = Certificate(
-        KIND_SPLIT,
-        (assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),),
-        partition=part,
-        context={"family": groups.TITS_NAME, "q": 2},
-    )
-    return graph, part, cert
+    rule = {"kind": "by_primes", "clique_primes": [2, 3]}
+    graph, part, trail = _build_spectrum_variant(groups.sporadic(groups.TITS_NAME), rule, 2, 2)
+    context = {"family": groups.TITS_NAME, "q": 2}
+    return graph, part, Certificate(KIND_SPLIT, tuple(trail), partition=part, context=context)

@@ -45,7 +45,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedFamily,
 )
-from .exceptional import eta, exceptional_compact, nu, nu_eps, tits_compact
+from .exceptional import eta, exceptional_compact, nu, nu_eps
 from .graph import ClassLabel, ForbiddenWitness, Graph
 from .splitcheck import SplitPartition, SplitVerdict, is_split_degree, validate_partition
 
@@ -64,7 +64,6 @@ __all__ = [
     "artin_pairs",
     "theoremD_verify",
     "exceptional_compact",
-    "tits_compact",
     "nu",
     "eta",
     "nu_eps",
@@ -341,9 +340,9 @@ def nonsplit_witness_linear(
     """Four primes inducing 2K2 in the prime graph of the linear group of
     dimension n over GF(p^a), for n > 11 and a >= 2.
 
-    Picks the lexicographically smallest k1 < k2 in (n/2, n) with pi(a) not
-    inside pi(k_i); each class R_{k_i}(q) then has two members, one from each
-    base-field wing R_{k_i a}(p) and R_{k_i a'}(p).
+    Picks the lexicographically smallest k1 < k2 in (n/2, n) at which
+    ``lemma52_check`` applies; each class R_{k_i}(q) then has two members, one
+    from each base-field wing R_{k_i a}(p) and R_{k_i a'}(p).
     """
     if n <= 11:
         raise PreconditionViolated(f"need n > 11, got {n}")
@@ -352,26 +351,23 @@ def nonsplit_witness_linear(
     if not nt.is_prime(p):
         raise PreconditionViolated(f"{p} is not prime")
     q = p**a
-    pi_a = nt.prime_set(a)
     chosen = []
     for k in range(n // 2 + 1, n):
-        if pi_a <= nt.prime_set(k):
+        try:
+            chosen.append(lemma52_check(k, p, a))
+        except PreconditionViolated:
             continue
-        a_prime = nt.pi_part(a, nt.prime_set(k))
-        if any(nt.is_zsigmondy_exception(i, p) for i in (k * a, k * a_prime)):
-            continue
-        chosen.append((k, a_prime))
         if len(chosen) == 2:
             break
     if len(chosen) < 2:
         raise PreconditionViolated(
             f"no two admissible indices in ({n}/2, {n}) for p={p}, a={a}"
         )
-    (k1, ap1), (k2, ap2) = chosen
+    k1, k2 = (sub.context["k"] for sub in chosen)
     steps = []
     primes = []
-    for k, a_prime in chosen:
-        sub = lemma52_check(k, p, a)
+    for sub in chosen:
+        k, a_prime = sub.context["k"], sub.context["a_prime"]
         steps.extend(sub.steps)
         steps.append(step(f"{k} lies in ({n}/2, {n})", op="cmp", a=2 * k, rel="gt", b=n))
         steps.append(step(f"{k} is below {n}", op="cmp", a=k, rel="lt", b=n))
@@ -680,24 +676,12 @@ def psl11_2_sc() -> tuple[Graph, Certificate]:
 
 def artin_pairs(p: int, limit: int) -> list[int]:
     """All odd primes n <= limit (n != p) with p a primitive root modulo n."""
-    out = []
-    for n in nt.primes_upto(limit):
-        if n == 2 or n == p or p % n == 0:
-            continue
-        if nt.raw_order(n, p) == n - 1:
-            out.append(n)
-    return out
+    return [n for n in nt.primes_upto(limit) if n != 2 and nt.is_primitive_root(p, n)]
 
 
 # ---------------------------------------------------------------------------
 # Theorem-level dispatch
 # ---------------------------------------------------------------------------
-
-
-def _exceptional_family_string(d: groups.GroupDescriptor) -> str:
-    if d.kind == "exceptional":
-        return d.family
-    return f"{d.family}{d.n}"
 
 
 def theoremD_verify(
@@ -708,7 +692,8 @@ def theoremD_verify(
     Returns (compact-graph-or-None, verdict, certificate).  For classical
     groups of prk >= 4 no graph is materialized (the published criteria give
     the partition, not the full adjacency); for sporadic groups the embedded
-    partition is returned with its table assumption.
+    partition is returned with its table assumption.  The Tits group takes
+    the diagram path of the small-rank and exceptional families.
     """
     if d.kind in ("alternating", "symmetric"):
         g = gk_altsym(d.kind, d.n)
@@ -727,11 +712,7 @@ def theoremD_verify(
             context={"group": str(d)},
         )
         return compact.quotient, verdict, cert
-    if d.kind == "sporadic":
-        if d.tits:
-            graph, part, cert = tits_compact()
-            verdict = is_split_degree(graph)
-            return graph, verdict, cert
+    if d.kind == "sporadic" and not d.tits:
         record = groups.sporadic_record(d.name)
         groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
         part = replace(record.prime_partition, special=True)
@@ -746,8 +727,8 @@ def theoremD_verify(
         ctx = PhiContext.from_descriptor(d, budget)
         part, cert = classical_compact_partition(ctx, budget)
         return None, SplitVerdict(True, None, part), cert
-    # Small-rank classical and exceptional: the compact diagram is explicit.
-    family = _exceptional_family_string(d)
+    # Small-rank classical, exceptional and Tits: the compact diagram is explicit.
+    family = d.name if d.tits else str(d).partition("(")[0]
     graph, part, cert = exceptional_compact(family, d.q, budget)
     verdict = is_split_degree(graph)
     if not verdict.split:

@@ -6,7 +6,8 @@ classical groups A_n(q), 2A_n(q), B_n(q), C_n(q), D_n(q), 2D_n(q), and the
 exceptional families.  Construction enforces simplicity (A1(2), A1(3), B2(2),
 2B2(2), G2(2), 2G2(3), 2F4(2) and friends are rejected) and field-size
 constraints for the Suzuki and Ree families.  Isomorphic small aliases are
-normalized: C2 = B2, D3 = A3, 2D3 = 2A3, 2D2(q) = A1(q^2).
+normalized: C2 = B2, D3 = A3, 2D3 = 2A3, 2D2(q) = A1(q^2).  Descriptor text
+is parsed here too, by ``parse_descriptor``, for every caller.
 
 Orders are evaluated exactly from the standard product formulas with their
 gcd divisors; sporadic orders are embedded constants shipped as a structured
@@ -16,12 +17,14 @@ resource together with the split-partition tables and witness sets.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from math import comb, factorial, gcd, isqrt
 
 from . import numtheory as nt
 from .errors import (
+    DescriptorSyntaxError,
     InternalInconsistency,
     InvalidField,
     NotSimple,
@@ -35,6 +38,8 @@ CLASSICAL_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
 EXCEPTIONAL_FAMILIES = ("G2", "F4", "E6", "2E6", "E7", "E8", "2B2", "2G2", "2F4", "3D4")
 
 TITS_NAME = "2F4(2)'"
+#: every name that denotes the Tits group
+TITS_ALIASES = (TITS_NAME, "Tits", "tits")
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ def symmetric(n: int) -> GroupDescriptor:
 
 
 def sporadic(name: str) -> GroupDescriptor:
-    if name in (TITS_NAME, "Tits"):
+    if name in TITS_ALIASES:
         return GroupDescriptor("sporadic", name=TITS_NAME, tits=True)
     record = sporadic_record(name)
     return GroupDescriptor("sporadic", name=record.name)
@@ -133,6 +138,48 @@ def exceptional(family: str, q: int) -> GroupDescriptor:
         if q == 3:
             raise NotSimple("2G2(3) is not simple (its derived subgroup is A1(8))")
     return GroupDescriptor("exceptional", family=family, q=q)
+
+
+_LIE_RE = re.compile(r"^([23]?)([A-G])(\d+)\((\d+)\)$")
+_PERM_RE = re.compile(r"^(Alt|Sym)\((\d+)\)$", re.IGNORECASE)
+
+
+def parse_descriptor(text: str) -> GroupDescriptor:
+    """Parse a descriptor string; syntax errors carry the offending position.
+
+    Descriptors follow the order-table symbols: ``Alt(12)``, ``Sym(9)``,
+    ``A3(4)``, ``2A4(9)``, ``B2(3)``, ``D7(5)``, ``2D4(3)``, ``G2(4)``,
+    ``2B2(32)``, ``3D4(2)``, ``E8(5)``, sporadic names (``M22``, ``Co1``,
+    ``Fi24'``, ``HN``, ...), and ``2F4(2)'`` (or ``Tits``).
+    """
+    text = text.strip()
+    if not text:
+        raise DescriptorSyntaxError("empty descriptor", 0)
+    m = _PERM_RE.match(text)
+    if m:
+        n = int(m.group(2))
+        if m.group(1).lower() == "alt":
+            return alternating(n)
+        return symmetric(n)
+    m = _LIE_RE.match(text)
+    if m:
+        twist, letter, sub, q = m.group(1), m.group(2), int(m.group(3)), int(m.group(4))
+        family = f"{twist}{letter}{sub}"
+        if family in EXCEPTIONAL_FAMILIES:
+            return exceptional(family, q)
+        if letter in ("A", "B", "C", "D") and twist in ("", "2"):
+            return classical(f"{twist}{letter}", sub, q)
+        raise DescriptorSyntaxError(f"unknown family {family!r} in {text!r}", 0)
+    try:
+        return sporadic(text)
+    except UnsupportedFamily:
+        pass
+    for pos, ch in enumerate(text):
+        if not (ch.isalnum() or ch in "()'"):
+            raise DescriptorSyntaxError(f"unexpected character {ch!r}", pos)
+    if "(" in text and not text.rstrip("'").endswith(")"):
+        raise DescriptorSyntaxError("missing closing parenthesis", len(text))
+    raise DescriptorSyntaxError(f"cannot parse group descriptor {text!r}", 0)
 
 
 def prk(d: GroupDescriptor) -> int:

@@ -7,7 +7,7 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 
 import json
 from itertools import combinations, takewhile
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 
@@ -87,6 +87,35 @@ def ppd_class_empty(i, q):
     the empty classes are R_1(2), R_6(2) and R_1(3).
     """
     return (q, i) in {(2, 1), (2, 6), (3, 1)}
+
+
+def lemma52_indices(n, p, a):
+    """The k in (n/2, n), increasing, at which Lemma 5.2 bounds |R_k(p^a)| > 1.
+
+    The admissibility rule the linear-group witness once repeated inline:
+    pi(a) is not inside pi(k), and neither R_{ka}(p) nor R_{ka'}(p),
+    a' = (a)_{pi(k)}, is a Bang-Zsigmondy exception.
+    """
+    pi_a = {r for r, _ in brute_factor(a)}
+    out = []
+    for k in range(n // 2 + 1, n):
+        pi_k = {r for r, _ in brute_factor(k)}
+        if pi_a <= pi_k:
+            continue
+        a_prime = prod(r**e for r, e in brute_factor(a) if r in pi_k)
+        if ppd_class_empty(k * a, p) or ppd_class_empty(k * a_prime, p):
+            continue
+        out.append(k)
+    return out
+
+
+def brute_artin_pairs(p, limit):
+    """Odd primes n <= limit, n not dividing p, modulo which p has order
+    n - 1, by repeated multiplication."""
+    return [
+        n for n in brute_primes(limit)
+        if n != 2 and p % n and brute_order(p, n) == n - 1
+    ]
 
 
 def pow_ppd(i, n):

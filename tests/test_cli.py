@@ -15,6 +15,9 @@ from gksplit.graph import Graph
 
 
 class TestParseDescriptor:
+    def test_one_parser(self):
+        assert cli.parse_descriptor is groups.parse_descriptor
+
     def test_permutation(self):
         assert cli.parse_descriptor("Alt(7)") == groups.alternating(7)
         assert cli.parse_descriptor("Sym(9)") == groups.symmetric(9)
@@ -310,7 +313,8 @@ class TestBudgetExit:
 
 # sha256 of stdout (plus the --out file, when one is written) and the exit
 # code of every command in the README "Command line" list, followed by one
-# command for each JSON label encoder: graph, split partition, certificate.
+# command for each JSON label encoder: graph, split partition, certificate,
+# and the two routes that reach the Tits group.
 GOLDEN = [
     (["split", "--group", "M22", "--graph", "solvable"], 1,
      "ec90c188acf0e4d31d399f0f71faf7a7f3e1a22e90523192b0d2c8b004ec6d8c"),
@@ -350,6 +354,10 @@ GOLDEN = [
      "463c810ed6c0450968bcf3c95cf5f655efdef7348952c4ed9a590c604c1a5b8d"),
     (["sporadic", "--format", "json"], 0,
      "0f238d5dda8d28bb08f0d904814201e42fca42963f497dd59b4c324441c15f44"),
+    (["verify", "theorem-d", "--group", "2F4(2)'"], 0,
+     "4e402190f30c452cd81869730a3600168f092a9ac5e2b188ea6aeaf3e5e19122"),
+    (["compact", "--group", "Tits", "--format", "json"], 0,
+     "1f129958ef205f6a9050c2cbf75909aa9d9b87e2447482f8b3572930cdaa37a5"),
 ]
 
 

@@ -13,9 +13,17 @@ from gksplit.errors import (
     UnsupportedFamily,
 )
 from gksplit.graph import Graph, same_class_graph
-from gksplit.splitcheck import is_split_degree, validate_partition
+from gksplit.splitcheck import flag_special, is_split_degree, validate_partition
 
-from oracles import altsym_edges, brute_order, brute_primes, classical_phi, ppd_class_empty
+from oracles import (
+    altsym_edges,
+    brute_artin_pairs,
+    brute_order,
+    brute_primes,
+    classical_phi,
+    lemma52_indices,
+    ppd_class_empty,
+)
 
 
 class TestAltSym:
@@ -314,6 +322,20 @@ class TestNonsplitWitnessLinear:
         assert w is not None and w.kind == "2K2"
         assert not recheck(cert)
 
+    def test_picks_first_two_lemma52_indices(self):
+        # the indices come from lemma52_check; the oracle is the admissibility
+        # rule written out
+        for n in range(12, 41):
+            for p in (2, 3, 5, 7):
+                for a in (2, 3, 4, 6):
+                    expected = lemma52_indices(n, p, a)[:2]
+                    if len(expected) < 2:
+                        with pytest.raises(PreconditionViolated):
+                            gkbuild.nonsplit_witness_linear(n, p, a)
+                        continue
+                    _, cert = gkbuild.nonsplit_witness_linear(n, p, a)
+                    assert [cert.context["k1"], cert.context["k2"]] == expected, (n, p, a)
+
 
 class TestScNonsplit:
     def test_19_2(self):
@@ -404,8 +426,20 @@ class TestArtin:
     def test_contains_11(self):
         assert 11 in gkbuild.artin_pairs(2, 11)
 
+    @pytest.mark.parametrize("p", [3, 5, 6, 7, 10])
+    def test_matches_order_loop(self, p):
+        # covers n == p and composite bases
+        assert gkbuild.artin_pairs(p, 500) == brute_artin_pairs(p, 500)
+
 
 class TestExceptionalGraphs:
+    @pytest.mark.parametrize("family, q", [("B2", 3), ("B2", 7), ("B3", 3), (groups.TITS_NAME, 2)])
+    def test_spectrum_partition_flag_is_verified(self, family, q):
+        # the spectrum builder, the Tits group's included, sets the special
+        # flag from the graph
+        graph, part, _ = gkbuild.exceptional_compact(family, q)
+        assert part == flag_special(graph, part.clique, part.independent)
+
     def test_2b2_8(self):
         graph, part, cert = gkbuild.exceptional_compact("2B2", 8)
         assert graph.edges == ()
@@ -518,6 +552,46 @@ class TestExceptionalGraphs:
         # outside it is a typo in the data and must fail loudly
         with pytest.raises(ValueError, match="unknown predicate"):
             exceptional._eval_pred(pred, 5, 1, [])
+
+
+_DESCRIPTOR_FOR_CASES = [
+    ("A1", 4, groups.classical("A", 1, 4)),
+    ("A2", 5, groups.classical("A", 2, 5)),
+    ("2A2", 5, groups.classical("2A", 2, 5)),
+    ("B2", 3, groups.classical("B", 2, 3)),
+    ("C2", 5, groups.classical("B", 2, 5)),
+    ("B3", 3, groups.classical("B", 3, 3)),
+    ("C3", 5, groups.classical("C", 3, 5)),
+    ("G2", 4, groups.exceptional("G2", 4)),
+    ("F4", 2, groups.exceptional("F4", 2)),
+    ("E6", 2, groups.exceptional("E6", 2)),
+    ("2E6", 2, groups.exceptional("2E6", 2)),
+    ("E7", 2, groups.exceptional("E7", 2)),
+    ("E8", 2, groups.exceptional("E8", 2)),
+    ("2B2", 8, groups.exceptional("2B2", 8)),
+    ("2G2", 27, groups.exceptional("2G2", 27)),
+    ("2F4", 8, groups.exceptional("2F4", 8)),
+    ("3D4", 2, groups.exceptional("3D4", 2)),
+    ("2F4", 2, groups.sporadic(groups.TITS_NAME)),
+    ("Tits", 2, groups.sporadic(groups.TITS_NAME)),
+    (groups.TITS_NAME, 2, groups.sporadic(groups.TITS_NAME)),
+]
+
+
+class TestDescriptorFor:
+    @pytest.mark.parametrize(
+        "family, q, explicit", _DESCRIPTOR_FOR_CASES, ids=[f"{f}({q})" for f, q, _ in _DESCRIPTOR_FOR_CASES]
+    )
+    def test_matches_explicit_constructor(self, family, q, explicit):
+        assert exceptional.descriptor_for(family, q) == explicit
+
+    def test_every_family_covered(self):
+        assert {f for f, _, _ in _DESCRIPTOR_FOR_CASES} >= set(exceptional.diagram_families())
+
+    def test_unknown_family(self):
+        for family in ("H4", "A3", "M22", ""):
+            with pytest.raises(UnsupportedFamily):
+                exceptional.descriptor_for(family, 4)
 
 
 class TestTheoremD:

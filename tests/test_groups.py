@@ -71,6 +71,17 @@ class TestDescriptors:
         assert groups.prk(groups.classical("C", 4, 3)) == 4
 
 
+class TestParseDescriptorOwner:
+    def test_tits_aliases(self):
+        tits = groups.sporadic(groups.TITS_NAME)
+        for text in ("Tits", "tits", "2F4(2)'", " 2F4(2)' "):
+            assert groups.parse_descriptor(text) == tits
+
+    def test_2f4_2_not_simple(self):
+        with pytest.raises(NotSimple):
+            groups.parse_descriptor("2F4(2)")
+
+
 class TestOrders:
     def test_a1_4_is_alt5(self):
         assert groups.order(groups.classical("A", 1, 4)) == 60 == alt_order(5)
