@@ -23,7 +23,6 @@ Justification tags
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import numtheory as nt
@@ -49,7 +48,7 @@ KIND_CHAIN = "lemma-chain"
 
 
 class CertStep(NamedTuple):
-    """One certificate step; immutable, and a tuple so that it is cheap to build."""
+    """One certificate step; immutable, and a tuple like every value type of the package."""
 
     claim: str
     tag: str = TAG_ARITH
@@ -60,13 +59,21 @@ class CertStep(NamedTuple):
         return self.check is None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
     kind: str
     steps: tuple[CertStep, ...] = ()
     partition: SplitPartition | None = None
     witness: ForbiddenWitness | None = None
-    context: dict = field(default_factory=dict)
+    context: dict | None = None
+
+
+class Certificate(_CertificateFields):
+    """A certificate; built without ``context``, it gets a dict of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, steps=(), partition=None, witness=None, context=None):
+        return super().__new__(cls, kind, steps, partition, witness, {} if context is None else context)
 
     def assumptions(self) -> list[CertStep]:
         return [s for s in self.steps if s.assumption]

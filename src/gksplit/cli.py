@@ -6,8 +6,8 @@ and prints their lines.  ``--graph compact`` compacts a graph from any
 source; ``--graph solvable`` needs ``--group``.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
-revalidates; 2 = error, malformed input included; 3 = factoring budget
-exhausted (never a silent pass).
+revalidates; 2 = error, malformed input and running out of memory included;
+3 = factoring budget exhausted (never a silent pass).
 
 Group descriptors are parsed by ``groups.parse_descriptor``.
 """
@@ -407,6 +407,9 @@ def main(argv=None) -> int:
         return 3
     except (GKSplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this host", file=sys.stderr)
         return 2
 
 

@@ -19,8 +19,8 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import groups, numtheory as nt
 from .certificates import (
@@ -123,8 +123,7 @@ def altsym_partition(n: int) -> SplitPartition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiContext:
+class PhiContext(NamedTuple):
     """Arithmetic context for a classical group.
 
     kind is "linear-unitary" (with sign eps) or "symplectic-orthogonal";
@@ -371,8 +370,8 @@ def nonsplit_witness_linear(
         steps.extend(sub.steps)
         steps.append(step(f"{k} lies in ({n}/2, {n})", op="cmp", a=2 * k, rel="gt", b=n))
         steps.append(step(f"{k} is below {n}", op="cmp", a=k, rel="lt", b=n))
-        wing_a = min(nt.ppd_set(k * a, p, budget))
-        wing_b = min(nt.ppd_set(k * a_prime, p, budget))
+        wing_a = nt.least_ppd(k * a, p, budget)
+        wing_b = nt.least_ppd(k * a_prime, p, budget)
         for r in (wing_a, wing_b):
             steps.append(
                 step(
@@ -715,7 +714,7 @@ def theoremD_verify(
     if d.kind == "sporadic" and not d.tits:
         record = groups.sporadic_record(d.name)
         groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
-        part = replace(record.prime_partition, special=True)
+        part = record.prime_partition._replace(special=True)
         cert = Certificate(
             KIND_SPLIT,
             (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),

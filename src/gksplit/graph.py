@@ -17,18 +17,17 @@ edge list and neighbour sets are derived from them on demand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
 from operator import and_, itemgetter, or_
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 
 _SCHEMA = "gksplit/graph/1"
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """A named vertex class, optionally carrying its known prime members."""
 
     name: str
@@ -56,8 +55,7 @@ def label_members(label) -> frozenset[int]:
     return frozenset(label.members)
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """An induced subgraph certifying non-splitness.
 
     kind is one of "2K2", "C4", "C5"; vertices are listed so the claimed
@@ -382,8 +380,7 @@ class Graph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CompactForm:
+class CompactForm(NamedTuple):
     """Result of the true-twin quotient.
 
     quotient        graph over ClassLabel vertices

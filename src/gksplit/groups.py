@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
 from math import comb, factorial, gcd, isqrt
+from typing import NamedTuple
 
 from . import numtheory as nt
 from .errors import (
@@ -42,8 +42,7 @@ TITS_NAME = "2F4(2)'"
 TITS_ALIASES = (TITS_NAME, "Tits", "tits")
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """Algebraic identity of a finite simple group."""
 
     kind: str  # alternating | symmetric | sporadic | classical | exceptional
@@ -313,32 +312,37 @@ def maximal_elements(values) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SpectrumData:
-    """The maximal element orders mu(G) of a group.
-
-    Invariants: mu is an antichain under divisibility, and every prime
-    dividing an element of mu divides the group order.
-    """
-
+class _SpectrumFields(NamedTuple):
     group: GroupDescriptor
     mu: frozenset[int]
 
-    def __post_init__(self):
-        if not self.mu:
-            raise SpectrumError(f"empty spectrum for {self.group}")
-        for m in self.mu:
+
+class SpectrumData(_SpectrumFields):
+    """The maximal element orders mu(G) of a group.
+
+    Invariants: mu is an antichain under divisibility, and every prime
+    dividing an element of mu divides the group order.  The constructor
+    raises SpectrumError otherwise (``_make`` and ``_replace`` do not check).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, group: GroupDescriptor, mu: frozenset[int]):
+        if not mu:
+            raise SpectrumError(f"empty spectrum for {group}")
+        for m in mu:
             if m < 1:
                 raise SpectrumError(f"element order {m} is not positive")
-            if any(w != m and w % m == 0 for w in self.mu):
+            if any(w != m and w % m == 0 for w in mu):
                 raise SpectrumError(f"{m} divides another element of mu: not an antichain")
-        total = order(self.group)
-        for m in self.mu:
+        total = order(group)
+        for m in mu:
             for r in nt.prime_set(m):
                 if total % r:
                     raise SpectrumError(
-                        f"prime {r} from mu does not divide |{self.group}|"
+                        f"prime {r} from mu does not divide |{group}|"
                     )
+        return super().__new__(cls, group, mu)
 
 
 def spectrum_covers(s: SpectrumData) -> bool:
@@ -410,8 +414,7 @@ def gk_from_spectrum(s: SpectrumData) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SporadicRecord:
+class SporadicRecord(NamedTuple):
     name: str
     aliases: tuple[str, ...]
     order_factors: tuple[tuple[int, int], ...]

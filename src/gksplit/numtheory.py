@@ -39,10 +39,10 @@ for unitary groups.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
@@ -148,26 +148,31 @@ def primes_upto(limit: int) -> list[int]:
     return primes[: bisect_right(primes, limit)]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A complete factorization: value = prod(p**e for p, e in factors).
-
-    Bases are primes in strictly increasing order.
-    """
-
+class _FactorizationFields(NamedTuple):
     value: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Factorization(_FactorizationFields):
+    """A complete factorization: value = prod(p**e for p, e in factors).
+
+    Bases are primes in strictly increasing order; the constructor raises
+    ValueError otherwise (``_make`` and ``_replace`` do not check).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, factors: tuple[tuple[int, int], ...]):
         product = 1
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last or e < 1 or not is_prime(p):
-                raise ValueError(f"malformed factorization of {self.value}")
+                raise ValueError(f"malformed factorization of {value}")
             last = p
             product *= p**e
-        if product != self.value:
-            raise ValueError(f"factors do not multiply to {self.value}")
+        if product != value:
+            raise ValueError(f"factors do not multiply to {value}")
+        return super().__new__(cls, value, factors)
 
     @property
     def prime_set(self) -> frozenset[int]:
@@ -207,6 +212,11 @@ def _trial_blocks(limit: int) -> list[tuple[tuple[int, ...], int]]:
         chunks = (tuple(primes[k : k + _TRIAL_BLOCK]) for k in range(0, len(primes), _TRIAL_BLOCK))
         _trial_table = (top, [(chunk, prod(chunk)) for chunk in chunks])
     return _trial_table[1]
+
+
+def _block_cost(block: tuple[int, ...], limit: int) -> int:
+    """Budget units of trial division by the primes of block up to limit: one per prime."""
+    return len(block) if block[-1] <= limit else bisect_right(block, limit)
 
 
 def _rho_factor(n: int, budget: _Budget) -> int | None:
@@ -297,7 +307,7 @@ def _factor(n: int, budget: int) -> Factorization:
     for block, block_product in _trial_blocks(limit):
         if block[0] > limit:
             break
-        if not meter.spend(len(block) if block[-1] <= limit else bisect_right(block, limit)):
+        if not meter.spend(_block_cost(block, limit)):
             raise fail()
         g = gcd(m, block_product)
         if g == 1:
@@ -469,12 +479,52 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
         if prod(pieces) != value:
             raise InternalInconsistency(f"cyclotomic pieces {pieces} do not multiply to |Phi_{i}({n})|")
         candidates = frozenset().union(*(prime_set(piece, budget) for piece in pieces))
-        cofactors = [i // p for p, _ in factor(i).factors]
-        for r in candidates:
-            if r == 2 or n % r == 0:
-                continue
-            if pow(n, i, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors):
-                out.add(r)
-    if n % 2 != 0 and i in (1, 2) and mult_order(2, n) == i:
+        cofactors = _cofactors(i)
+        out.update(r for r in candidates if _odd_ppd(r, n, i, cofactors))
+    if _two_is_ppd(i, n):
         out.add(2)
     return frozenset(out)
+
+
+def _cofactors(i: int) -> list[int]:
+    """i / p for each prime p dividing i."""
+    return [i // p for p, _ in factor(i).factors]
+
+
+def _odd_ppd(r: int, n: int, i: int, cofactors: list[int]) -> bool:
+    """Whether the prime r is odd and n has order exactly i modulo r."""
+    return r != 2 and pow(n, i, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors)
+
+
+def _two_is_ppd(i: int, n: int) -> bool:
+    """Whether 2 lies in R_i(n), by the e(2, n) convention."""
+    return n % 2 != 0 and i in (1, 2) and mult_order(2, n) == i
+
+
+def least_ppd(i: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
+    """min(ppd_set(i, n, budget)), without factoring Phi_i(n) when a small member exists.
+
+    Every odd member of R_i(n) divides Phi_i(n), so the first prime of the
+    trial blocks, scanned in increasing order, that divides |Phi_i(n)| and has
+    order exactly i is the least member.  The scan covers the primes that
+    factor's trial division would cover and charges the budget as it does.
+    Only when no member lies in that range, or the budget runs out first, is
+    the answer min(ppd_set(i, n, budget)): ValueError when R_i(n) is empty,
+    and ppd_set's BudgetExceeded.
+    """
+    value = abs(cyclotomic_value(i, n))
+    if _two_is_ppd(i, n):
+        return 2
+    cofactors = _cofactors(i)
+    limit = min(_TRIAL_BOUND, isqrt(value))
+    meter = _Budget(budget)
+    for block, block_product in _trial_blocks(limit):
+        if block[0] > limit or not meter.spend(_block_cost(block, limit)):
+            break
+        g = gcd(value, block_product)
+        if g == 1:
+            continue
+        for r in block:
+            if g % r == 0 and _odd_ppd(r, n, i, cofactors):
+                return r
+    return min(ppd_set(i, n, budget))

@@ -26,15 +26,14 @@ built once, when the ``SplitPartition`` is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
 from .graph import ForbiddenWitness, Graph, bits, encode_label, is_clique_mask, is_independent_mask, is_split_side
 from .graph import label_key, label_text
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(NamedTuple):
     """A claimed split partition: clique side C, independent side I.
 
     ``special`` asserts additionally that every vertex of I has a
@@ -71,8 +70,7 @@ def partition_text(p: SplitPartition) -> str:
     )
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(NamedTuple):
     """Outcome of a split check.
 
     m_index is None for verdicts not derived from a degree sequence: those of

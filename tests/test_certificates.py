@@ -147,6 +147,12 @@ class TestSerialization:
         assert again == cert
         assert again.to_json() == cert.to_json()
 
+    def test_default_context_is_not_shared(self):
+        first, second = Certificate(KIND_CHAIN), Certificate(KIND_CHAIN)
+        assert first.context == {} and first.context is not second.context
+        first.context["k"] = 7
+        assert Certificate(KIND_CHAIN).context == {}
+
     def test_schema_field(self):
         doc = json.loads(chain(assume("x", TAG_L52)).to_json())
         assert doc["schema"] == "gksplit/certificate/1"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gksplit
-from gksplit import cli, groups
+from gksplit import cli, gkbuild, groups
 from gksplit.errors import DescriptorSyntaxError, InvalidField, NotSimple
 from gksplit.graph import Graph
 
@@ -311,6 +311,19 @@ class TestBudgetExit:
         assert code == 3
 
 
+class TestOutOfMemory:
+    def test_memory_error_is_one_error_line_and_exit_2(self, monkeypatch, capsys):
+        # exit 1 would read as "refuted"; no real allocation is made
+        def exhausted(kind, n):
+            raise MemoryError
+
+        monkeypatch.setattr(gkbuild, "gk_altsym", exhausted)
+        assert cli.main(["build", "--group", "Sym(10000000)", "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # sha256 of stdout (plus the --out file, when one is written) and the exit
 # code of every command in the README "Command line" list, followed by one
 # command for each JSON label encoder: graph, split partition, certificate,
@@ -414,6 +427,12 @@ GOLDEN_LARGE = [
      "00e4ee4354a2dd4e7d98050c7a570dcde9df0e550b3a976436b33228b8b7da7c"),
     (["split", "--group", "Alt(1000)"], 0,
      "061583098d171292501fcc297920eba42d9c19f37e0db39eabfbdb6c00929e27"),
+    # The linear-group witness where Phi_69(p) is hard to factor, recorded
+    # when each wing was the min of the fully factored ppd set.
+    (["witness", "prop71", "--n", "40", "--p", "5", "--a", "3", "--format", "json"], 0,
+     "07c2f2e41f59c8bcb2d1be266c47293e8154e082deb1b7ac6cf152e424c5ff18"),
+    (["witness", "prop71", "--n", "40", "--p", "7", "--a", "3", "--format", "json"], 0,
+     "cca4bdb2aa6719f47305cec11a7a958e3b3255b77d918d684c63e7c1d289aae9"),
 ]
 
 
@@ -493,6 +512,19 @@ def _fresh_process(argv):
         [sys.executable, "-m", "gksplit", *argv], env=env, capture_output=True, text=True, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def test_set_up_imports_neither_dataclasses_nor_inspect():
+    # the value types are NamedTuples; -S keeps site's own imports out
+    src = str(Path(gksplit.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from gksplit import cli, exceptional, groups\n"
+        "groups.sporadic_table(); exceptional.diagram_families()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_python_dash_m_runs_the_cli():

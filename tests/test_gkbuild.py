@@ -336,6 +336,21 @@ class TestNonsplitWitnessLinear:
                     _, cert = gkbuild.nonsplit_witness_linear(n, p, a)
                     assert [cert.context["k1"], cert.context["k2"]] == expected, (n, p, a)
 
+    def test_wings_are_the_least_members(self):
+        # each wing is the least prime of R_{ka}(p) resp. R_{ka'}(p); the
+        # reference takes the min over the whole class, factoring Phi_{ka}(p)
+        for n in range(12, 41):
+            for p in (2, 3, 5, 7):
+                for a in (2, 3, 4, 6):
+                    if len(lemma52_indices(n, p, a)) < 2:
+                        continue
+                    primes, cert = gkbuild.nonsplit_witness_linear(n, p, a)
+                    expected = []
+                    for k in (cert.context["k1"], cert.context["k2"]):
+                        a_prime = nt.pi_part(a, nt.prime_set(k))
+                        expected += [min(nt.ppd_set(k * a, p)), min(nt.ppd_set(k * a_prime, p))]
+                    assert list(primes) == expected, (n, p, a)
+
 
 class TestScNonsplit:
     def test_19_2(self):

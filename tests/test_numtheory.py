@@ -94,6 +94,27 @@ class TestFactor:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+class TestFactorizationChecks:
+    @pytest.mark.parametrize(
+        "value, factors",
+        [
+            (12, ((4, 1), (3, 1))),
+            (15, ((5, 1), (3, 1))),
+            (9, ((3, 1), (3, 1))),
+            (3, ((3, 1), (5, 0))),
+            (30, ((2, 1), (3, 1))),
+        ],
+        ids=["composite-base", "unsorted-bases", "repeated-base", "zero-exponent", "wrong-product"],
+    )
+    def test_rejects(self, value, factors):
+        with pytest.raises(ValueError):
+            nt.Factorization(value, factors)
+
+    def test_accepts_a_factorization(self):
+        f = nt.Factorization(360, ((2, 3), (3, 2), (5, 1)))
+        assert f == nt.factor(360) and f.prime_set == {2, 3, 5}
+
+
 class TestPrimeSet:
     def test_examples(self):
         assert nt.prime_set(60) == {2, 3, 5}
@@ -226,6 +247,28 @@ class TestPpd:
         for n in (2, 3, 4, 5, -2, -3):
             for i in range(1, 11):
                 assert nt.ppd_set(i, n) == brute_ppd(i, n), (n, i)
+
+    def test_least_ppd_is_the_least_member(self):
+        # prime, perfect-power and negative bases, empty classes, and members
+        # above the scanned range (Phi_7(2) = 127 > 11^2, 2^31 - 1 > 10^5)
+        cases = [(i, n) for n in (*range(-10, -1), *range(2, 11), 16, 27, 64, 81) for i in range(1, 25)]
+        for i, n in cases + [(31, 2), (61, 2)]:
+            got = nt.ppd_set(i, n)
+            if not got:
+                with pytest.raises(ValueError):
+                    nt.least_ppd(i, n)
+                continue
+            assert nt.least_ppd(i, n) == min(got), (i, n)
+
+    def test_least_ppd_budget(self):
+        # 139, the least member of R_69(5), lies in the first trial block
+        # (64 units); factoring all of Phi_69(5) needs far more
+        assert nt.least_ppd(69, 5, budget=64) == 139
+        with pytest.raises(BudgetExceeded):
+            nt.ppd_set(69, 5, budget=64)
+        # a budget that cannot pay for the block falls back to ppd_set, which raises
+        with pytest.raises(BudgetExceeded):
+            nt.least_ppd(69, 5, budget=63)
 
     #: perfect-power bases, whose Phi_i values split into pieces Phi_j(b)
     POWER_BASES = (4, 8, 9, 16, 27, 32, 64, 81, 128, 243, 512, 729, 2187)
