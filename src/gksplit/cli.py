@@ -1,22 +1,23 @@
 """Command line surface: parse the arguments, acquire the graph, print.
 
-Verbs: build, split, compact, verify, witness, export, sporadic.  The verify
-campaigns live in ``campaigns``; this module checks their flags, calls them
-and prints their lines.  ``--graph compact`` compacts a graph from any
+The verbs, their options and their handlers are the one table ``VERBS``;
+``_parse`` walks argv against it and the same table prints the help.  The
+verify campaigns live in ``campaigns``; this module checks their flags,
+calls them and prints their lines.  ``--graph compact`` compacts a graph from any
 source; ``--graph solvable`` needs ``--group``.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
-revalidates; 2 = error, malformed input and running out of memory included;
-3 = factoring budget exhausted (never a silent pass).
+revalidates; 2 = error, malformed input, a usage error and running out of
+memory included; 3 = factoring budget exhausted (never a silent pass).
 
 Group descriptors are parsed by ``groups.parse_descriptor``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 
 from . import campaigns, gkbuild, groups, numtheory as nt
 from .certificates import recheck
@@ -316,88 +317,178 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the verb table and the argv walk
 # ---------------------------------------------------------------------------
 
+# An option is (flag, dest, type, choices, default, help); type is int or str.
+_OUT = ("--out", "out", str, None, None, "write output to FILE instead of stdout")
+_BUDGET = ("--budget", "budget", int, None, nt.DEFAULT_BUDGET, "factoring effort budget")
+_TABLE_OR_JSON = ("--format", "format", str, ("json", "table"), "table", "output format")
+_GRAPH_OPTIONS = (
+    ("--group", "group", str, None, None, "group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22"),
+    ("--spectrum", "spectrum", str, None, None, "JSON file {'group': descriptor, 'mu': [orders...]}"),
+    ("--in", "infile", str, None, None, "graph JSON file"),
+    ("--graph", "graph", str, ("prime", "solvable", "compact"), "prime", "which graph of the group to use"),
+    ("--format", "format", str, ("json", "dot", "table"), "table", "output format"),
+    _OUT,
+    _BUDGET,
+)
+_WITNESS_OPTIONS = tuple(
+    (f"--{k}", k, int, None, None, "parameter of " + ", ".join(w for w, ks in _WITNESS_PARAMETERS.items() if k in ks))
+    for k in dict.fromkeys(k for ks in _WITNESS_PARAMETERS.values() for k in ks)
+)
 
-def _add_common(p):
-    p.add_argument("--group", help="group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22")
-    p.add_argument("--spectrum", help="JSON file {'group': descriptor, 'mu': [orders...]}")
-    p.add_argument("--in", dest="infile", help="graph JSON file")
-    p.add_argument(
-        "--graph", choices=("prime", "solvable", "compact"), default="prime",
-        help="which graph of the group to use",
-    )
-    p.add_argument("--format", choices=("json", "dot", "table"), default="table")
-    p.add_argument("--out", help="write output to FILE instead of stdout")
-    p.add_argument("--budget", type=int, default=nt.DEFAULT_BUDGET, help="factoring effort budget")
+#: The command line: verb -> (help, positional, options, handler).  The
+#: positional is None or (dest, choices, required, help); choices None
+#: takes any text.
+VERBS = {
+    "build": ("construct a graph and print/serialize it", None, _GRAPH_OPTIONS, _cmd_build),
+    "split": ("run both split-recognition routes on a graph", None, _GRAPH_OPTIONS, _cmd_split),
+    "compact": ("compute the compact (true-twin quotient) form", None, _GRAPH_OPTIONS, _cmd_compact),
+    "export": ("serialize a graph to JSON or DOT", None, _GRAPH_OPTIONS, _cmd_export),
+    "sporadic": (
+        "show the embedded sporadic tables",
+        ("name", None, False, "a single sporadic group (default: all 26)"),
+        (_TABLE_OR_JSON, _OUT),
+        _cmd_sporadic,
+    ),
+    "verify": (
+        "run a verification campaign",
+        ("which", ("theorem-a", "theorem-b", "theorem-c", "theorem-d", "zsigmondy", "spectrum"), True,
+         "the campaign"),
+        (
+            ("--max-n", "max_n", int, None, None, "sweep bound (theorem-a degree / zsigmondy base)"),
+            ("--group", "group", str, None, None, "group descriptor (theorem-d)"),
+            _OUT,
+            _BUDGET,
+        ),
+        _cmd_verify,
+    ),
+    "witness": (
+        "emit a nonsplitness witness with its certificate",
+        ("which", tuple(_WITNESS_PARAMETERS), True, "the proposition"),
+        _WITNESS_OPTIONS + (_TABLE_OR_JSON, _OUT, _BUDGET),
+        _cmd_witness,
+    ),
+}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gksplit",
-        description="Prime graphs of finite simple groups, split-graph checks, compact forms, certificates.",
-        epilog="exit codes: 0 verified/split, 1 refuted (witness shown), 2 error, 3 factoring budget exhausted",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("build", help="construct a graph and print/serialize it")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("split", help="run both split-recognition routes on a graph")
-    _add_common(p)
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("compact", help="compute the compact (true-twin quotient) form")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compact)
-
-    p = sub.add_parser("export", help="serialize a graph to JSON or DOT")
-    _add_common(p)
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("sporadic", help="show the embedded sporadic tables")
-    p.add_argument("name", nargs="?", help="a single sporadic group")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sporadic)
-
-    p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument(
-        "which",
-        choices=("theorem-a", "theorem-b", "theorem-c", "theorem-d", "zsigmondy", "spectrum"),
-    )
-    p.add_argument("--max-n", type=int, help="sweep bound (theorem-a degree / zsigmondy base)")
-    p.add_argument("--group", help="group descriptor (theorem-d)")
-    p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=nt.DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_verify, format="table")
-
-    p = sub.add_parser("witness", help="emit a nonsplitness witness with its certificate")
-    p.add_argument("which", choices=("prop71", "prop72", "prop73", "psl11"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=nt.DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_witness)
-
-    return parser
+_HELP = ("-h", "--help")
 
 
-#: The parser main reuses; built on main's first call, never at import.
-_parser: argparse.ArgumentParser | None = None
+class _Usage(Exception):
+    """Raised by ``_parse`` with (verb, message): a usage error, or a request
+    for help when message is None.  verb is None before a verb is read."""
+
+
+def _is_flag(tok: str) -> bool:
+    # a negative integer is a value, and so are '-' and '--' (end of options)
+    return tok[:1] == "-" and tok not in ("-", "--") and not tok[1:].isdecimal()
+
+
+def _value(verb, name, kind, choices, text):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise _Usage(verb, f"argument {name}: invalid int value: {text!r}") from None
+    if choices and value not in choices:
+        allowed = ", ".join(map(repr, choices))
+        raise _Usage(verb, f"argument {name}: invalid choice: {text!r} (choose from {allowed})")
+    return value
+
+
+def _parse(argv) -> types.SimpleNamespace:
+    """Walk argv against VERBS.  Accepts '--opt value', '--opt=value', a
+    unique prefix of a flag, a negative int as a value, options and the
+    positional in any order, and '--' before a positional; the last of a
+    repeated option wins.  Raises _Usage."""
+    verb = argv[0] if argv else None
+    if verb is None or _is_flag(verb):
+        if verb and any(h.startswith(verb) for h in _HELP):
+            raise _Usage(None, None)
+        raise _Usage(None, f"unrecognized arguments: {verb}" if verb else "the following arguments are required: verb")
+    if verb not in VERBS:
+        raise _Usage(None, f"argument verb: invalid choice: {verb!r} (choose from {', '.join(map(repr, VERBS))})")
+    _, positional, options, handler = VERBS[verb]
+    flags = {opt[0]: opt for opt in options}
+    names = (*flags, *_HELP)
+    args = {opt[1]: opt[4] for opt in options}
+    if positional:
+        args[positional[0]] = None
+    todo, took_positional, options_done = list(reversed(argv[1:])), False, False
+    while todo:
+        tok = todo.pop()
+        if tok == "--" and not options_done:
+            options_done = True
+        elif _is_flag(tok) and not options_done:
+            flag, eq, text = tok.partition("=")
+            found = [f for f in names if f == flag] or [f for f in names if f.startswith(flag)]
+            if len(found) != 1:
+                raise _Usage(verb, f"ambiguous option: {flag} could match {', '.join(found)}"
+                             if found else f"unrecognized arguments: {tok}")
+            if found[0] in _HELP:
+                raise _Usage(verb, None)
+            name, dest, kind, choices, _, _ = flags[found[0]]
+            if not eq:
+                if not todo or _is_flag(todo[-1]):
+                    raise _Usage(verb, f"argument {name}: expected one argument")
+                text = todo.pop()
+            args[dest] = _value(verb, name, kind, choices, text)
+        elif positional and not took_positional:
+            args[positional[0]] = _value(verb, positional[0], str, positional[1], tok)
+            took_positional = True
+        else:
+            raise _Usage(verb, f"unrecognized arguments: {tok}")
+    if positional and positional[2] and not took_positional:
+        raise _Usage(verb, f"the following arguments are required: {positional[0]}")
+    return types.SimpleNamespace(func=handler, **args)
+
+
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+
+
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return "usage: gksplit [-h] {" + ",".join(VERBS) + "} ..."
+    _, positional, options, _ = VERBS[verb]
+    words = ["usage: gksplit", verb, "[-h]"]
+    words += [f"[{flag} {_metavar(dest, choices)}]" for flag, dest, _, choices, _, _ in options]
+    if positional:
+        dest, choices, required, _ = positional
+        words.append(_metavar(dest, choices) if required else f"[{_metavar(dest, choices)}]")
+    return " ".join(words)
+
+
+def _help(verb: str | None) -> str:
+    if verb is None:
+        return "\n".join([
+            _usage(None), "",
+            "Prime graphs of finite simple groups, split-graph checks, compact forms, certificates.", "",
+            "verbs (gksplit VERB -h lists a verb's options):",
+            *(f"  {v:10}{spec[0]}" for v, spec in VERBS.items()), "",
+            "exit codes: 0 verified/split, 1 refuted (witness shown), 2 error, 3 factoring budget exhausted",
+        ])
+    text, positional, options, _ = VERBS[verb]
+    rows = [("-h, --help", "show this help message and exit")]
+    if positional:
+        dest, choices, _, about = positional
+        rows.insert(0, (dest.upper(), about + (": " + ", ".join(choices) if choices else "")))
+    for flag, dest, _, choices, default, about in options:
+        rows.append((f"{flag} {_metavar(dest, choices)}", about if default is None else f"{about} (default: {default})"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([_usage(verb), "", text, "", "arguments:", *(f"  {left:{width}}{right}" for left, right in rows)])
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:
+        verb, message = exc.args
+        if message is None:
+            print(_help(verb))
+            return 0
+        print(f"error: {message}\n{_usage(verb)}", file=sys.stderr)
+        return 2
     try:
         if getattr(args, "budget", 1) < 1:
             raise GKSplitError(f"--budget must be at least 1, got {args.budget}")
@@ -413,7 +504,7 @@ def main(argv=None) -> int:
         return 2
 
 
-#: programmatic entry point: run(argv) -> exit status, one parser per process
+#: programmatic entry point: run(argv) -> exit status; usage errors return 2
 run = main
 
 

@@ -524,9 +524,9 @@ def prop72_certificate(
     n = u*w over GF(p^3), for distinct odd primes u, w with n = -1 mod 3.
 
     The chain shows |R_n(q)| > 1 and |R_{n-1}(q)| > 1 (q = p^3) and that no
-    solvable subgroup joins the two classes.  Concrete member primes are
-    attached when factoring fits the budget; otherwise the certificate stays
-    symbolic.
+    solvable subgroup joins the two classes.  The least member of each class
+    is attached when ``numtheory.least_ppd`` finds it within the budget;
+    otherwise the certificate stays symbolic.
     """
     for x in (u, w, p):
         if not nt.is_prime(x):
@@ -569,8 +569,8 @@ def prop72_certificate(
     )
     context = {"u": u, "w": w, "p": p, "n": n, "q": q, "symbolic": True}
     try:
-        sample_n = min(nt.ppd_set(3 * n, p, budget))
-        sample_n1 = min(nt.ppd_set(3 * (n - 1), p, budget))
+        sample_n = nt.least_ppd(3 * n, p, budget)
+        sample_n1 = nt.least_ppd(3 * (n - 1), p, budget)
         context.update({"symbolic": False, "sample_r_n": sample_n, "sample_r_n_minus_1": sample_n1})
         steps.append(
             step(

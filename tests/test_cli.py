@@ -532,26 +532,120 @@ def test_python_dash_m_runs_the_cli():
     assert code == 0, err
 
 
-def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
-    # argparse wraps usage text to the terminal width; pin it for both sides
-    monkeypatch.setenv("COLUMNS", "80")
+def test_argument_parsing_imports_neither_argparse_nor_gettext():
+    # the verb table is walked by hand; -S keeps site's own imports out
+    src = str(Path(gksplit.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import gksplit.cli\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_in_process_answers_like_a_fresh_process(capsys):
     sequence = [
         ["split", "--group", "Alt(7)", "--format", "json"],
         ["split", "--group", "Alt(7)"],
+        ["split", "--form=json", "--gr", "Alt(7)"],
         ["compact", "--graph", "solvable"],
         ["verify", "theorem-d"],
+        ["verify", "--max-n", "-5", "theorem-a"],
         ["split", "--group", "Alt(5)", "--budget", "0"],
+        ["split", "--group", "Alt(5)", "--budget", "-1"],
         ["sporadic", "M11"],
+        ["sporadic", "--format", "json", "--format", "table", "--", "M11"],
         ["split", "--group", "Alt(7)", "--format", "xml"],
+        ["split", "--g", "Alt(7)"],
+        ["split", "--group"],
+        ["split", "--colour", "red"],
+        ["verify", "theorem-a", "--max-n", "ten"],
+        ["sporadic", "Ly", "M22"],
+        ["witness"],
+        ["bogus"],
+        [],
+        ["-h"],
+        ["verify", "-h"],
     ]
-    parsers = set()
     for argv in sequence:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
         out, err = capsys.readouterr()
-        parsers.add(id(cli._parser))
         assert (code, out, err) == _fresh_process(argv), argv
-    assert len(parsers) == 1
-    assert cli.build_parser() is not cli.build_parser()
+
+
+def _option_cases():
+    """(verb, option, argv prefix) for every option of every verb in the table."""
+    for verb, (_, positional, options, _) in cli.VERBS.items():
+        head = [verb] + ([positional[1][0]] if positional and positional[2] else [])
+        for option in options:
+            yield pytest.param(verb, option, head, id=f"{verb} {option[0]}")
+
+
+@pytest.mark.parametrize("verb, option, head", list(_option_cases()))
+def test_every_option_takes_every_spelling(verb, option, head):
+    flag, dest, kind, choices, default, _ = option
+    first, text = (choices[0], choices[-1]) if choices else ("7", "-5" if kind is int else "-")
+    names = [o[0] for o in cli.VERBS[verb][2]] + ["--help"]
+    prefix = next(flag[:k] for k in range(3, len(flag) + 1) if [n for n in names if n.startswith(flag[:k])] == [flag])
+    assert getattr(cli._parse(head), dest) == default
+    spellings = [[flag, text], [f"{flag}={text}"], [prefix, text], [f"{prefix}={text}"], [flag, first, flag, text]]
+    for spelling in spellings:
+        args = cli._parse(head + spelling)
+        assert getattr(args, dest) == kind(text), spelling
+        assert args.func is cli.VERBS[verb][3]
+        if len(head) > 1:  # options may also come before the positional
+            assert getattr(cli._parse([verb] + spelling + head[1:]), dest) == kind(text)
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_verb_help_lists_every_option(verb, capsys):
+    assert cli.main([verb, "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith(f"usage: gksplit {verb} [-h]")
+    for flag, *_ in cli.VERBS[verb][2]:
+        assert f"\n  {flag} " in out, flag
+    assert cli.main(["--help"]) == 0
+    assert f"\n  {verb} " in capsys.readouterr().out
+
+
+def test_sporadic_name_is_optional():
+    assert cli._parse(["sporadic"]).name is None
+    assert cli._parse(["sporadic", "Ly"]).name == "Ly"
+    assert cli._parse(["sporadic", "--", "-x"]).name == "-x"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: verb"),
+        (["bogus"], "argument verb: invalid choice: 'bogus'"),
+        (["--colour"], "unrecognized arguments: --colour"),
+        (["split", "--colour", "red"], "unrecognized arguments: --colour"),
+        (["split", "-g", "M22"], "unrecognized arguments: -g"),
+        (["split", "--g", "M22"], "ambiguous option: --g could match --group, --graph"),
+        (["split", "--group"], "argument --group: expected one argument"),
+        (["split", "--out", "--format", "json"], "argument --out: expected one argument"),
+        (["verify", "theorem-a", "--max-n", "ten"], "argument --max-n: invalid int value: 'ten'"),
+        (["witness", "prop71", "--n=1.5"], "argument --n: invalid int value: '1.5'"),
+        (["split", "--group", "Alt(7)", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["sporadic", "--format", "dot"], "argument --format: invalid choice: 'dot'"),
+        (["verify", "theorem-e"], "argument which: invalid choice: 'theorem-e'"),
+        (["witness", "--n", "13"], "the following arguments are required: which"),
+        (["sporadic", "Ly", "M22"], "unrecognized arguments: M22"),
+        (["split", "Alt(7)"], "unrecognized arguments: Alt(7)"),
+    ],
+    ids=[
+        "no-verb", "unknown-verb", "option-before-verb", "unknown-option", "unknown-short-option",
+        "ambiguous-prefix", "missing-value", "option-as-value", "bad-int", "float-as-int",
+        "bad-choice", "format-the-verb-lacks", "bad-positional-choice", "missing-positional",
+        "extra-positional", "positional-the-verb-lacks",
+    ],
+)
+def test_usage_error_exits_2(argv, message, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    verb = argv[0] if argv and argv[0] in cli.VERBS else None
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert err.splitlines()[1] == cli._usage(verb) and err.count("\n") == 2

@@ -394,6 +394,14 @@ class TestProp72:
         assert cert.context["q"] == 27
         assert not recheck(cert)
 
+    def test_5_13_5_concrete_without_factoring(self):
+        # Phi_195(5) and Phi_192(5) are not factored: the least members are found
+        # by the trial scan
+        cert = gkbuild.prop72_certificate(5, 13, 5)
+        assert cert.context["symbolic"] is False
+        assert (cert.context["sample_r_n"], cert.context["sample_r_n_minus_1"]) == (14821, 193)
+        assert not recheck(cert)
+
     def test_symbolic_under_tiny_budget(self):
         cert = gkbuild.prop72_certificate(5, 7, 2, budget=10)
         assert cert.context["symbolic"] is True

@@ -86,7 +86,6 @@ class TestFactor:
             "import gksplit.cli, gksplit.numtheory as nt\n"
             "assert nt._trial_table == (1, []), nt._trial_table[0]\n"
             "assert nt._prime_table == (1, []), nt._prime_table[0]\n"
-            "assert gksplit.cli._parser is None\n"
             "nt.factor(10**6 + 3)\n"
             "assert nt._trial_table[0] < nt._TRIAL_BOUND, nt._trial_table[0]\n"
         )
