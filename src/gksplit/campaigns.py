@@ -136,15 +136,16 @@ def theorem_d(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
     return good, lines
 
 
-def zsigmondy(max_base: int = 20, budget: int = nt.DEFAULT_BUDGET):
+def zsigmondy(max_base: int = 20):
     """R_i(base) is empty exactly at the Bang-Zsigmondy exceptions, for
-    2 <= |base| <= max_base and i <= 12."""
+    2 <= |base| <= max_base and i <= 12; emptiness is read off Phi_i(base)
+    without factoring it (``numtheory.has_ppd``)."""
     lines = []
     ok = True
     bases = list(range(2, max_base + 1)) + list(range(-2, -max_base - 1, -1))
     for base in bases:
         for i in range(1, 13):
-            empty = not nt.ppd_set(i, base, budget)
+            empty = not nt.has_ppd(i, base)
             expected = nt.is_zsigmondy_exception(i, base)
             good = empty == expected
             ok &= good

@@ -309,7 +309,7 @@ def _cmd_verify(args) -> int:
             raise GKSplitError("verify theorem-d needs --group")
         ok, lines = campaigns.theorem_d(parse_descriptor(args.group), args.budget)
     elif which == "zsigmondy":
-        ok, lines = campaigns.zsigmondy(*sweep, budget=args.budget)
+        ok, lines = campaigns.zsigmondy(*sweep)
     else:
         ok, lines = campaigns.spectrum(args.budget)
     _emit("\n".join(lines), args.out)
@@ -360,7 +360,8 @@ VERBS = {
             ("--max-n", "max_n", int, None, None, "sweep bound (theorem-a degree / zsigmondy base)"),
             ("--group", "group", str, None, None, "group descriptor (theorem-d)"),
             _OUT,
-            _BUDGET,
+            ("--budget", "budget", int, None, nt.DEFAULT_BUDGET,
+             "factoring effort budget (theorem-c, theorem-d, spectrum; the others factor nothing)"),
         ),
         _cmd_verify,
     ),

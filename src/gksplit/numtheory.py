@@ -2,9 +2,11 @@
 
 Everything here is elementary and deterministic: factorization by batched
 trial division (a gcd with the product of each block of small primes) plus a
-Floyd-cycle Pollard-rho second stage, under an explicit effort budget, with
-one bounded memo per process; Miller-Rabin primality (a proof for inputs
-below 3.317e24, a fixed-base strong-probable-prime test above);
+Brent-cycle Pollard-rho second stage on x^s + c, under an explicit effort
+budget (one unit per prime trial division covers, one per four modular
+multiplications of rho), with one bounded memo per process; Miller-Rabin
+primality (a proof for inputs below 3.317e24, a fixed-base
+strong-probable-prime test above);
 multiplicative orders; primitive prime divisors R_i(n) with the
 Bang-Zsigmondy exception list; and pi-parts.
 
@@ -18,7 +20,10 @@ piece by piece: with the sign folded in and |n| = b^k for b not a perfect
 power, |Phi_i(n)| is a product of values Phi_j(b), each much smaller than
 the whole (Phi_61(4) = Phi_61(2) Phi_122(2) is a product of two primes of
 61 and 60 bits, which neither trial division nor the rho budget splits as
-one integer).  Both steps need only the primes of i: Phi_i(n) is the
+one integer).  Each piece's rho iterates x^s + c with s = lcm(j, 2), since a
+prime factor p of Phi_j(b) that does not divide j is 1 mod s, so x^s takes
+only about (p - 1) / s values modulo p (Brent and Pollard, Math. Comp. 36,
+1981).  Both steps need only the primes of i: Phi_i(n) is the
 Moebius product over the squarefree divisors of i, and a prime divisor r of
 Phi_i(n) lies in R_i(n) iff n^(i/p) != 1 (mod r) for each prime p | i, so no
 r - 1 is factored (``raw_order`` still does, for the certificate re-checker).
@@ -41,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
@@ -50,12 +55,13 @@ from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, Precondit
 #: primitive prime divisor (Bang 1886 / Zsigmondy 1892).
 ZSIGMONDY_EXCEPTIONS = frozenset({(2, 1), (2, 6), (-2, 2), (-2, 3), (3, 1), (-3, 2)})
 
-#: Default effort budget: counts the primes trial division covers plus rho
-#: iterations.
+#: Default effort budget: counts the primes trial division covers plus rho's
+#: modular multiplications, four to a unit (one step of a Floyd loop on
+#: x^2 + c, so the scale is that of a budget counted in such steps).
 DEFAULT_BUDGET = 2_000_000
 
-#: Rho steps per gcd: the differences of one block are multiplied modulo n
-#: and tested with a single gcd.
+#: Rho evaluations per gcd: the differences of one block are multiplied
+#: modulo n and tested with a single gcd.
 _RHO_BLOCK = 64
 
 _TRIAL_BOUND = 100_000
@@ -219,72 +225,94 @@ def _block_cost(block: tuple[int, ...], limit: int) -> int:
     return len(block) if block[-1] <= limit else bisect_right(block, limit)
 
 
-def _rho_factor(n: int, budget: _Budget) -> int | None:
-    """Floyd-cycle Pollard rho with a deterministic parameter sweep; None on budget.
+def _rho_factor(n: int, budget: _Budget, s: int) -> int | None:
+    """Brent-cycle Pollard rho on x^s + c with a deterministic c sweep; None on budget.
 
-    Each step costs one budget unit.  The differences x - y of a block of up
-    to _RHO_BLOCK steps are multiplied modulo n and tested with one gcd; a
-    block whose gcd exceeds 1 is replayed step by step, so the divisor found
-    is the one a gcd after every step finds first, and the units of the steps
-    after it are refunded.  The result and the budget left are those of the
-    step-by-step loop, also when the budget runs out inside a block.
+    Brent's cycle detection (BIT 20, 1980) with Brent and Pollard's
+    exponent (Math. Comp. 36, 1981).
+
+    For each c in 1..63 the iterates y_k of y -> y^s + c (mod n) from y_0 = 2
+    run in stretches of 1, 2, 4, ... evaluations, each compared with the
+    iterate x that ends the stretch before it, until gcd(x - y_k, n) > 1; a
+    gcd of n moves on to the next c.  s is a hint: a divisor is found by a
+    gcd whatever s is, and s = lcm(j, 2) suits a value of Phi_j, whose prime
+    factors p not dividing j are 1 mod s, so that y^s takes only about
+    (p - 1) / s values modulo p.
+
+    The budget pays for modular multiplications, four per unit: an
+    evaluation and its product cost s.bit_length() + s.bit_count() - 1 of
+    them.  The differences x - y of up to _RHO_BLOCK evaluations are
+    multiplied modulo n and tested with one gcd; a block whose gcd exceeds 1
+    is replayed step by step, so the divisor found is the one a gcd after
+    every evaluation finds first, and the evaluations after it are refunded.
+    The result and the budget left are those of that step-by-step loop, also
+    when the budget runs out inside a block.
     """
     if n % 2 == 0:
         return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            block = min(_RHO_BLOCK, budget.remaining)
-            if block <= 0:
-                budget.remaining -= 1  # the step the budget cannot pay for
-                return None
-            budget.remaining -= block
-            x0, y0, acc = x, y, 1
-            for _ in range(block):
-                x = (x * x + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-                acc = acc * (x - y) % n
-            if gcd(acc, n) == 1:
-                continue
-            # some difference of the block shares a factor with n: find the first
-            x, y = x0, y0
-            for used in range(1, block + 1):
-                x = (x * x + c) % n
-                y = (y * y + c) % n
-                y = (y * y + c) % n
-                d = gcd(abs(x - y), n)
-                if d != 1:
+    cost = s.bit_length() + s.bit_count() - 1
+    work = 4 * budget.remaining
+    try:
+        for c in range(1, 64):
+            y, stretch, d = 2, 1, 1
+            while d == 1:
+                x, left = y, stretch
+                stretch *= 2
+                while left:
+                    block = min(_RHO_BLOCK, left, work // cost)
+                    if block <= 0:
+                        work -= cost  # the evaluation the budget cannot pay for
+                        return None
+                    work -= block * cost
+                    left -= block
+                    y0, acc = y, 1
+                    for _ in range(block):
+                        y = (pow(y, s, n) + c) % n
+                        acc = acc * (x - y) % n
+                    if gcd(acc, n) == 1:
+                        continue
+                    # some difference of the block shares a factor with n: find the first
+                    y = y0
+                    for used in range(1, block + 1):
+                        y = (pow(y, s, n) + c) % n
+                        d = gcd(x - y, n)
+                        if d != 1:
+                            break
+                    work += (block - used) * cost
                     break
-            budget.remaining += block - used
-        if d != n:
-            return d
-    return None
+            if d != n:
+                return d
+        return None
+    finally:
+        budget.remaining = work // 4
 
 
-def factor(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+def factor(n: int, budget: int = DEFAULT_BUDGET, s: int = 2) -> Factorization:
     """Complete factorization of n >= 1.
 
     Trial division by the primes up to min(trial bound, sqrt(n)), one gcd per
-    block of them, then Pollard rho on whatever is left, all under one effort
-    budget: each prime trial division covers and each rho step costs one
-    unit.  Raises BudgetExceeded (carrying the partial factorization found so
-    far) rather than running unboundedly.
+    block of them, then Pollard rho on x^s + c on whatever is left, all under
+    one effort budget: each prime trial division covers costs one unit, and
+    rho pays one unit per four modular multiplications.  The even exponent s
+    is a hint only (lcm(j, 2) for a value of Phi_j, see _rho_factor): every s
+    gives the same factorization, but not the same work.  Raises
+    BudgetExceeded (carrying the partial factorization found so far) rather
+    than running unboundedly.
 
-    Results are memoized per process on (n, budget), the _FACTOR_MEMO_SIZE
-    most recently used of them, so factor(n) and factor(n, DEFAULT_BUDGET)
-    return one shared Factorization.  A budget exhaustion is never memoized:
-    each call that runs out of budget redoes the work and raises afresh.
+    Results are memoized per process on (n, budget, s), the
+    _FACTOR_MEMO_SIZE most recently used of them, so factor(n) and
+    factor(n, DEFAULT_BUDGET) return one shared Factorization.  A budget
+    exhaustion is never memoized: each call that runs out of budget redoes
+    the work and raises afresh.
     """
-    return _factor(n, budget)
+    return _factor(n, budget, s)
 
 
 _FACTOR_MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=_FACTOR_MEMO_SIZE)
-def _factor(n: int, budget: int) -> Factorization:
+def _factor(n: int, budget: int, s: int) -> Factorization:
     """The work behind factor; lru_cache keeps what it returns, not what it raises."""
     if n < 1:
         raise PreconditionViolated(f"factor() needs n >= 1, got {n}")
@@ -330,7 +358,7 @@ def _factor(n: int, budget: int) -> Factorization:
         if isqrt(m) <= limit or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        piece = _rho_factor(m, meter)
+        piece = _rho_factor(m, meter, s)
         if piece is None or piece == m:
             raise fail()
         stack.append(piece)
@@ -462,7 +490,10 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     Candidate primes are the divisors of Phi_i(n), which keeps the integers to
     factor small.  When |n| = b^k is a perfect power, Phi_i(n) is factored as
     its cyclotomic pieces Phi_j(b) (see _cyclotomic_split), each on its own
-    and under its own budget.  An odd candidate r has order exactly i iff
+    and under its own budget.  Each piece's rho iterates x^s + c with
+    s = lcm(j, 2), as a prime factor of Phi_j(b) not dividing j is 1 mod s;
+    s goes with the integer, so Phi_j(b) is one memo entry of factor whatever
+    (i, n) it is a piece of.  An odd candidate r has order exactly i iff
     n^i = 1 (mod r) and n^(i/p) != 1 (mod r) for every prime p | i, which
     takes the primes of i alone and factors no r - 1.  The prime 2 is
     assigned to R_1 or R_2 by the e(2, n) convention.
@@ -474,16 +505,37 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     if value > 1:
         b, js = _cyclotomic_split(i, n)
         # a split into one piece (always so when |n| is no perfect power) is
-        # |Phi_i(n)| itself
+        # |Phi_i(n)| itself; each piece goes with its rho exponent
         pieces = [value] if len(js) == 1 else [cyclotomic_value(j, b) for j in js]
         if prod(pieces) != value:
             raise InternalInconsistency(f"cyclotomic pieces {pieces} do not multiply to |Phi_{i}({n})|")
-        candidates = frozenset().union(*(prime_set(piece, budget) for piece in pieces))
+        factored = (factor(piece, budget, lcm(j, 2)) for piece, j in zip(pieces, js))
+        candidates = frozenset().union(*(f.prime_set for f in factored))
         cofactors = _cofactors(i)
         out.update(r for r in candidates if _odd_ppd(r, n, i, cofactors))
     if _two_is_ppd(i, n):
         out.add(2)
     return frozenset(out)
+
+
+def has_ppd(i: int, n: int) -> bool:
+    """Whether R_i(n) is nonempty, without factoring Phi_i(n).
+
+    An odd prime r that divides Phi_i(n) but not i has order exactly i
+    modulo n (and r does not divide n, as Phi_i(0) = +-1), while every odd
+    member of R_i(n) divides Phi_i(n).  So R_i(n) is nonempty iff 2 lies in
+    it or |Phi_i(n)| is still above 1 once 2 and the primes of i are divided
+    out of it.
+    """
+    if i < 1 or abs(n) <= 1:
+        raise PreconditionViolated(f"has_ppd needs i >= 1 and |n| > 1")
+    if _two_is_ppd(i, n):
+        return True
+    value = abs(cyclotomic_value(i, n))
+    for p in (2, *(p for p, _ in factor(i).factors)):
+        while value % p == 0:
+            value //= p
+    return value > 1
 
 
 def _cofactors(i: int) -> list[int]:

@@ -172,26 +172,37 @@ def cyclotomic_by_division(i, n):
     return values[i]
 
 
-def floyd_rho(n, budget):
-    """Floyd-cycle Pollard rho with one gcd per step, the reference for the
-    batched rho: the same iterates, c sweep and one budget unit per step.
-    budget has spend(), which charges one unit and says whether it was paid
-    for; returns a divisor of n other than 1 and n, or None."""
+def brent_rho(n, budget, s=2):
+    """Brent-cycle Pollard rho on x^s + c with one gcd per evaluation, the
+    reference for the batched rho: the same iterates, c sweep and charge.
+    budget.remaining counts units of four modular multiplications, and an
+    evaluation with its product costs s.bit_length() + s.bit_count() - 1 of
+    them; what is left is written back in whole units, negative once an
+    evaluation went unpaid.  Returns a divisor of n other than 1 and n, or
+    None."""
     if n % 2 == 0:
         return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            if not budget.spend():
-                return None
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    return None
+    cost = s.bit_length() + s.bit_count() - 1
+    work = 4 * budget.remaining
+    try:
+        for c in range(1, 64):
+            y, run, d = 2, 1, 1
+            while d == 1:
+                x = y
+                for _ in range(run):
+                    work -= cost
+                    if work < 0:
+                        return None
+                    y = (pow(y, s, n) + c) % n
+                    d = gcd(x - y, n)
+                    if d != 1:
+                        break
+                run *= 2
+            if d != n:
+                return d
+        return None
+    finally:
+        budget.remaining = work // 4
 
 
 def altsym_edges(kind, n):

@@ -194,6 +194,14 @@ class TestVerifyCommands:
         code = cli.main(["verify", "zsigmondy", "--max-n", "8"])
         assert code == 0
 
+    def test_zsigmondy_ignores_budget(self, capsys):
+        # emptiness of R_i(base) is decided without factoring, so even the
+        # smallest budget neither runs out nor changes a line
+        assert cli.main(["verify", "zsigmondy", "--max-n", "30"]) == 0
+        out = capsys.readouterr().out
+        assert cli.main(["verify", "zsigmondy", "--max-n", "30", "--budget", "1"]) == 0
+        assert capsys.readouterr().out == out
+
     def test_spectrum(self, capsys):
         code = cli.main(["verify", "spectrum"])
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -405,6 +406,24 @@ class TestSerialization:
             [(ClassLabel("R4", (5,)), 3)],
         )
         assert Graph.from_json(g.to_json()) == g
+
+    @pytest.mark.parametrize(
+        "edges, error, text",
+        [
+            ([[1, 1]], LoopEdge, "loop at 1"),
+            ([[1, 2], [1, 3]], UnknownVertex, "edge endpoint 3 is not a vertex"),
+            ([[1, {"class": {"name": "R"}}]], UnknownVertex, "edge endpoint ClassLabel('R') is not a vertex"),
+            ([[True, 2]], MalformedInput, "cannot decode vertex label True"),
+            ([[1.0, 2]], MalformedInput, "cannot decode vertex label 1.0"),
+            ([[[1], 2]], MalformedInput, "cannot decode vertex label [1]"),
+            ([[1, 2, 3]], MalformedInput, "too many values to unpack"),
+            ([[1, 3], [2, True]], MalformedInput, "cannot decode vertex label True"),
+        ],
+        ids=["loop", "unknown-int", "unknown-class", "bool", "float", "list", "triple", "decoded-before-checked"],
+    )
+    def test_int_document_errors(self, edges, error, text):
+        with pytest.raises(error, match=re.escape(text)):
+            Graph.from_json(json.dumps({"vertices": [1, 2], "edges": edges}))
 
     def test_schema_field(self):
         doc = json.loads(complete(2).to_json())

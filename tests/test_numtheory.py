@@ -1,8 +1,9 @@
+import collections
 import os
 import random
 import subprocess
 import sys
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,12 @@ from gksplit import numtheory as nt
 from gksplit.errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
 from oracles import (
+    brent_rho,
     brute_factor,
     brute_order,
     brute_ppd,
     brute_primes,
     cyclotomic_by_division,
-    floyd_rho,
     pow_ppd,
 )
 
@@ -298,6 +299,29 @@ class TestPpd:
         # factoring of the product fits the default budget
         assert nt.ppd_set(61, 4) == {768614336404564651, 2305843009213693951}
 
+    def test_hard_cofactors_at_the_default_budget(self):
+        # each piece's rho iterates x^s + c with s = 74, 78 and 74
+        assert nt.ppd_set(37, -28) == {1004690609843, 12034188740195053379860324023109474023287}
+        assert nt.ppd_set(39, -17) == {1249, 1837708051687, 12042786858259}
+        assert nt.ppd_set(37, -12) == {5250079, 4150805645839, 30023720899326796981}
+
+    def test_has_ppd_matches_ppd_set(self):
+        # 10,000 units pay for trial division to 10^5 (9,592 primes), so a
+        # factoring that runs out of budget has a cofactor above 10^5 left:
+        # odd primes that divide Phi_i(n) but not i <= 40, members of R_i(n)
+        exact = 0
+        for n in (*range(2, 61), *range(-60, -1)):
+            for i in range(1, 41):
+                try:
+                    want = bool(nt.ppd_set(i, n, 10_000))
+                    exact += 1
+                except BudgetExceeded:
+                    want = True
+                assert nt.has_ppd(i, n) == want, (i, n)
+        assert exact > 3000
+        with pytest.raises(PreconditionViolated):
+            nt.has_ppd(0, 2)
+
     @given(st.integers(1, 60), st.sampled_from((2, 3, 5, 6, 7, 10, 12)), st.integers(1, 6), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_cyclotomic_pieces_multiply(self, i, b, k, negative):
@@ -395,27 +419,31 @@ def _semiprimes(seed, count, bits):
 
 
 class TestRho:
-    """The batched rho against the per-step Floyd loop in the oracles."""
+    """The batched rho against the per-step Brent loop in the oracles."""
 
     @staticmethod
-    def _both(n, budget):
+    def _both(n, budget, s=2):
         fast, slow = nt._Budget(budget), nt._Budget(budget)
-        return (nt._rho_factor(n, fast), fast.remaining), (floyd_rho(n, slow), slow.remaining)
+        return (nt._rho_factor(n, fast, s), fast.remaining), (brent_rho(n, slow, s), slow.remaining)
 
     def test_same_divisor_and_budget_left(self):
         # small semiprimes include x = y (mod n) collisions, where the c sweep moves on
         for n in _semiprimes(1, 40, 24) + _semiprimes(2, 200, 8) + [9, 15, 21, 25, 49, 10403, 2**2 * 3]:
-            fast, slow = self._both(n, nt.DEFAULT_BUDGET)
-            assert fast == slow, n
+            for s in (2, 4, 6, 22, 202):
+                fast, slow = self._both(n, nt.DEFAULT_BUDGET, s)
+                assert fast == slow, (n, s)
 
     def test_budget_ending_mid_block(self):
+        # a block of 64 evaluations costs 32 units at s = 2 and 64 at s = 6
         for n in _semiprimes(3, 12, 22) + [11 * 13, 101 * 103]:
-            _, (_, left) = self._both(n, nt.DEFAULT_BUDGET)
-            used = nt.DEFAULT_BUDGET - left
-            for budget in {0, 1, used - 65, used - 64, used - 63, used - 1, used, used + 1, used + 63, used // 2}:
-                if budget >= 0:
-                    fast, slow = self._both(n, budget)
-                    assert fast == slow, (n, budget)
+            for s in (2, 6):
+                _, (_, left) = self._both(n, nt.DEFAULT_BUDGET, s)
+                used = nt.DEFAULT_BUDGET - left
+                probes = {0, 1, used // 2} | {used + k for k in (-65, -64, -63, -33, -32, -31, -1, 0, 1, 63, 64, 65)}
+                for budget in probes:
+                    if budget >= 0:
+                        fast, slow = self._both(n, budget, s)
+                        assert fast == slow, (n, s, budget)
 
     def test_budget_runs_out_on_a_prime(self):
         # a prime has no proper divisor: every c runs until the budget is gone
@@ -424,18 +452,18 @@ class TestRho:
             assert fast == slow == (None, -1), budget
 
     def test_factor_partials_match_per_step_rho(self, monkeypatch):
-        cases = [(n, b) for n in _semiprimes(4, 8, 28) for b in (300, 2_000, 5_000, 20_000)]
-        cases += [(2 * 3 * (10**9 + 7) * (10**9 + 9), b) for b in (5, 400, 70_000)]
+        cases = [(n, b, s) for n in _semiprimes(4, 8, 28) for b in (300, 2_000, 5_000, 20_000) for s in (2, 6)]
+        cases += [(2 * 3 * (10**9 + 7) * (10**9 + 9), b, 2) for b in (5, 400, 70_000)]
 
-        def outcome(n, budget):
+        def outcome(n, budget, s):
             try:
-                return nt.factor(n, budget).factors
+                return nt.factor(n, budget, s).factors
             except BudgetExceeded as exc:
                 return ("partial", exc.partial.factors)
 
-        fast = [outcome(n, b) for n, b in cases]
-        monkeypatch.setattr(nt, "_rho_factor", floyd_rho)
-        assert fast == [outcome(n, b) for n, b in cases]
+        fast = [outcome(*case) for case in cases]
+        monkeypatch.setattr(nt, "_rho_factor", brent_rho)
+        assert fast == [outcome(*case) for case in cases]
         assert any(r[0] == "partial" for r in fast) and any(r[0] != "partial" for r in fast)
 
     def test_factor_matches_per_step_rho_from_a_cold_memo(self, monkeypatch):
@@ -454,9 +482,22 @@ class TestRho:
             return out
 
         fast = outcomes()
-        monkeypatch.setattr(nt, "_rho_factor", floyd_rho)
+        monkeypatch.setattr(nt, "_rho_factor", brent_rho)
         assert fast == outcomes()
         assert any(r[0] == "partial" for r in fast) and any(r[0] != "partial" for r in fast)
+
+    @given(st.integers(1, 40), st.integers(10**5, 2**26), st.integers(10**5, 2**26), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_exponent_is_a_hint_only(self, j, lo, hi, k):
+        # two primes above the trial bound that are 1 mod lcm(j, 2), as the
+        # prime factors of Phi_j(b) not dividing j are: the same factorization
+        # whether rho iterates x^2 + c, x^lcm(j, 2) + c or x^(2k) + c
+        m = lcm(j, 2)
+        p, q = (next(r for r in range(x - x % m + 1, 2 * x, m) if nt.is_prime(r)) for x in (lo, hi))
+        n = p * q
+        want = tuple(sorted(collections.Counter((p, q)).items()))
+        for s in (2, m, 2 * k):
+            assert nt.factor(n, nt.DEFAULT_BUDGET, s).factors == want, s
 
 
 class TestPrimality:
