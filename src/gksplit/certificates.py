@@ -23,11 +23,12 @@ Justification tags
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import NamedTuple
 
 from . import numtheory as nt
-from .errors import MalformedInput
-from .graph import ForbiddenWitness, decode_label, encode_label
+from .errors import MalformedInput, PreconditionViolated
+from .graph import ForbiddenWitness, decode_label, encode_label, json_typed, load_document
 from .splitcheck import SplitPartition, partition_doc
 
 _SCHEMA = "gksplit/certificate/1"
@@ -115,8 +116,8 @@ def assume(claim: str, tag: str) -> CertStep:
 
 # ---------------------------------------------------------------------------
 # The independent re-checker.  It dispatches on the closed operation language
-# below and consults only the number theory module, so an audit of a
-# serialized certificate does not trust any of the construction code.
+# below and consults only the number theory module and gcd, so an audit of
+# a serialized certificate does not trust any of the construction code.
 # ---------------------------------------------------------------------------
 
 _RELS = {
@@ -151,15 +152,28 @@ def _check_one(check: dict) -> bool:
     if op == "zsigmondy_empty":
         return nt.is_zsigmondy_exception(check["index"], check["base"])
     if op == "pi_not_subset":
-        # pi(a) not contained in pi(b)
-        return not nt.prime_set(check["a"]) <= nt.prime_set(check["b"])
+        # pi(a) not contained in pi(b): a keeps a prime once b's are divided out
+        return _strip_primes(check["a"], check["b"]) > 1
     if op == "pi_part_eq":
-        return nt.pi_part(check["a"], nt.prime_set(check["pi_of"])) == check["equals"]
+        a = check["a"]
+        return a // _strip_primes(a, check["pi_of"]) == check["equals"]
     if op == "in_interval":
         return check["lo"] < check["x"] <= check["hi"]
     if op == "primitive_root":
         return nt.is_primitive_root(check["p"], check["mod"])
     raise ValueError(f"unknown check operation {op!r}")
+
+
+def _strip_primes(a: int, b: int) -> int:
+    """a divided by (a)_pi(b), its largest divisor made of primes of b.
+
+    Repeated gcds divide b's primes out of a with no factoring, so a true
+    step about a hard semiprime never runs out of budget."""
+    if a < 1 or b < 1:
+        raise PreconditionViolated(f"pi steps need operands of at least 1, got {a} and {b}")
+    while (g := gcd(a, b)) > 1:
+        a //= g
+    return a
 
 
 def recheck(cert: Certificate) -> list[str]:
@@ -179,27 +193,44 @@ def recheck(cert: Certificate) -> list[str]:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate of a ``Certificate.to_json`` document; MalformedInput
+    for anything else.  Kind, claims, tags and the witness kind are strings,
+    special is true or false, and a check is null or an object with an op,
+    whose op and rel are strings and whose other operands JSON integers."""
+    doc = load_document(text, "certificate")
     try:
-        doc = json.loads(text)
-        steps = tuple(
-            CertStep(s["claim"], s["tag"], s.get("check")) for s in doc["steps"]
-        )
+        steps = tuple(_step_from_json(s) for s in json_typed(doc["steps"], list, "certificate steps"))
         partition = None
         if "partition" in doc:
             block = doc["partition"]
             partition = SplitPartition(
-                frozenset(decode_label(v) for v in block["clique"]),
-                frozenset(decode_label(v) for v in block["independent"]),
-                block.get("special", False),
+                frozenset(_labels(block, "clique")),
+                frozenset(_labels(block, "independent")),
+                json_typed(block.get("special", False), bool, "partition special"),
             )
         witness = None
         if "witness" in doc:
             block = doc["witness"]
-            witness = ForbiddenWitness(
-                block["kind"], tuple(decode_label(v) for v in block["vertices"])
-            )
-        return Certificate(doc["kind"], steps, partition, witness, doc.get("context", {}))
+            kind = json_typed(block["kind"], str, "witness kind")
+            witness = ForbiddenWitness(kind, tuple(_labels(block, "vertices")))
+        context = json_typed(doc.get("context", {}), dict, "certificate context")
+        return Certificate(json_typed(doc["kind"], str, "certificate kind"), steps, partition, witness, context)
     except KeyError as exc:
         raise MalformedInput(f"certificate document lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise MalformedInput(f"malformed certificate document: {exc}") from None
+
+
+def _step_from_json(s) -> CertStep:
+    claim, tag = json_typed(s["claim"], str, "step claim"), json_typed(s["tag"], str, "step tag")
+    check = s.get("check")
+    if check is not None:
+        if "op" not in json_typed(check, dict, "step check"):
+            raise MalformedInput("step check lacks field 'op'")
+        for key, value in check.items():
+            json_typed(value, str if key in ("op", "rel") else int, f"check operand {key!r}")
+    return CertStep(claim, tag, check)
+
+
+def _labels(block, key) -> list:
+    return [decode_label(v) for v in json_typed(block[key], list, key)]

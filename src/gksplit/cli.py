@@ -81,29 +81,6 @@ def _read_text(path: str) -> str:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _load_spectrum_file(path: str) -> tuple[groups.GroupDescriptor, Graph]:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-        group, mu = str(doc["group"]), list(doc["mu"])
-    except KeyError as exc:
-        raise MalformedInput(f"spectrum document lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"malformed spectrum document: {exc}") from None
-    for x in mu:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise MalformedInput(f"spectrum element orders must be JSON integers, got {json.dumps(x)}")
-    if any(m < 1 for m in mu):
-        raise MalformedInput(f"spectrum element orders must be positive, got {sorted(mu)}")
-    d = parse_descriptor(group)
-    data = groups.SpectrumData(d, groups.maximal_elements(mu))
-    if not groups.spectrum_covers(data):
-        raise GKSplitError(
-            f"spectrum primes do not cover the prime spectrum of {d}"
-        )
-    return d, groups.gk_from_spectrum(data)
-
-
 def _acquire_graph(args) -> tuple[Graph, str]:
     sources = [bool(args.group), bool(args.spectrum), bool(args.infile)]
     if sum(sources) != 1:
@@ -120,8 +97,8 @@ def _acquire_graph(args) -> tuple[Graph, str]:
     if args.infile:
         g, title = Graph.from_json(_read_text(args.infile)), args.infile
     else:
-        d, g = _load_spectrum_file(args.spectrum)
-        title = f"spectrum of {d}"
+        data = groups.spectrum_from_json(_read_text(args.spectrum))
+        g, title = groups.gk_from_spectrum(data), f"spectrum of {data.group}"
     if args.graph == "compact":
         g = g.compact_form().quotient
     return g, title

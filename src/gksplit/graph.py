@@ -17,6 +17,7 @@ edge list and neighbour sets are derived from them on demand.
 from __future__ import annotations
 
 import json
+import reprlib
 from functools import reduce
 from itertools import compress, count
 from operator import and_, itemgetter, or_
@@ -343,14 +344,16 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
+        doc = load_document(text, "graph")
         try:
-            doc = json.loads(text)
             # An int label decodes to itself; everything else, bool included,
             # goes through decode_label.
-            vertices = [x if type(x) is int else decode_label(x) for x in doc["vertices"]]
+            vertices = [
+                x if type(x) is int else decode_label(x) for x in json_typed(doc["vertices"], list, "graph vertices")
+            ]
             edges = [
                 (u if type(u) is int else decode_label(u), v if type(v) is int else decode_label(v))
-                for u, v in doc["edges"]
+                for u, v in json_typed(doc["edges"], list, "graph edges")
             ]
         except KeyError as exc:
             raise MalformedInput(f"graph document lacks field {exc}") from None
@@ -664,18 +667,49 @@ def encode_label(label):
 def decode_label(obj):
     """Inverse of :func:`encode_label`; MalformedInput on anything else.
 
-    JSON true/false are not integer labels, although Python's bool is an int.
+    An integer label is a JSON integer, the rule of :func:`json_typed`,
+    tested inline because every label of a document passes through here.
+    A class has a string name and a list of JSON integer members.
     """
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    if type(obj) is int:
         return obj
     try:
         cls = obj["class"]
-        members = cls.get("members", ())
-        if any(isinstance(x, bool) for x in members):
-            raise ValueError("boolean class member")
-        return ClassLabel(str(cls["name"]), tuple(int(x) for x in members))
-    except (KeyError, TypeError, ValueError):
-        raise MalformedInput(f"cannot decode vertex label {obj!r}") from None
+        name, members = cls["name"], cls.get("members", [])
+    except (KeyError, TypeError):
+        raise MalformedInput(f"cannot decode vertex label {reprlib.repr(obj)}") from None
+    members = [json_typed(x, int, "class member") for x in json_typed(members, list, "class members")]
+    return ClassLabel(json_typed(name, str, "class name"), tuple(members))
+
+
+#: the JSON name of each Python type a document value may be required to have
+_JSON_KINDS = {int: "integer", str: "string", bool: "boolean", list: "list", dict: "object"}
+
+
+def load_document(text: str, what: str) -> dict:
+    """The JSON object of a graph, spectrum or certificate document (what
+    names which), the one place those are parsed.  Any failure of the
+    decoder, nesting too deep for it included, and a top level that is not
+    an object are MalformedInput."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise MalformedInput(f"malformed {what} document: nested too deeply") from None
+    except ValueError as exc:
+        raise MalformedInput(f"malformed {what} document: {exc}") from None
+    return json_typed(doc, dict, f"a {what} document")
+
+
+def json_typed(value, kind: type, what: str):
+    """value when its type is exactly kind (a key of ``_JSON_KINDS``), else
+    MalformedInput naming what: the one value rule of the document readers.
+
+    Exactly, since JSON true decodes to a bool, which Python counts as an
+    int, and 1.0 to a float; neither is a JSON integer.  ``reprlib`` prints
+    the value short, however deeply it is nested."""
+    if type(value) is kind:
+        return value
+    raise MalformedInput(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
 
 
 def _label_json(label) -> str:

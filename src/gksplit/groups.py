@@ -27,11 +27,12 @@ from .errors import (
     DescriptorSyntaxError,
     InternalInconsistency,
     InvalidField,
+    MalformedInput,
     NotSimple,
     SpectrumError,
     UnsupportedFamily,
 )
-from .graph import Graph
+from .graph import Graph, json_typed, load_document
 from .splitcheck import SplitPartition
 
 CLASSICAL_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
@@ -63,13 +64,16 @@ class GroupDescriptor(NamedTuple):
 
 
 def char_and_degree(q: int) -> tuple[int, int]:
-    """Write the prime power q as p^a; raises InvalidField otherwise."""
+    """Write the prime power q as p^a; raises InvalidField otherwise.
+
+    q = b^k with b no perfect power, and q is a prime power exactly when b
+    is prime: one decision with no factoring and no budget.
+    """
     if q < 2:
         raise InvalidField(f"field size must be at least 2, got {q}")
-    facs = nt.factor(q).factors
-    if len(facs) != 1:
+    p, a = nt._perfect_power(q)
+    if not nt.is_prime(p):
         raise InvalidField(f"{q} is not a prime power")
-    p, a = facs[0]
     return p, a
 
 
@@ -343,6 +347,29 @@ class SpectrumData(_SpectrumFields):
                         f"prime {r} from mu does not divide |{group}|"
                     )
         return super().__new__(cls, group, mu)
+
+
+def spectrum_from_json(text: str) -> SpectrumData:
+    """The spectrum document ``{"group": descriptor, "mu": [orders...]}``.
+
+    group is a descriptor string and mu a list of positive JSON integers,
+    kept as its divisibility-maximal elements, whose primes must cover the
+    group's prime spectrum; MalformedInput or SpectrumError otherwise.
+    """
+    doc = load_document(text, "spectrum")
+    try:
+        group, mu = doc["group"], doc["mu"]
+    except KeyError as exc:
+        raise MalformedInput(f"spectrum document lacks field {exc}") from None
+    group = json_typed(group, str, "spectrum group")
+    mu = [json_typed(x, int, "spectrum element order") for x in json_typed(mu, list, "spectrum mu")]
+    if any(m < 1 for m in mu):
+        raise MalformedInput(f"spectrum element orders must be positive, got {sorted(mu)}")
+    d = parse_descriptor(group)
+    data = SpectrumData(d, maximal_elements(mu))
+    if not spectrum_covers(data):
+        raise SpectrumError(f"spectrum primes do not cover the prime spectrum of {d}")
+    return data
 
 
 def spectrum_covers(s: SpectrumData) -> bool:

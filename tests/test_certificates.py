@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from gksplit import campaigns, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import (
     Certificate,
@@ -95,6 +97,37 @@ class TestCheckOps:
         assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=1))) == ["x"]
         assert seen == [(43, 4), (43, 4)]
 
+    def test_pi_steps_on_a_hard_semiprime_need_no_factoring(self):
+        # 2^89 - 1 and 2^107 - 1 are prime; factoring b ran the default budget
+        # out (8.3 s), which read as a forgery
+        m89, m107 = 2**89 - 1, 2**107 - 1
+        a, b = 3 * m89, m89 * m107
+        true = chain(
+            step("pi(a) not inside pi(b)", op="pi_not_subset", a=a, b=b),
+            step("(a)_pi(b) = 2^89 - 1", op="pi_part_eq", a=a, pi_of=b, equals=m89),
+            step("(b)_pi(a) = 2^89 - 1", op="pi_part_eq", a=b, pi_of=a, equals=m89),
+        )
+        start = time.perf_counter()
+        assert not recheck(certificate_from_json(true.to_json()))
+        assert time.perf_counter() - start < 0.1
+        assert recheck(chain(step("x", op="pi_not_subset", a=m89 * m89, b=b))) == ["x"]
+        assert recheck(chain(step("x", op="pi_part_eq", a=a, pi_of=b, equals=a))) == ["x"]
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            {"op": "pi_not_subset", "a": 0, "b": 4},
+            {"op": "pi_not_subset", "a": 10, "b": 0},
+            {"op": "pi_not_subset", "a": -10, "b": 4},
+            {"op": "pi_part_eq", "a": 0, "pi_of": 6, "equals": 0},
+            {"op": "pi_part_eq", "a": 12, "pi_of": 0, "equals": 12},
+            {"op": "pi_part_eq", "a": 12, "pi_of": -6, "equals": 12},
+        ],
+    )
+    def test_pi_steps_need_positive_operands(self, check):
+        failures = recheck(chain(CertStep("x", "arithmetic", check)))
+        assert len(failures) == 1 and failures[0].startswith("x: checker error")
+
     def test_unknown_op_surfaces(self):
         cert = chain(CertStep("mystery", "arithmetic", {"op": "telepathy"}))
         failures = recheck(cert)
@@ -166,8 +199,23 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ['{}', '[1]', '{"kind": "split", "steps": [{"claim": "x"}]}'],
-        ids=["no-steps", "top-level-list", "step-without-tag"],
+        [
+            '{}',
+            '[1]',
+            '{"kind": "split", "steps": [{"claim": "x"}]}',
+            '{"kind": "split", "steps": ' + "[" * 2000 + "]" * 2000 + "}",
+            '{"kind": "lemma-chain", "steps": ['
+            '{"claim": "5 divisible by true", "tag": "arithmetic", "check": {"op": "divides", "a": true, "b": 5}}, '
+            '{"claim": "7.0 prime", "tag": "arithmetic", "check": {"op": "is_prime", "n": 7.0}}, '
+            '{"claim": "2.5 < 3", "tag": "arithmetic", "check": {"op": "cmp", "a": 2.5, "rel": "lt", "b": 3}}]}',
+            '{"kind": "split", "steps": [{"claim": "x", "tag": "arithmetic", "check": {"n": 7}}]}',
+            '{"kind": "split", "steps": [], "partition": {"clique": [2], "independent": [3], "special": 1}}',
+            '{"kind": "split", "steps": [{"claim": ["x"], "tag": "arithmetic", "check": null}]}',
+        ],
+        ids=[
+            "no-steps", "top-level-list", "step-without-tag", "nested-2000", "bool-and-float-operands",
+            "check-without-op", "integer-special", "list-claim",
+        ],
     )
     def test_malformed_document(self, text):
         with pytest.raises(MalformedInput):
@@ -176,3 +224,42 @@ class TestSerialization:
     def test_step_requires_op(self):
         with pytest.raises(ValueError):
             step("bad", equals=3)
+
+
+#: the closed operation language of ``certificates._check_one``
+CHECK_OPS = {
+    "is_prime", "is_composite", "mult_order", "divides", "not_divides", "cmp", "mod_eq",
+    "zsigmondy_nonempty", "zsigmondy_empty", "pi_not_subset", "pi_part_eq", "in_interval", "primitive_root",
+}
+
+
+def emitted_certificates():
+    """One certificate from each producer: the classical Theorem C grid, every
+    exceptional sample, the four witnesses, Lemma 5.2 and theorem D."""
+    for families, ranks, qs, _ in campaigns._THEOREM_C_GRID:
+        for family in families:
+            for rank in ranks:
+                for q in qs:
+                    ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q))
+                    yield gkbuild.classical_compact_partition(ctx)[1]
+    for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
+        for q in qs:
+            yield gkbuild.exceptional_compact(family, q)[2]
+    yield gkbuild.nonsplit_witness_linear(13, 2, 2)[1]
+    yield gkbuild.prop72_certificate(5, 7, 2)
+    yield gkbuild.sc_nonsplit_certificate(19, 2)
+    yield gkbuild.psl11_2_sc()[1]
+    yield gkbuild.lemma52_check(35, 2, 3)
+    for group in ("Alt(12)", "M22", "Tits", "E8(2)"):
+        yield gkbuild.theoremD_verify(groups.parse_descriptor(group))[2]
+
+
+def test_every_emitted_certificate_loads_and_rechecks():
+    # the strict decoder accepts everything the package writes: integer
+    # operands, string op and rel, a true/false special
+    ops = set()
+    for cert in emitted_certificates():
+        again = certificate_from_json(cert.to_json())
+        assert again == cert and not recheck(again)
+        ops.update(s.check["op"] for s in again.checked_steps())
+    assert ops == CHECK_OPS

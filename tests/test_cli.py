@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,15 @@ class TestWitnessCommands:
         (["split", "--group", "Alt(5)", "--budget", "-1"], None),
         (["split", "--in", "doc.json", "--graph", "solvable"], '{"vertices": [2, 3], "edges": [[2, 3]]}'),
         (["build", "--spectrum", "doc.json", "--graph", "solvable"], '{"group": "A1(7)", "mu": [7, 3, 4]}'),
+        (["split", "--in", "doc.json"], '{"vertices": [' + "[" * 2000 + "]" * 2000 + '], "edges": []}'),
+        (["split", "--spectrum", "doc.json"], '{"group": "A1(7)", "mu": [' + "[" * 2000 + "]" * 2000 + "]}"),
+        (["split", "--in", "doc.json"], '{"vertices": [{"class": {"name": "R1", "members": [1.5]}}], "edges": []}'),
+        (["split", "--in", "doc.json"], '{"vertices": [{"class": {"name": "R1", "members": ["7"]}}], "edges": []}'),
+        (["split", "--in", "doc.json"], '{"vertices": [{"class": {"name": ["x"], "members": [7]}}], "edges": []}'),
+        (["split", "--spectrum", "doc.json"], '{"group": 7, "mu": [7, 3, 4]}'),
+        (["split", "--in", "doc.json"], '{"vertices": [{"class": "R1"}], "edges": []}'),
+        (["split", "--in", "doc.json"], '{"vertices": {}, "edges": []}'),
+        (["split", "--spectrum", "doc.json"], "[7, 3, 4]"),
     ],
     ids=[
         "invalid-json", "no-edges", "string-label", "spectrum-without-mu", "missing-file",
@@ -276,6 +286,9 @@ class TestWitnessCommands:
         "labels-that-print-alike", "twin-classes-share-a-label",
         "theorem-d-zero-budget", "split-negative-budget",
         "solvable-graph-of-an-in-graph", "solvable-graph-of-a-spectrum",
+        "graph-nested-2000", "spectrum-nested-2000", "float-class-member", "string-class-member",
+        "list-class-name", "integer-spectrum-group", "class-not-an-object", "vertices-not-a-list",
+        "spectrum-not-an-object",
     ],
 )
 def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
@@ -286,7 +299,26 @@ def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
         path.write_text(content)
     code = cli.main([str(path) if a == "doc.json" else a for a in argv])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "group, code, err",
+    [
+        (f"A1({(2**61 - 1) ** 2})", 0, ""),
+        (f"A1({2**128 + 1})", 2, f"error: {2**128 + 1} is not a prime power\n"),
+        ("A3(6)", 2, "error: 6 is not a prime power\n"),
+    ],
+    ids=["mersenne-prime-squared", "fermat-composite", "six"],
+)
+def test_prime_power_field_decided_without_factoring(group, code, err, capsys):
+    # 2^61 - 1 is prime and 2^128 + 1 = 59649589127497217 * 5704689200685129054721;
+    # factoring either field size ran the default budget out, exit 3 after about 4 s
+    start = time.perf_counter()
+    assert cli.main(["verify", "theorem-d", "--group", group]) == code
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == err
 
 
 class TestSweepBounds:
