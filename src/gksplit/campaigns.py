@@ -12,7 +12,8 @@ from __future__ import annotations
 from . import gkbuild, groups, numtheory as nt
 from .certificates import recheck
 from .exceptional import descriptor_for
-from .graph import ClassLabel, Graph, label_key, label_text, same_class_graph
+from .errors import BudgetExceeded
+from .graph import ClassLabel, Graph, label_key, label_members, label_text, same_class_graph
 from .splitcheck import is_split_degree, partition_text, validate_partition
 
 
@@ -95,7 +96,7 @@ def theorem_c(budget: int = nt.DEFAULT_BUDGET):
             good = True
             for rank in ranks:
                 for q in qs:
-                    ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q), budget)
+                    ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q))
                     part, cert = gkbuild.classical_compact_partition(ctx, budget)
                     good &= not recheck(cert)
             ok &= good
@@ -122,7 +123,7 @@ def theorem_d(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
         part = verdict.partition
         lines.append(partition_text(part))
         # a class is kept without members only when factoring ran out of
-        # budget; its nonemptiness, and so the verdict, rests on Zsigmondy
+        # budget; its existence, and so the verdict, was decided without it
         unknown = sorted(
             (v for v in part.clique | part.independent if isinstance(v, ClassLabel) and not v.members),
             key=label_key,
@@ -179,6 +180,9 @@ def spectrum(budget: int = nt.DEFAULT_BUDGET):
             mu = groups.spectrum_formulas(descriptor_for(family, q))
             lhs = groups.gk_from_spectrum(mu).compact_form().quotient
             rhs, part, cert = gkbuild.exceptional_compact(family, q, budget)
+            if not all(map(label_members, rhs.vertices)):
+                # a class without members cannot be matched to the spectrum side
+                raise BudgetExceeded(f"class members of {family} at q={q} unknown at budget {budget}")
             good = same_class_graph(lhs, rhs) and validate_partition(rhs, part)[0]
             ok &= good
             lines.append(f"{'PASS' if good else 'FAIL'} {family} q={q}")

@@ -64,13 +64,12 @@ def _solvable_graph_for(d: groups.GroupDescriptor) -> Graph:
 
 
 def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
-    obj, verdict, cert = gkbuild.theoremD_verify(d, budget)
-    if obj is None:
+    if not gkbuild.compact_graph_built(d):
         raise UnsupportedFamily(
             f"the compact form of {d} is certified by a partition, not materialized "
             "as a graph; use 'verify theorem-d --group ...' instead"
         )
-    return obj
+    return gkbuild.theoremD_verify(d, budget)[0]
 
 
 def _read_text(path: str) -> str:
@@ -302,7 +301,8 @@ _OUT = ("--out", "out", str, None, None, "write output to FILE instead of stdout
 _BUDGET = ("--budget", "budget", int, None, nt.DEFAULT_BUDGET, "factoring effort budget")
 _TABLE_OR_JSON = ("--format", "format", str, ("json", "table"), "table", "output format")
 _GRAPH_OPTIONS = (
-    ("--group", "group", str, None, None, "group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22"),
+    ("--group", "group", str, None, None,
+     f"group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22; Alt/Sym degree at most {groups.MAX_PERM_DEGREE}"),
     ("--spectrum", "spectrum", str, None, None, "JSON file {'group': descriptor, 'mu': [orders...]}"),
     ("--in", "infile", str, None, None, "graph JSON file"),
     ("--graph", "graph", str, ("prime", "solvable", "compact"), "prime", "which graph of the group to use"),

@@ -61,6 +61,10 @@ class DescriptorSyntaxError(GKSplitError):
         self.position = position
 
 
+class InputTooLarge(GKSplitError):
+    """An input exceeds a documented size ceiling; refused before any allocation."""
+
+
 class SpectrumError(GKSplitError):
     """A spectrum (set of maximal element orders) failed validation."""
 

@@ -16,6 +16,7 @@ graph rather than a drawn diagram.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt
 
@@ -27,7 +28,7 @@ from .certificates import (
     assume,
     step,
 )
-from .errors import InternalInconsistency, UnsupportedFamily
+from .errors import BudgetExceeded, InternalInconsistency, UnsupportedFamily
 from .graph import ClassLabel, Graph
 from .splitcheck import flag_special, validate_partition
 
@@ -162,44 +163,53 @@ def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
     raise ValueError(f"unknown predicate {pred!r}")
 
 
-def _class_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> frozenset[int] | None:
-    """Member set of one diagram class; None when the class does not exist."""
+@lru_cache(maxsize=4096)
+def ppd_members(index: int, q: int, budget: int) -> tuple[int, ...] | None:
+    """R_index(q) as a sorted tuple, None when factoring runs out of budget: the
+    one members lookup, read by the diagram rules and the classical labels."""
+    try:
+        return tuple(sorted(nt.ppd_set(index, q, budget)))
+    except BudgetExceeded:
+        return None
+
+
+def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> tuple[int, ...] | None:
+    """Sorted members of one diagram class; None when it does not exist, and ()
+    when the budget cannot name them.  Existence is decided without factoring."""
     kind = rule["kind"]
     if kind == "char":
-        return frozenset({p})
+        return (p,)
     if kind == "prime":
         v = rule["value"]
-        return None if v == p else frozenset({v})
+        return None if v == p else (v,)
     minus = frozenset(rule.get("minus", ()))
     if kind == "pi":
         value = _expr_value(rule["expr"], q, eps)
-        if value <= 1:
+        if value <= 1 or nt.pi_part(value, minus) == value:
             return None
-        got = nt.prime_set(value, budget) - minus
-        return got or None
-    if kind == "ppd":
-        index = rule["index"]
+        try:
+            return tuple(sorted(nt.prime_set(value, budget) - minus))
+        except BudgetExceeded:
+            return ()
+    if kind not in ("ppd", "ppd_union"):
+        raise ValueError(f"unknown member rule {kind!r}")
+    # a ppd rule is the one-index case of ppd_union
+    found = []
+    for index in rule["indices"] if kind == "ppd_union" else (rule["index"],):
         if rule.get("eps"):
             index = nu_eps(index, eps)
         if nt.is_zsigmondy_exception(index, q):
-            trail.append(
-                step(f"R_{index}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=index)
-            )
-            return None
-        got = nt.ppd_set(index, q, budget) - minus
-        return got or None
-    if kind == "ppd_union":
-        got = set()
-        for index in rule["indices"]:
-            if rule.get("eps"):
-                index = nu_eps(index, eps)
-            if not nt.is_zsigmondy_exception(index, q):
-                got |= nt.ppd_set(index, q, budget)
-        if rule.get("char"):
-            got.add(p)
-        got -= frozenset(rule.get("minus", ()))
-        return frozenset(got) or None
-    raise ValueError(f"unknown member rule {kind!r}")
+            if kind == "ppd":
+                trail.append(
+                    step(f"R_{index}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=index)
+                )
+        elif not minus or nt.has_ppd(index, q, minus):
+            found.append(index)
+    head = {p} if rule.get("char") and p not in minus else set()
+    if not found and not head:
+        return None
+    lookups = [ppd_members(index, q, budget) for index in found]
+    return () if None in lookups else tuple(sorted(head.union(*lookups) - minus))
 
 
 def _build_diagram(variant, q, p, eps, budget):
@@ -208,10 +218,9 @@ def _build_diagram(variant, q, p, eps, budget):
     for vspec in variant["vertices"]:
         if not _eval_pred(vspec.get("when"), q, eps, trail):
             continue
-        members = _class_members(vspec["members"], q, p, eps, budget, trail)
-        if members is None:
-            continue
-        labels[vspec["tag"]] = ClassLabel(vspec["tag"], tuple(sorted(members)))
+        members = _rule_members(vspec["members"], q, p, eps, budget, trail)
+        if members is not None:
+            labels[vspec["tag"]] = ClassLabel(vspec["tag"], members)
     edges = []
     for u, v, cond in variant["edges"]:
         if u in labels and v in labels and _eval_pred(cond, q, eps, trail):

@@ -19,7 +19,7 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from . import groups, numtheory as nt
@@ -45,7 +45,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedFamily,
 )
-from .exceptional import eta, exceptional_compact, nu, nu_eps
+from .exceptional import eta, exceptional_compact, nu, nu_eps, ppd_members as _class_members
 from .graph import ClassLabel, ForbiddenWitness, Graph
 from .splitcheck import SplitPartition, SplitVerdict, is_split_degree, validate_partition
 
@@ -63,6 +63,7 @@ __all__ = [
     "psl11_2_sc",
     "artin_pairs",
     "theoremD_verify",
+    "compact_graph_built",
     "exceptional_compact",
     "nu",
     "eta",
@@ -127,8 +128,9 @@ class PhiContext(NamedTuple):
     """Arithmetic context for a classical group.
 
     kind is "linear-unitary" (with sign eps) or "symplectic-orthogonal";
-    n is the dimension resp. Lie rank; delta is the excluded prime set
-    (pi(q - eps) for linear/unitary, pi(gcd(2, q-1)) otherwise).
+    n is the dimension resp. Lie rank; the excluded prime set delta(L) is
+    pi(delta_of), with delta_of = q - eps for linear/unitary and
+    gcd(2, q - 1) otherwise.  Nothing is factored until delta is read.
     """
 
     descriptor: groups.GroupDescriptor
@@ -137,20 +139,22 @@ class PhiContext(NamedTuple):
     n: int
     q: int
     p: int
-    delta: frozenset[int]
+    delta_of: int
+
+    @property
+    def delta(self) -> frozenset[int]:
+        return nt.prime_set(self.delta_of)
 
     @staticmethod
-    def from_descriptor(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET) -> "PhiContext":
+    def from_descriptor(d: groups.GroupDescriptor) -> "PhiContext":
         if d.kind != "classical":
             raise UnsupportedFamily(f"{d} is not classical")
         p, _ = groups.char_and_degree(d.q)
         n = groups.prk(d)
         if d.family in ("A", "2A"):
             eps = groups.epsilon(d)
-            delta = nt.prime_set(d.q - eps, budget) if abs(d.q - eps) > 1 else frozenset()
-            return PhiContext(d, "linear-unitary", eps, n, d.q, p, delta)
-        delta = frozenset({2}) if d.q % 2 else frozenset()
-        return PhiContext(d, "symplectic-orthogonal", 1, n, d.q, p, delta)
+            return PhiContext(d, "linear-unitary", eps, n, d.q, p, d.q - eps)
+        return PhiContext(d, "symplectic-orthogonal", 1, n, d.q, p, gcd(2, d.q - 1))
 
 
 def phi(r: int, ctx: PhiContext) -> int:
@@ -190,14 +194,6 @@ def _order_indices(ctx: PhiContext, phis: range) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=4096)
-def _class_members(index: int, q: int, budget: int):
-    try:
-        return tuple(sorted(nt.ppd_set(index, q, budget)))
-    except nt.BudgetExceeded:
-        return None
-
-
 def classical_compact_partition(
     ctx: PhiContext, budget: int = nt.DEFAULT_BUDGET
 ) -> tuple[SplitPartition, Certificate]:
@@ -219,8 +215,7 @@ def classical_compact_partition(
     n, q = ctx.n, ctx.q
 
     def make_label(e: int) -> ClassLabel:
-        members = _class_members(e, q, budget)
-        return ClassLabel(f"R{e}", members if members else ())
+        return ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
 
     indep_labels = []
     indep_indices = []
@@ -268,10 +263,10 @@ def classical_compact_partition(
             TAG_L54,
         )
     )
-    if ctx.delta:
+    if ctx.delta_of > 1:
         steps.append(
             assume(
-                f"delta(L) = {sorted(ctx.delta)} placed in the clique side; "
+                f"delta(L) = pi({ctx.delta_of}) placed in the clique side; "
                 "clique membership assumed (excluded from the adjacency criterion)",
                 TAG_L53,
             )
@@ -683,16 +678,28 @@ def artin_pairs(p: int, limit: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def compact_graph_built(d: groups.GroupDescriptor) -> bool:
+    """Whether theoremD_verify materializes the compact graph of d.
+
+    It does not for sporadic groups other than the Tits group (a table
+    partition) and for classical groups of prk >= 4 (the published criteria
+    give the partition, not the full adjacency).  Decided from the
+    descriptor alone, before any factoring.
+    """
+    if d.kind == "sporadic":
+        return d.tits
+    return d.kind != "classical" or groups.prk(d) < 4
+
+
 def theoremD_verify(
     d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
 ) -> tuple[Graph | None, SplitVerdict, Certificate]:
     """Split verdict with certificate for the compact prime graph of d.
 
-    Returns (compact-graph-or-None, verdict, certificate).  For classical
-    groups of prk >= 4 no graph is materialized (the published criteria give
-    the partition, not the full adjacency); for sporadic groups the embedded
-    partition is returned with its table assumption.  The Tits group takes
-    the diagram path of the small-rank and exceptional families.
+    Returns (compact-graph-or-None, verdict, certificate); the graph is None
+    exactly when ``compact_graph_built(d)`` is false.  For sporadic groups
+    the embedded partition is returned with its table assumption.  The Tits
+    group takes the diagram path of the small-rank and exceptional families.
     """
     if d.kind in ("alternating", "symmetric"):
         g = gk_altsym(d.kind, d.n)
@@ -711,20 +718,19 @@ def theoremD_verify(
             context={"group": str(d)},
         )
         return compact.quotient, verdict, cert
-    if d.kind == "sporadic" and not d.tits:
-        record = groups.sporadic_record(d.name)
-        groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
-        part = record.prime_partition._replace(special=True)
-        cert = Certificate(
-            KIND_SPLIT,
-            (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),
-            partition=part,
-            context={"group": d.name},
-        )
-        return None, SplitVerdict(True, None, part), cert
-    if d.kind == "classical" and groups.prk(d) >= 4:
-        ctx = PhiContext.from_descriptor(d, budget)
-        part, cert = classical_compact_partition(ctx, budget)
+    if not compact_graph_built(d):
+        if d.kind == "sporadic":
+            record = groups.sporadic_record(d.name)
+            groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
+            part = record.prime_partition._replace(special=True)
+            cert = Certificate(
+                KIND_SPLIT,
+                (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),
+                partition=part,
+                context={"group": d.name},
+            )
+        else:
+            part, cert = classical_compact_partition(PhiContext.from_descriptor(d), budget)
         return None, SplitVerdict(True, None, part), cert
     # Small-rank classical, exceptional and Tits: the compact diagram is explicit.
     family = d.name if d.tits else str(d).partition("(")[0]

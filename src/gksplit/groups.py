@@ -25,6 +25,7 @@ from typing import NamedTuple
 from . import numtheory as nt
 from .errors import (
     DescriptorSyntaxError,
+    InputTooLarge,
     InternalInconsistency,
     InvalidField,
     MalformedInput,
@@ -77,16 +78,27 @@ def char_and_degree(q: int) -> tuple[int, int]:
     return p, a
 
 
+#: Largest Alt/Sym degree accepted.  The prime graph of degree n has pi(n)
+#: vertices and a row of pi(n) bits per vertex: about 770 MB at 10^6.
+MAX_PERM_DEGREE = 10**6
+
+
+def _perm_degree(name: str, n: int) -> int:
+    if n > MAX_PERM_DEGREE:
+        raise InputTooLarge(f"{name}({n}): degree above the ceiling {MAX_PERM_DEGREE}")
+    return n
+
+
 def alternating(n: int) -> GroupDescriptor:
     if n < 5:
         raise NotSimple(f"Alt({n}) is not simple; degree must be at least 5")
-    return GroupDescriptor("alternating", n=n)
+    return GroupDescriptor("alternating", n=_perm_degree("Alt", n))
 
 
 def symmetric(n: int) -> GroupDescriptor:
     if n < 2:
         raise NotSimple(f"Sym({n}) needs degree at least 2")
-    return GroupDescriptor("symmetric", n=n)
+    return GroupDescriptor("symmetric", n=_perm_degree("Sym", n))
 
 
 def sporadic(name: str) -> GroupDescriptor:
@@ -147,6 +159,15 @@ _LIE_RE = re.compile(r"^([23]?)([A-G])(\d+)\((\d+)\)$")
 _PERM_RE = re.compile(r"^(Alt|Sym)\((\d+)\)$", re.IGNORECASE)
 
 
+def _number(m: re.Match, group: int) -> int:
+    """One decimal field of a matched descriptor; int() refuses more than
+    4,300 digits with a ValueError."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise DescriptorSyntaxError(f"number of {len(m.group(group))} digits is too long", m.start(group)) from None
+
+
 def parse_descriptor(text: str) -> GroupDescriptor:
     """Parse a descriptor string; syntax errors carry the offending position.
 
@@ -160,13 +181,13 @@ def parse_descriptor(text: str) -> GroupDescriptor:
         raise DescriptorSyntaxError("empty descriptor", 0)
     m = _PERM_RE.match(text)
     if m:
-        n = int(m.group(2))
+        n = _number(m, 2)
         if m.group(1).lower() == "alt":
             return alternating(n)
         return symmetric(n)
     m = _LIE_RE.match(text)
     if m:
-        twist, letter, sub, q = m.group(1), m.group(2), int(m.group(3)), int(m.group(4))
+        twist, letter, sub, q = m.group(1), m.group(2), _number(m, 3), _number(m, 4)
         family = f"{twist}{letter}{sub}"
         if family in EXCEPTIONAL_FAMILIES:
             return exceptional(family, q)

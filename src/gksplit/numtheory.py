@@ -458,14 +458,19 @@ def _iroot(x: int, k: int) -> int:
 
 
 def _perfect_power(x: int) -> tuple[int, int]:
-    """(b, k) with x = b^k and b not a perfect power, for x >= 2."""
-    b, k, e = x, 1, 2
-    while 1 << e <= b:
+    """(b, k) with x = b^k and b not a perfect power, for x >= 2.
+
+    A perfect power is a perfect e-th power for some prime e, so only prime
+    exponents are tried, each until its root is no e-th power.
+    """
+    b, k = x, 1
+    for e in primes_upto(x.bit_length()):
+        if 1 << e > b:
+            break
         r = _iroot(b, e)
-        if r**e == b:
+        while r**e == b:
             b, k = r, k * e
-        else:
-            e += 1
+            r = _iroot(b, e)
     return b, k
 
 
@@ -518,24 +523,21 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     return frozenset(out)
 
 
-def has_ppd(i: int, n: int) -> bool:
-    """Whether R_i(n) is nonempty, without factoring Phi_i(n).
+def has_ppd(i: int, n: int, minus=()) -> bool:
+    """Whether R_i(n) holds a prime outside minus, without factoring Phi_i(n).
 
     An odd prime r that divides Phi_i(n) but not i has order exactly i
     modulo n (and r does not divide n, as Phi_i(0) = +-1), while every odd
-    member of R_i(n) divides Phi_i(n).  So R_i(n) is nonempty iff 2 lies in
-    it or |Phi_i(n)| is still above 1 once 2 and the primes of i are divided
-    out of it.
+    member of R_i(n) divides Phi_i(n).  So R_i(n) - minus is nonempty iff 2
+    lies in it or |Phi_i(n)| is still above 1 once 2, the primes of i and
+    the primes in minus are divided out of it.
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"has_ppd needs i >= 1 and |n| > 1")
-    if _two_is_ppd(i, n):
+    if 2 not in minus and _two_is_ppd(i, n):
         return True
     value = abs(cyclotomic_value(i, n))
-    for p in (2, *(p for p, _ in factor(i).factors)):
-        while value % p == 0:
-            value //= p
-    return value > 1
+    return pi_part(value, {2, *minus, *(p for p, _ in factor(i).factors)}) < value
 
 
 def _cofactors(i: int) -> list[int]:

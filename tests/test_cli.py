@@ -11,7 +11,7 @@ import pytest
 
 import gksplit
 from gksplit import cli, gkbuild, groups
-from gksplit.errors import DescriptorSyntaxError, InvalidField, NotSimple
+from gksplit.errors import DescriptorSyntaxError, InputTooLarge, InvalidField, NotSimple
 from gksplit.graph import Graph
 
 
@@ -139,6 +139,25 @@ class TestBuildExport:
         code = cli.main(["build", "--group", "A12(4)", "--graph", "compact"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["split", "--group", "A200(4)", "--graph", "compact"],
+         ["build", "--group", "A100(3)", "--graph", "compact"],
+         ["build", "--group", "M22", "--graph", "compact"]],
+        ids=["A200(4)", "A100(3)", "M22"],
+    )
+    def test_compact_refused_before_factoring(self, argv, capsys):
+        # the refusal reads the descriptor alone; it used to follow the whole
+        # theorem-d campaign (81 s on A200(4), 7 s on A100(3))
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        group = argv[2]
+        assert capsys.readouterr().err == (
+            f"error: the compact form of {group} is certified by a partition, not materialized "
+            "as a graph; use 'verify theorem-d --group ...' instead\n"
+        )
+
     def test_solvable_only_m22(self, capsys):
         code = cli.main(["build", "--group", "Co1", "--graph", "solvable"])
         assert code == 2
@@ -190,6 +209,28 @@ class TestVerifyCommands:
         )
         assert cli.main(["verify", "theorem-d", "--group", "B4(3)"]) == 0
         assert "members unknown" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("group", ["A2(13)", "E8(2)", "2G2(27)", "A4(13)"])
+    def test_theorem_d_keeps_classes_at_any_budget(self, group, capsys):
+        # class existence never needs factoring: the diagrams, and delta(L)
+        # of A4(13), once ran the budget out with exit 3
+        assert cli.main(["verify", "theorem-d", "--group", group, "--budget", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("  members unknown (factoring budget exhausted): ")
+        assert cli.main(["verify", "theorem-d", "--group", group]) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert re.sub(r"\{[0-9,]+\}", "", lines[1]) == re.sub(r"\{[0-9,]+\}", "", full[1])
+
+    def test_theorem_c_at_budget_1(self, capsys):
+        assert cli.main(["verify", "theorem-c", "--budget", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_spectrum_needs_members(self, capsys):
+        # the spectrum check compares member sets, so a class without
+        # members is a budget exhaustion, not a traceback
+        assert cli.main(["verify", "spectrum", "--budget", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: factoring budget exhausted: ") and err.count("\n") == 1
 
     def test_zsigmondy(self, capsys):
         code = cli.main(["verify", "zsigmondy", "--max-n", "8"])
@@ -351,6 +392,33 @@ class TestBudgetExit:
         assert code == 3
 
 
+class TestOversizedDescriptors:
+    @pytest.mark.parametrize(
+        "group, message",
+        [("A1(" + "9" * 5000 + ")", "number of 5000 digits is too long"),
+         ("Alt(" + "9" * 5000 + ")", "number of 5000 digits is too long"),
+         ("Alt(100000000000000000000000)", "degree above the ceiling 1000000"),
+         ("Sym(10000000)", "degree above the ceiling 1000000")],
+        ids=["A1-5000-digits", "Alt-5000-digits", "Alt-10^23", "Sym-10^7"],
+    )
+    def test_refused_with_exit_2(self, group, message, capsys):
+        # each used to end in a traceback (ValueError, OverflowError) or an
+        # allocation of about 55 GB
+        start = time.perf_counter()
+        assert cli.main(["split", "--group", group]) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_ceiling_is_inclusive_and_in_help(self, capsys):
+        assert groups.parse_descriptor(f"Alt({groups.MAX_PERM_DEGREE})").n == groups.MAX_PERM_DEGREE
+        with pytest.raises(InputTooLarge):
+            groups.symmetric(groups.MAX_PERM_DEGREE + 1)
+        assert cli.main(["build", "--help"]) == 0
+        assert f"Alt/Sym degree at most {groups.MAX_PERM_DEGREE}" in capsys.readouterr().out
+
+
 class TestOutOfMemory:
     def test_memory_error_is_one_error_line_and_exit_2(self, monkeypatch, capsys):
         # exit 1 would read as "refuted"; no real allocation is made
@@ -358,7 +426,7 @@ class TestOutOfMemory:
             raise MemoryError
 
         monkeypatch.setattr(gkbuild, "gk_altsym", exhausted)
-        assert cli.main(["build", "--group", "Sym(10000000)", "--format", "json"]) == 2
+        assert cli.main(["build", "--group", f"Sym({groups.MAX_PERM_DEGREE})", "--format", "json"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

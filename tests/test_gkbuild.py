@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from gksplit import exceptional, gkbuild, groups
+from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
@@ -558,6 +558,25 @@ class TestExceptionalGraphs:
             graph, _, _ = gkbuild.exceptional_compact(fam, q)
             cf = graph.compact_form()
             assert all(len(c) == 1 for c in cf.class_contents.values()), (fam, q)
+
+    def test_budget_never_changes_the_diagram(self):
+        # class existence is decided without factoring: at budget 1 a class
+        # whose members run out is kept bare, with its edges and its side
+        samples = dict(campaigns._EXCEPTIONAL_SAMPLES)
+        bare = 0
+
+        def shape(family, q, budget):
+            graph, part, _ = gkbuild.exceptional_compact(family, q, budget)
+            names = lambda labels: sorted(v.name for v in labels)
+            edges = sorted(tuple(names(e)) for e in graph.edges)
+            return names(graph.vertices), edges, names(part.clique), part.special, graph
+
+        for family in exceptional.diagram_families():
+            for q in samples.get(family) or samples["B" + family[1:]]:
+                *low, graph = shape(family, q, 1)
+                assert low == list(shape(family, q, nt.DEFAULT_BUDGET)[:-1]), (family, q)
+                bare += sum(not v.members for v in graph.vertices)
+        assert bare > 50
 
     def test_b3c3_shared(self):
         g1, p1, _ = gkbuild.exceptional_compact("B3", 5)

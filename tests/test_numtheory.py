@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import isqrt, lcm, prod
 
 import pytest
@@ -322,6 +323,13 @@ class TestPpd:
         with pytest.raises(PreconditionViolated):
             nt.has_ppd(0, 2)
 
+    def test_has_ppd_outside_minus(self):
+        for n in (*range(2, 25), *range(-24, -1)):
+            for i in range(1, 21):
+                members = nt.ppd_set(i, n)
+                for minus in (set(), {2}, {3}, {2, 3, 5}, set(sorted(members)[:1]), members):
+                    assert nt.has_ppd(i, n, frozenset(minus)) == bool(members - minus), (i, n, minus)
+
     @given(st.integers(1, 60), st.sampled_from((2, 3, 5, 6, 7, 10, 12)), st.integers(1, 6), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_cyclotomic_pieces_multiply(self, i, b, k, negative):
@@ -341,6 +349,21 @@ class TestPpd:
     )
     def test_perfect_power(self, x, expected):
         assert nt._perfect_power(x) == expected
+
+    def test_perfect_power_grid(self):
+        # every b^k with b no perfect power; k runs over composite exponents
+        # and prime powers, whose roots are taken one prime at a time
+        for b in (2, 3, 5, 6, 7, 10, 12, 15, 17, 999983):
+            for k in range(1, 40):
+                assert nt._perfect_power(b**k) == (b, k)
+        assert nt._perfect_power(2**64 + 1) == (2**64 + 1, 1)
+
+    def test_perfect_power_tries_prime_exponents_only(self):
+        # trying all 4,981 exponents up to log2(x) took 0.85 s, the 666 primes
+        # among them 0.12 s (Python 3.11.7, 2-core x86-64 host)
+        start = time.perf_counter()
+        assert nt._perfect_power(10**1500 + 1) == (10**1500 + 1, 1)
+        assert time.perf_counter() - start < 0.5
 
     def test_pieces_product_is_checked(self, monkeypatch):
         # the pieces of Phi_61(8), not of Phi_61(4)
