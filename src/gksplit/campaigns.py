@@ -19,18 +19,20 @@ from .splitcheck import is_split_degree, partition_text, validate_partition
 
 def theorem_a(top: int = 300):
     """Sym(n), 2 <= n <= top, and Alt(n), 5 <= n <= top: split prime graphs
-    with the partition of ``gkbuild.altsym_partition``."""
-    lines = []
+    with the partition of ``gkbuild.altsym_partition``.  Degree-major, one row
+    pass per degree; the report lists every Sym line, then every Alt line."""
+    found = {"symmetric": [], "alternating": []}
     ok = True
-    for kind, start in (("symmetric", 2), ("alternating", 5)):
-        for n in range(start, top + 1):
+    for n in range(2, top + 1):
+        part = gkbuild.altsym_partition(n)
+        for kind in ("symmetric", "alternating") if n >= 5 else ("symmetric",):
             g = gkbuild.gk_altsym(kind, n)
             verdict = is_split_degree(g)
-            part = gkbuild.altsym_partition(n)
             valid, reason = validate_partition(g, part)
             good = verdict.split and valid
             ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {kind} n={n}" + ("" if good else f" ({reason})"))
+            found[kind].append(f"{'PASS' if good else 'FAIL'} {kind} n={n}" + ("" if good else f" ({reason})"))
+    lines = found["symmetric"] + found["alternating"]
     lines.append(("PASS" if ok else "FAIL") + f" theorem-a up to n={top}")
     return ok, lines
 

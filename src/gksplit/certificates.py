@@ -138,7 +138,7 @@ def _check_one(check: dict) -> bool:
         n = check["n"]
         return n > 1 and not nt.is_prime(n)
     if op == "mult_order":
-        return nt.mult_order(check["r"], check["base"]) == check["equals"]
+        return nt.is_mult_order(check["r"], check["base"], check["equals"])
     if op == "divides":
         return check["b"] % check["a"] == 0
     if op == "not_divides":

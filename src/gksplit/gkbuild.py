@@ -19,6 +19,7 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -80,7 +81,8 @@ def gk_altsym(kind: str, n: int) -> Graph:
     """Prime graph of the alternating or symmetric group of degree n.
 
     Odd primes p, q are adjacent iff p + q <= n; the prime 2 is adjacent to
-    an odd p iff 2 + p <= n (symmetric) or 4 + p <= n (alternating).
+    an odd p iff 2 + p <= n (symmetric) or 4 + p <= n (alternating).  Both
+    kinds take the odd-prime rows of ``_alt_rows``, kept for the last degree.
     """
     kind = kind.lower()
     if kind in ("alt", "alternating"):
@@ -91,17 +93,25 @@ def gk_altsym(kind: str, n: int) -> Graph:
         two_offset = 2
     else:
         raise UnsupportedFamily(f"kind must be alternating or symmetric, got {kind!r}")
+    primes, odd_rows = _alt_rows(n)  # odd_rows[k - 1] is the row of primes[k]
+    cut = bisect_right(primes, n - two_offset, 1) - 1  # 2 sees the odd p <= n - two_offset
+    rows = [((1 << cut) - 1) << 1]
+    rows.extend(odd_rows)
+    if cut and primes[cut] + 4 > n:  # symmetric only: p + 2 <= n < p + 4
+        rows[cut] |= 1
+    return Graph(primes, rows=rows)
+
+
+@lru_cache(maxsize=1)
+def _alt_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primes up to n, and the odd primes' rows in Alt(n)'s prime graph:
+    over the sorted primes the odd neighbours of p are a prefix, the odd
+    q <= n - p, less p itself."""
     primes = nt.primes_upto(n)
     odd = primes[1:]  # primes_upto lists 2 first, so odd[k] is vertex k + 1
-    # Over the sorted primes the odd neighbours of p are a prefix, the odd
-    # q <= n - p, less p itself; 2 sees the odd p <= n - two_offset.
-    cut = bisect_right(odd, n - two_offset)
-    rows = [((1 << cut) - 1) << 1] if primes else []
-    rows.extend(
-        ((1 << bisect_right(odd, n - p)) - 1) << 1 & ~(2 << k) | (k < cut)
-        for k, p in enumerate(odd)
-    )
-    return Graph(primes, rows=rows)
+    cut = bisect_right(odd, n - 4)
+    rows = (((1 << bisect_right(odd, n - p)) - 1) << 1 & ~(2 << k) | (k < cut) for k, p in enumerate(odd))
+    return tuple(primes), tuple(rows)
 
 
 def altsym_partition(n: int) -> SplitPartition:

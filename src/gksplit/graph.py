@@ -20,7 +20,7 @@ import json
 import reprlib
 from functools import reduce
 from itertools import compress, count
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
@@ -222,8 +222,9 @@ class Graph:
         member and carries the union of the members' underlying primes.  Two
         classes whose labels would coincide are MalformedInput.
 
-        Each quotient row is read off its class head's bitset row in one
-        pass over the row's binary digits, with no loop over edges.
+        The quotient rows come from a blocked byte transpose, O(H·n) byte
+        steps in C for H classes on n vertices, with memory bounded by the
+        block (``_TRANSPOSE_BYTES``), and no loop over edges.
         """
         vs, rows = self._vertices, self._rows
         buckets: dict[int, list] = {}
@@ -237,16 +238,21 @@ class Graph:
             raise MalformedInput(f"two true-twin classes would both be labelled {label_text(twin)!r}")
         # Twins see the same classes, so the first vertex of a class, its
         # head, stands for it: two classes are adjacent iff their heads are.
-        # bin(row | 1 << n) is "0b1" and then the n digits of the row, bit i
-        # at index n + 2 - i; the heads' digits read in descending class
-        # label order spell the class's quotient row in binary.
+        # bin(row | 1 << n) is "0b1" and then the n digits of the row, bit v
+        # at index n + 2 - v.  A block writes its heads' digit strings one
+        # after another, the last head first; the adjacency being symmetric,
+        # the characters n + 2 - h, stride n + 3, then spell in binary the
+        # quotient row of head h's class on the block's classes.  The last
+        # block goes first, so each row has its full width from the start.
         order = sorted(range(len(groups)), key=lambda k: label_key(labels[k]))
         heads = [groups[k][0] for k in order]
-        qrows = []
-        if heads:  # itemgetter takes at least one index
-            top = 1 << len(vs)
-            pick = itemgetter(*[len(vs) + 2 - i for i in reversed(heads)])
-            qrows = [int("".join(pick(bin(rows[i] | top))), 2) for i in heads]
+        n, top = len(vs), 1 << len(vs)
+        step = max(1, _TRANSPOSE_BYTES // (n + 3))
+        qrows = [0] * len(heads)
+        for lo in reversed(range(0, len(heads), step)):
+            block = "".join([bin(rows[i] | top) for i in reversed(heads[lo : lo + step])])
+            for c, h in enumerate(heads):
+                qrows[c] |= int(block[n + 2 - h :: n + 3], 2) << lo
         quotient = Graph([labels[k] for k in order], rows=qrows)
         class_of = {vs[i]: label for label, group in zip(labels, groups) for i in group}
         return CompactForm(quotient, class_of, contents)
@@ -436,6 +442,10 @@ def same_class_graph(g1: Graph, g2: Graph) -> bool:
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+#: Bytes of one block of ``Graph.compact_form``'s transpose: the digit strings
+#: of as many class heads as fit, at least one, are joined and read at once.
+_TRANSPOSE_BYTES = 1 << 20
 
 
 def _flags(mask: int) -> bytes:

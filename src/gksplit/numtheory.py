@@ -26,7 +26,9 @@ only about (p - 1) / s values modulo p (Brent and Pollard, Math. Comp. 36,
 1981).  Both steps need only the primes of i: Phi_i(n) is the
 Moebius product over the squarefree divisors of i, and a prime divisor r of
 Phi_i(n) lies in R_i(n) iff n^(i/p) != 1 (mod r) for each prime p | i, so no
-r - 1 is factored (``raw_order`` still does, for the certificate re-checker).
+r - 1 is factored.  The certificate re-checker tests a claimed order the same
+way (``is_mult_order``); ``raw_order`` still factors r - 1, for its
+primitive-root steps.
 
 Order convention.  For an odd prime r coprime to n, ``mult_order(r, n)`` is
 the least k with n^k = 1 (mod r).  For r = 2 and odd n the convention is
@@ -371,13 +373,19 @@ def prime_set(n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     return factor(n, budget).prime_set
 
 
-def raw_order(r: int, n: int) -> int:
-    """Group-theoretic multiplicative order of n modulo the prime r."""
+def _unit(r: int, n: int) -> int:
+    """n modulo the prime r, which must not divide n."""
     if r < 2 or not is_prime(r):
         raise PreconditionViolated(f"{r} is not a prime modulus")
     m = n % r
     if m == 0:
         raise NotCoprime(f"{n} is divisible by {r}")
+    return m
+
+
+def raw_order(r: int, n: int) -> int:
+    """Group-theoretic multiplicative order of n modulo the prime r."""
+    m = _unit(r, n)
     if r == 2:
         return 1
     order = r - 1
@@ -396,6 +404,18 @@ def mult_order(r: int, n: int) -> int:
             raise NotCoprime(f"{n} is even")
         return 1 if n % 4 == 1 else 2
     return raw_order(r, n)
+
+
+def is_mult_order(r: int, n: int, k: int) -> bool:
+    """Whether e(r, n) == k, decided from k's side: n^k = 1 (mod r) and
+    n^(k/l) != 1 for each prime l of k.  Only k is factored, never r - 1,
+    so a claim about a prime r whose r - 1 is hard costs what k costs.
+    Raises on the arguments mult_order raises on.
+    """
+    if r == 2 or abs(n) <= 1:
+        return mult_order(r, n) == k
+    m = _unit(r, n)
+    return k >= 1 and pow(m, k, r) == 1 and all(pow(m, k // p, r) != 1 for p in prime_set(k))
 
 
 def pi_part(a: int, pi) -> int:

@@ -26,11 +26,12 @@ built once, when the ``SplitPartition`` is made.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
 from .graph import ForbiddenWitness, Graph, bits, encode_label, is_clique_mask, is_independent_mask, is_split_side
-from .graph import label_key, label_text
+from .graph import _flags, label_key, label_text
 
 
 class SplitPartition(NamedTuple):
@@ -127,8 +128,8 @@ def _dominator(rows, side: int, rest: int) -> int | None:
 def _partition(g: Graph, side: int) -> SplitPartition:
     """The split partition of g whose clique side is the bitset ``side``:
     its labels are built here, once, and its special flag read off the rows."""
-    rest, at = (1 << g.n) - 1 & ~side, g.vertices.__getitem__
-    clique, indep = frozenset(map(at, bits(side))), frozenset(map(at, bits(rest)))
+    rest, vs = (1 << g.n) - 1 & ~side, g.vertices
+    clique, indep = frozenset(compress(vs, _flags(side))), frozenset(compress(vs, _flags(rest)))
     return SplitPartition(clique, indep, _dominator(g.rows, side, rest) is None)
 
 

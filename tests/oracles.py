@@ -8,6 +8,7 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 import json
 from itertools import combinations, takewhile
 from math import gcd, prod
+from operator import itemgetter
 from random import Random
 
 
@@ -219,6 +220,32 @@ def altsym_edges(kind, n):
         if q + (two if p == 2 else p) <= n
     }
     return primes, edges
+
+
+def altsym_rows_by_degree(top):
+    """(n, primes, {kind: rows}) for n = 2..top: the bitset rows of the
+    Sym(n) and Alt(n) prime graphs, bit j of rows[i] the edge between the
+    i-th and j-th prime, grown one degree at a time from the edges whose rule
+    (altsym_edges) first holds at n: the odd p < q with p + q = n, and 2
+    with the odd prime n - 2 in Sym and n - 4 in Alt.  Alt's rows are given
+    from n = 2 on, though Alt(n) is simple only from 5."""
+    is_prime = set(brute_primes(top)).__contains__
+    primes, index = [], {}
+    rows = {"symmetric": [], "alternating": []}
+    for n in range(2, top + 1):
+        if is_prime(n):
+            index[n] = len(primes)
+            primes.append(n)
+            for kind_rows in rows.values():
+                kind_rows.append(0)
+        odd = [(p, n - p) for p in primes[1:] if p < n - p and is_prime(n - p)]
+        for kind, two in (("symmetric", 2), ("alternating", 4)):
+            pairs = odd + [(2, n - two)] if n - two > 2 and is_prime(n - two) else odd
+            for p, q in pairs:
+                i, j = index[p], index[q]
+                rows[kind][i] |= 1 << j
+                rows[kind][j] |= 1 << i
+        yield n, tuple(primes), {kind: tuple(kind_rows) for kind, kind_rows in rows.items()}
 
 
 def adjacency(vertices, edges):
@@ -438,13 +465,22 @@ def reference_components(vertices, edges):
     return out
 
 
+def _class_label(group):
+    """(name, members) of a class given in label order: named after its
+    smallest vertex, members the union of the vertices' primes, or () when
+    one of them has none."""
+    head = group[0]
+    name = str(head) if isinstance(head, int) else head.name
+    primes = [{v} if isinstance(v, int) else set(v.members) for v in group]
+    return (name, tuple(sorted(set().union(*primes)))) if all(primes) else (name, ())
+
+
 def reference_compact(g):
     """The true-twin quotient by bucketing closed neighbourhoods and sorting.
 
     Returns (vertices, edges, class_map, class_contents) with every class
-    written as (name, members): named after its smallest vertex, members
-    the union of the vertices' primes, or () when one of them has none.
-    ValueError when two classes get the same label.
+    written as (name, members) (``_class_label``).  ValueError when two
+    classes get the same label.
     """
     adj = adjacency(g.vertices, g.edges)
     buckets = {}
@@ -454,10 +490,7 @@ def reference_compact(g):
     contents = {}
     for group in buckets.values():
         group = sorted(group, key=_label_order)
-        head = group[0]
-        name = str(head) if isinstance(head, int) else head.name
-        primes = [{v} if isinstance(v, int) else set(v.members) for v in group]
-        label = (name, tuple(sorted(set().union(*primes)))) if all(primes) else (name, ())
+        label = _class_label(group)
         if label in contents:
             raise ValueError(f"two classes are both labelled {label}")
         contents[label] = frozenset(group)
@@ -465,6 +498,29 @@ def reference_compact(g):
             class_of[v] = label
     edges = {tuple(sorted((class_of[u], class_of[v]))) for u, v in g.edges}
     return sorted(contents), sorted(e for e in edges if e[0] != e[1]), class_of, contents
+
+
+def head_pair_quotient(vertices, rows):
+    """The true-twin quotient as (labels, rows), its adjacency read one head
+    pair at a time.
+
+    vertices are in label order and bit j of rows[i] is the edge between
+    vertices i and j.  A class is the set of indices with one closed
+    neighbourhood, its head the first of them; the classes are listed in the
+    order of their labels (``_class_label``).  Bit d of class c's row is bit
+    head(d) of the row of head(c): one itemgetter over that row's binary
+    digits reads those pairs, in C, so the degree sweeps stay affordable.
+    """
+    n, top = len(vertices), 1 << len(vertices)
+    buckets = {}
+    for i, row in enumerate(rows):
+        buckets.setdefault(row | 1 << i, []).append(i)
+    classes = sorted((_class_label([vertices[i] for i in group]), group[0]) for group in buckets.values())
+    if not classes:
+        return [], []
+    # bin(row | top) is "0b1" and then the n digits, bit j at index n + 2 - j
+    pick = itemgetter(*[n + 2 - head for _, head in reversed(classes)])
+    return [label for label, _ in classes], [int("".join(pick(bin(rows[head] | top))), 2) for _, head in classes]
 
 
 # -- non-split graphs whose witness sits on the top indices -----------------

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +41,12 @@ def test_campaigns_do_not_import_the_argument_parser():
             imported.update(alias.name for alias in node.names)
     assert "argparse" not in imported
     assert "cli" not in imported and "gksplit.cli" not in imported
+
+
+def test_theorem_a_300_keeps_its_lines():
+    # sha256 of the report lines, each ended by a newline, as the kind-major
+    # sweep printed them; the degree-major sweep must print the same bytes
+    ok, lines = campaigns.theorem_a(300)
+    assert ok and len(lines) == 596
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == "8578e0ed7133cebeb52b9970b0d9834d98b296f6d2f9dfdc0e3860e9e9c73293"

@@ -87,15 +87,70 @@ class TestCheckOps:
         assert recheck(chain(step("x", op="in_interval", x=13, lo=6, hi=13, hi_open=True))) == []
         assert recheck(chain(step("x", op="in_interval", x=14, lo=6, hi=13, hi_open=True))) == ["x"]
 
-    def test_order_steps_recheck_through_raw_order(self, monkeypatch):
-        # the audit keeps its own order computation, whatever ppd_set does
-        seen = []
-        raw_order = nt.raw_order
-        monkeypatch.setattr(nt, "raw_order", lambda r, n: seen.append((r, n)) or raw_order(r, n))
+    def test_order_steps_recheck_from_the_claims_side(self, monkeypatch):
+        # the audit checks the claimed order itself: it neither recomputes
+        # the order (raw_order factors r - 1) nor asks ppd_set
+        monkeypatch.setattr(nt, "raw_order", lambda *args: pytest.fail("raw_order consulted"))
         monkeypatch.setattr(nt, "ppd_set", lambda *args, **kw: pytest.fail("ppd_set consulted"))
         assert not recheck(chain(step("order of 4 mod 43 is 7", op="mult_order", r=43, base=4, equals=7)))
-        assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=1))) == ["x"]
-        assert seen == [(43, 4), (43, 4)]
+        for wrong in (1, 6, 14, 0, -7):
+            assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=wrong))) == ["x"]
+
+    @pytest.mark.parametrize(
+        "r, base, k",
+        [(2, 5, 1), (2, 7, 2), (2, -3, 1), (7, 2, 3), (5, -2, 4), (3, -2, 1), (43, 4, 7), (101, 2, 100)],
+    )
+    def test_order_steps_agree_with_mult_order(self, r, base, k):
+        assert nt.mult_order(r, base) == k
+        assert not recheck(chain(step("x", op="mult_order", r=r, base=base, equals=k)))
+        assert recheck(chain(step("x", op="mult_order", r=r, base=base, equals=k + 1))) == ["x"]
+
+    @pytest.mark.parametrize(
+        "r, base, message",
+        [
+            (2, 6, "6 is even"),
+            (5, 10, "10 is divisible by 5"),
+            (9, 2, "9 is not a prime modulus"),
+            (7, 1, "base must satisfy |n| > 1, got 1"),
+            (2, -1, "base must satisfy |n| > 1, got -1"),
+        ],
+    )
+    def test_order_steps_refuse_what_mult_order_refuses(self, r, base, message):
+        got = recheck(chain(step("x", op="mult_order", r=r, base=base, equals=1)))
+        assert got == [f"x: checker error {message}"]
+
+    #: r = 2 * 104 * P * Q + 1 is a 186-bit prime for the 90-bit primes
+    #: P = 2^89 + 29 and Q = 2^89 + 89, so factoring r - 1 means splitting
+    #: the 179-bit P * Q; recomputing these orders ran the default budget
+    #: out (13.7 s), and each true step read as a forgery
+    HARD_P, HARD_Q = 2**89 + 29, 2**89 + 89
+    HARD_R = 2 * 104 * HARD_P * HARD_Q + 1
+
+    def hard_order_steps(self):
+        r = self.HARD_R
+        assert r.bit_length() == 186 and all(map(nt.is_prime, (self.HARD_P, self.HARD_Q, r)))
+
+        def order(b):  # every order divides 208, the smooth part of r - 1
+            return min(d for d in range(1, 209) if 208 % d == 0 and pow(b, d, r) == 1)
+
+        steps = []
+        for d in (2, 13, 208):
+            b = next(b for a in range(2, 50) if order(b := pow(a, (r - 1) // d, r)) == d)
+            steps.append(step(f"order of b mod r is {d}", op="mult_order", r=r, base=b, equals=d))
+        return steps
+
+    def test_order_steps_about_a_hard_prime_need_no_factoring_of_r_minus_1(self):
+        true = chain(*self.hard_order_steps())
+        start = time.perf_counter()
+        assert not recheck(certificate_from_json(true.to_json()))
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_wrong_order_about_the_hard_prime_fails(self):
+        for s in self.hard_order_steps():
+            k, r = s.check["equals"], s.check["r"]
+            for wrong in sorted({1, k // 2, 2 * k, 104, 416} - {k}):
+                forged = chain(step("x", op="mult_order", r=r, base=s.check["base"], equals=wrong))
+                assert recheck(forged) == ["x"], (k, wrong)
 
     def test_pi_steps_on_a_hard_semiprime_need_no_factoring(self):
         # 2^89 - 1 and 2^107 - 1 are prime; factoring b ran the default budget

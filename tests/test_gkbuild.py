@@ -17,6 +17,7 @@ from gksplit.splitcheck import flag_special, is_split_degree, validate_partition
 
 from oracles import (
     altsym_edges,
+    altsym_rows_by_degree,
     brute_artin_pairs,
     brute_order,
     brute_primes,
@@ -79,6 +80,32 @@ class TestAltSym:
             assert {frozenset(e) for e in g.edges} == edges, (kind, n)
             # equal rows too, so both halves of each row are right
             assert g == Graph(primes, [tuple(e) for e in edges]), (kind, n)
+
+
+#: calls to gk_altsym per degree n, as (kind, degree): the two kinds of a
+#: degree share one row pass, which must not depend on the order of calls
+CALL_ORDERS = {
+    "sym-then-alt": lambda n: [("symmetric", n), ("alternating", n)],
+    "alt-then-sym": lambda n: [("alternating", n), ("symmetric", n)],
+    "same-degree-twice": lambda n: [("alternating", n), ("alternating", n), ("symmetric", n), ("symmetric", n)],
+    "degrees-interleaved": lambda n: [
+        ("alternating", n), ("symmetric", n - 1), ("symmetric", n), ("alternating", n - 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("order", CALL_ORDERS)
+def test_altsym_rows_against_the_edge_rule_to_3000_in_any_call_order(order):
+    previous = None
+    for n, primes, rows in altsym_rows_by_degree(3000):
+        expected = {n: (primes, rows), n - 1: previous}
+        for kind, degree in CALL_ORDERS[order](n):
+            if degree < (5 if kind == "alternating" else 2):
+                continue
+            g = gkbuild.gk_altsym(kind, degree)
+            want_primes, want_rows = expected[degree]
+            assert (g.vertices, g.rows) == (want_primes, want_rows[kind]), (order, kind, degree)
+        previous = primes, rows
 
 
 class TestIndexFunctions:

@@ -1,12 +1,13 @@
 import json
 import re
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gksplit import graph as graph_module
+from gksplit import gkbuild, graph as graph_module
 from gksplit.cli import _graph_table
 from gksplit.errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
@@ -24,6 +25,7 @@ from oracles import (
     brute_has_forbidden,
     brute_quad_starts,
     graphs_on,
+    head_pair_quotient,
     reference_compact,
     reference_components,
     reference_edges,
@@ -225,6 +227,37 @@ class TestCliqueIndependent:
         assert g.is_independent([0, 2])
 
 
+def twinned_graph(rng, class_labels):
+    """A seeded random graph on 0 to 40 vertices: a random base graph whose
+    vertices are blown up into runs of one to three true twins, labelled by
+    distinct ints or by distinct ClassLabels with or without members."""
+    size = rng.randrange(41)
+    runs = []
+    while sum(runs) < size:
+        runs.append(min(rng.randint(1, 3), size - sum(runs)))
+    base = [[0] * len(runs) for _ in runs]
+    density = rng.random()
+    for u, v in combinations(range(len(runs)), 2):
+        base[u][v] = base[v][u] = rng.random() < density
+    of = [u for u, run in enumerate(runs) for _ in range(run)]
+    if class_labels:
+        labels = [
+            ClassLabel(f"R{k}", tuple(sorted(rng.sample(range(2, 99), rng.randrange(3)))))
+            for k in rng.sample(range(100), size)
+        ]
+    else:
+        labels = rng.sample(range(1000), size)
+    edges = [(labels[i], labels[j]) for i, j in combinations(range(size), 2) if of[i] == of[j] or base[of[i]][of[j]]]
+    return Graph(labels, edges)
+
+
+def assert_head_pair_quotient(g):
+    cf = g.compact_form()
+    labels, rows = head_pair_quotient(g.vertices, g.rows)
+    assert [(c.name, c.members) for c in cf.quotient.vertices] == labels
+    assert cf.quotient.rows == tuple(rows)
+
+
 class TestCompactForm:
     def test_complete_collapses(self):
         cf = complete(4).compact_form()
@@ -246,6 +279,28 @@ class TestCompactForm:
         assert q.adjacent(by_members[(11,)], by_members[(5,)])
         assert q.adjacent(by_members[(5,)], by_members[(2,)])
         assert q.adjacent(by_members[(2,)], by_members[(3, 7)])
+
+    # the transpose block in bytes: 1 and 3 give one head per block, 100 and
+    # 5000 several heads with a ragged last block; None keeps the default
+    @pytest.mark.parametrize("block", [None, 1, 3, 100])
+    @pytest.mark.parametrize("class_labels", [False, True], ids=["int", "ClassLabel"])
+    def test_quotient_rows_against_head_pairs(self, monkeypatch, block, class_labels):
+        if block is not None:
+            monkeypatch.setattr(graph_module, "_TRANSPOSE_BYTES", block)
+        for seed in range(150):
+            assert_head_pair_quotient(twinned_graph(Random(seed), class_labels))
+
+    @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+    def test_altsym_quotient_rows_against_head_pairs_to_3000(self, kind):
+        for n in range(2 if kind == "symmetric" else 5, 3001):
+            assert_head_pair_quotient(gkbuild.gk_altsym(kind, n))
+
+    @pytest.mark.parametrize("block", [1, 3, 5000])
+    def test_altsym_quotient_rows_in_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(graph_module, "_TRANSPOSE_BYTES", block)
+        for n in (5, 6, 7, 100, 997, 3000):
+            for kind in ("symmetric", "alternating"):
+                assert_head_pair_quotient(gkbuild.gk_altsym(kind, n))
 
     @given(small_graphs())
     @settings(max_examples=150, deadline=None)
