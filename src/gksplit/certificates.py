@@ -23,11 +23,10 @@ Justification tags
 from __future__ import annotations
 
 import json
-from math import gcd
 from typing import NamedTuple
 
 from . import numtheory as nt
-from .errors import MalformedInput, PreconditionViolated
+from .errors import MalformedInput
 from .graph import ForbiddenWitness, decode_label, encode_label, json_typed, load_document
 from .splitcheck import SplitPartition, partition_doc
 
@@ -116,7 +115,8 @@ def assume(claim: str, tag: str) -> CertStep:
 
 # ---------------------------------------------------------------------------
 # The independent re-checker.  It dispatches on the closed operation language
-# below and consults only the number theory module and gcd, so an audit of
+# below and consults only the number theory module (the pi steps call
+# ``numtheory.pi_part``, which takes gcds and factors nothing), so an audit of
 # a serialized certificate does not trust any of the construction code.
 # ---------------------------------------------------------------------------
 
@@ -152,28 +152,15 @@ def _check_one(check: dict) -> bool:
     if op == "zsigmondy_empty":
         return nt.is_zsigmondy_exception(check["index"], check["base"])
     if op == "pi_not_subset":
-        # pi(a) not contained in pi(b): a keeps a prime once b's are divided out
-        return _strip_primes(check["a"], check["b"]) > 1
+        # pi(a) not contained in pi(b): a is more than its pi(b)-part
+        return nt.pi_part(check["a"], check["b"]) < check["a"]
     if op == "pi_part_eq":
-        a = check["a"]
-        return a // _strip_primes(a, check["pi_of"]) == check["equals"]
+        return nt.pi_part(check["a"], check["pi_of"]) == check["equals"]
     if op == "in_interval":
         return check["lo"] < check["x"] <= check["hi"]
     if op == "primitive_root":
         return nt.is_primitive_root(check["p"], check["mod"])
     raise ValueError(f"unknown check operation {op!r}")
-
-
-def _strip_primes(a: int, b: int) -> int:
-    """a divided by (a)_pi(b), its largest divisor made of primes of b.
-
-    Repeated gcds divide b's primes out of a with no factoring, so a true
-    step about a hard semiprime never runs out of budget."""
-    if a < 1 or b < 1:
-        raise PreconditionViolated(f"pi steps need operands of at least 1, got {a} and {b}")
-    while (g := gcd(a, b)) > 1:
-        a //= g
-    return a
 
 
 def recheck(cert: Certificate) -> list[str]:

@@ -10,7 +10,8 @@ Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
 2B2, 2G2, 2F4, 3D4, and the Tits group.  For the families whose construction
 comes from a closed-form list of maximal element orders (B2, B3(3)/C3(3), the
 Tits group), the class graph is the compact form of the spectrum-built prime
-graph rather than a drawn diagram.
+graph rather than a drawn diagram; its clique is the classes that hold a
+listed prime or, with "char", the characteristic, and the rest are independent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import groups, numtheory as nt
 from .certificates import (
@@ -132,7 +133,7 @@ def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
     kind = pred.get("pred")
     if kind in ("three_part_eq", "three_part_gt"):
         a = _expr_value(pred["expr"], q, eps)
-        got = nt.pi_part(a, {3})
+        got = nt.pi_part(a, 3)
         trail.append(
             step(
                 f"three-part of {a} is {got}",
@@ -142,9 +143,7 @@ def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
         return got == pred["value"] if kind == "three_part_eq" else got > pred["value"]
     if kind == "member":
         r, i = pred["r"], pred["index"]
-        if q % r == 0:
-            return False
-        got = nt.mult_order(r, q) == i
+        got = q % r != 0 and nt.is_mult_order(r, q, i)
         if got:
             trail.append(
                 step(f"order of {q} modulo {r} is {i}", op="mult_order", r=r, base=q, equals=i)
@@ -185,7 +184,7 @@ def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> t
     minus = frozenset(rule.get("minus", ()))
     if kind == "pi":
         value = _expr_value(rule["expr"], q, eps)
-        if value <= 1 or nt.pi_part(value, minus) == value:
+        if value <= 1 or nt.pi_part(value, prod(minus)) == value:
             return None
         try:
             return tuple(sorted(nt.prime_set(value, budget) - minus))
@@ -245,28 +244,10 @@ def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
 
 def _build_spectrum_variant(descriptor, rule, q, p):
     mu = groups.spectrum_formulas(descriptor)
-    prime_graph = groups.gk_from_spectrum(mu)
-    compact = prime_graph.compact_form()
-    graph = compact.quotient
-    clique, indep = set(), set()
-    for label in graph.vertices:
-        members = set(label.members)
-        if rule["kind"] == "by_order":
-            targets = set(rule["independent_indices"])
-            if p not in members and all(
-                nt.mult_order(r, q) in targets for r in members
-            ):
-                indep.add(label)
-            else:
-                clique.add(label)
-        elif rule["kind"] == "by_primes":
-            if members & set(rule["clique_primes"]):
-                clique.add(label)
-            else:
-                indep.add(label)
-        else:
-            raise ValueError(f"unknown partition rule {rule['kind']!r}")
-    part = flag_special(graph, clique, indep)
+    graph = groups.gk_from_spectrum(mu).compact_form().quotient
+    marked = {*rule["clique_primes"], *([p] if rule["char"] else [])}
+    clique = {label for label in graph.vertices if marked.intersection(label.members)}
+    part = flag_special(graph, clique, set(graph.vertices) - clique)
     ok, reason = validate_partition(graph, part)
     if not ok:
         raise InternalInconsistency(f"spectrum partition invalid at q={q}: {reason}")
@@ -317,7 +298,7 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
 
 def tits_compact():
     """The Tits group: its prime graph equals its own compact form."""
-    rule = {"kind": "by_primes", "clique_primes": [2, 3]}
+    rule = {"clique_primes": [2, 3], "char": False}
     graph, part, trail = _build_spectrum_variant(groups.sporadic(groups.TITS_NAME), rule, 2, 2)
     context = {"family": groups.TITS_NAME, "q": 2}
     return graph, part, Certificate(KIND_SPLIT, tuple(trail), partition=part, context=context)

@@ -313,10 +313,9 @@ def lemma52_check(k: int, p: int, a: int) -> Certificate:
         raise PreconditionViolated(f"need a >= 2, got {a}")
     if k <= 1:
         raise PreconditionViolated(f"need k > 1, got {k}")
-    pi_k = nt.prime_set(k)
-    if nt.prime_set(a) <= pi_k:
+    a_prime = nt.pi_part(a, k)
+    if a_prime == a:
         raise PreconditionViolated(f"pi({a}) is contained in pi({k})")
-    a_prime = nt.pi_part(a, pi_k)
     for idx in (k * a, k * a_prime):
         if nt.is_zsigmondy_exception(idx, p):
             raise PreconditionViolated(f"R_{idx}({p}) is empty; the bound does not apply")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from importlib import resources
-from math import comb, factorial, gcd, isqrt
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 from . import numtheory as nt
@@ -301,13 +301,10 @@ def order(d: GroupDescriptor) -> int:
     return value // divisor
 
 
-def prime_spectrum(d: GroupDescriptor, budget: int = nt.DEFAULT_BUDGET) -> frozenset[int]:
-    """pi(G): all primes dividing the group order.
-
-    For Lie-type groups each order multiplicand is factored separately, which
-    keeps the integers small; for sporadic groups the embedded factorization
-    is used and cross-checked against the embedded partition table.
-    """
+def prime_spectrum(d: GroupDescriptor) -> frozenset[int]:
+    """pi(G) of an alternating, symmetric or sporadic group, factoring nothing;
+    the embedded sporadic factorization is cross-checked against the partition
+    table.  Lie-type groups raise UnsupportedFamily."""
     if d.kind in ("alternating", "symmetric"):
         return frozenset(nt.primes_upto(d.n))
     if d.kind == "sporadic":
@@ -320,14 +317,7 @@ def prime_spectrum(d: GroupDescriptor, budget: int = nt.DEFAULT_BUDGET) -> froze
                     f"{d.name}: partition table covers {sorted(declared)}, order has {sorted(pi)}"
                 )
         return pi
-    total = order(d)
-    out = set()
-    parts, _ = order_parts(d)
-    for part in parts:
-        for r in nt.prime_set(part, budget):
-            if total % r == 0:
-                out.add(r)
-    return frozenset(out)
+    raise UnsupportedFamily(f"no prime spectrum without factoring for {d}")
 
 
 def maximal_elements(values) -> frozenset[int]:
@@ -360,13 +350,10 @@ class SpectrumData(_SpectrumFields):
                 raise SpectrumError(f"element order {m} is not positive")
             if any(w != m and w % m == 0 for w in mu):
                 raise SpectrumError(f"{m} divides another element of mu: not an antichain")
-        total = order(group)
+        total = _order_primes(group)
         for m in mu:
-            for r in nt.prime_set(m):
-                if total % r:
-                    raise SpectrumError(
-                        f"prime {r} from mu does not divide |{group}|"
-                    )
+            if nt.pi_part(m, total) != m:
+                raise SpectrumError(f"element order {m} has a prime that does not divide |{group}|")
         return super().__new__(cls, group, mu)
 
 
@@ -394,11 +381,19 @@ def spectrum_from_json(text: str) -> SpectrumData:
 
 
 def spectrum_covers(s: SpectrumData) -> bool:
-    """True iff the primes of mu cover the whole prime spectrum of the group."""
-    got = set()
-    for m in s.mu:
-        got |= nt.prime_set(m)
-    return got == set(prime_spectrum(s.group))
+    """True iff lcm(mu) and the group order have the same primes, by pi-parts
+    in both directions with no factoring."""
+    period, total = lcm(*s.mu), _order_primes(s.group)
+    return nt.pi_part(period, total) == period and nt.pi_part(total, period) == total
+
+
+def _order_primes(d: GroupDescriptor) -> int:
+    """An integer with the primes of |d|: for Alt(n) and Sym(n) the product of
+    the primes up to n, far smaller than n!; else the order itself."""
+    level = nt.primes_upto(d.n) if d.kind in ("alternating", "symmetric") else [order(d)]
+    while len(level) > 1:  # a product tree: one running product is quadratic
+        level = [prod(level[k : k + 2]) for k in range(0, len(level), 2)]
+    return level[0]
 
 
 def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:

@@ -8,7 +8,10 @@ multiplications of rho), with one bounded memo per process; Miller-Rabin
 primality (a proof for inputs below 3.317e24, a fixed-base
 strong-probable-prime test above);
 multiplicative orders; primitive prime divisors R_i(n) with the
-Bang-Zsigmondy exception list; and pi-parts.
+Bang-Zsigmondy exception list; and pi-parts (a)_pi(b) by repeated gcds, so
+pi(a) lies in pi(b) iff (a)_pi(b) = a.  Factoring names primes (class
+members, graph vertices, the primes of an order) but decides no relation
+between prime sets.
 
 There is one prime table per process.  ``primes_upto`` and the trial-division
 blocks both read it; it is empty at import, sieved on first use and re-sieved
@@ -418,16 +421,19 @@ def is_mult_order(r: int, n: int, k: int) -> bool:
     return k >= 1 and pow(m, k, r) == 1 and all(pow(m, k // p, r) != 1 for p in prime_set(k))
 
 
-def pi_part(a: int, pi) -> int:
-    """(a)_pi: the greatest divisor of a whose prime divisors all lie in pi."""
-    if a < 1:
-        raise PreconditionViolated(f"pi_part needs a >= 1, got {a}")
-    part = 1
-    for p in sorted(set(pi)):
-        while a % p == 0:
-            a //= p
-            part *= p
-    return part
+def pi_part(a: int, b: int) -> int:
+    """(a)_pi(b): the greatest divisor of a whose primes all divide b, for a, b >= 1.
+
+    Repeated gcds divide b's primes out of a with no factoring; each gcd is
+    taken with the square of the last, so a power p^e takes log2(e) rounds.
+    """
+    if a < 1 or b < 1:
+        raise PreconditionViolated(f"pi_part needs a, b >= 1, got {a} and {b}")
+    rest, g = a, gcd(a, b)
+    while g > 1:
+        rest //= g
+        g = gcd(rest, g * g)
+    return a // rest
 
 
 def is_primitive_root(p: int, n: int) -> bool:
@@ -549,15 +555,15 @@ def has_ppd(i: int, n: int, minus=()) -> bool:
     An odd prime r that divides Phi_i(n) but not i has order exactly i
     modulo n (and r does not divide n, as Phi_i(0) = +-1), while every odd
     member of R_i(n) divides Phi_i(n).  So R_i(n) - minus is nonempty iff 2
-    lies in it or |Phi_i(n)| is still above 1 once 2, the primes of i and
-    the primes in minus are divided out of it.
+    lies in it or |Phi_i(n)| is still above 1 once the primes of 2 * i *
+    prod(minus) are divided out of it (``pi_part``).
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"has_ppd needs i >= 1 and |n| > 1")
     if 2 not in minus and _two_is_ppd(i, n):
         return True
     value = abs(cyclotomic_value(i, n))
-    return pi_part(value, {2, *minus, *(p for p, _ in factor(i).factors)}) < value
+    return pi_part(value, 2 * i * prod(minus)) < value
 
 
 def _cofactors(i: int) -> list[int]:

@@ -135,6 +135,17 @@ class TestBuildExport:
         code = cli.main(["split", "--spectrum", str(path)])
         assert code == 2
 
+    def test_hostile_spectrum_refused_quickly(self, tmp_path, capsys):
+        # |E8(1000003)| has factors such as q^30 - 1 that the default budget
+        # cannot split; the cover test compares prime sets by gcds instead
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"group": "E8(1000003)", "mu": [2]}))
+        start = time.perf_counter()
+        assert cli.main(["split", "--spectrum", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_compact_unavailable_for_big_classical(self, capsys):
         code = cli.main(["build", "--group", "A12(4)", "--graph", "compact"])
         assert code == 2

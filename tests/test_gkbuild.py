@@ -7,6 +7,7 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
+    InvalidField,
     NotSimple,
     PreconditionViolated,
     RankTooSmall,
@@ -22,6 +23,7 @@ from oracles import (
     brute_order,
     brute_primes,
     classical_phi,
+    convention_order,
     lemma52_indices,
     ppd_class_empty,
 )
@@ -374,7 +376,7 @@ class TestNonsplitWitnessLinear:
                     primes, cert = gkbuild.nonsplit_witness_linear(n, p, a)
                     expected = []
                     for k in (cert.context["k1"], cert.context["k2"]):
-                        a_prime = nt.pi_part(a, nt.prime_set(k))
+                        a_prime = nt.pi_part(a, k)
                         expected += [min(nt.ppd_set(k * a, p)), min(nt.ppd_set(k * a_prime, p))]
                     assert list(primes) == expected, (n, p, a)
 
@@ -489,6 +491,25 @@ class TestExceptionalGraphs:
         # flag from the graph
         graph, part, _ = gkbuild.exceptional_compact(family, q)
         assert part == flag_special(graph, part.clique, part.independent)
+
+    def test_b2_partition_is_the_order_four_rule(self):
+        # the classes that avoid p and whose members all have order 4 modulo q
+        # are independent, the rest form the clique: the characteristic rule
+        # gives the same partition for every prime power q <= 400
+        seen = 0
+        for q in range(3, 401):
+            try:
+                p, _ = groups.char_and_degree(q)
+            except InvalidField:
+                continue
+            graph, part, _ = gkbuild.exceptional_compact("B2", q)
+            indep = {
+                v for v in graph.vertices
+                if p not in v.members and all(convention_order(r, q) == 4 for r in v.members)
+            }
+            assert (part.clique, part.independent) == (set(graph.vertices) - indep, indep), q
+            seen += 1
+        assert seen == 96
 
     def test_2b2_8(self):
         graph, part, cert = gkbuild.exceptional_compact("2B2", 8)

@@ -1,3 +1,5 @@
+import json
+import time
 from math import factorial
 
 import pytest
@@ -118,27 +120,19 @@ class TestOrders:
 
 
 class TestPrimeSpectrum:
-    def test_a1_4(self):
-        assert groups.prime_spectrum(groups.classical("A", 1, 4)) == {2, 3, 5}
-
     def test_m11(self):
         assert groups.prime_spectrum(groups.sporadic("M11")) == {2, 3, 5, 11}
 
     def test_tits(self):
         assert groups.prime_spectrum(groups.sporadic("Tits")) == {2, 3, 5, 13}
 
-    def test_lie_matches_full_factorization(self):
-        for d in (
-            groups.classical("A", 2, 4),
-            groups.classical("2A", 3, 3),
-            groups.classical("D", 4, 2),
-            groups.exceptional("G2", 3),
-            groups.exceptional("3D4", 2),
-        ):
-            assert groups.prime_spectrum(d) == nt.prime_set(groups.order(d))
-
     def test_alternating(self):
         assert groups.prime_spectrum(groups.alternating(10)) == {2, 3, 5, 7}
+
+    def test_lie_type_refused(self):
+        for d in (groups.classical("A", 1, 4), groups.exceptional("G2", 3)):
+            with pytest.raises(UnsupportedFamily):
+                groups.prime_spectrum(d)
 
 
 class TestSporadicTable:
@@ -294,6 +288,36 @@ class TestSpectrumCoverage:
         d = groups.classical("A", 1, 7)
         partial = groups.SpectrumData(d, frozenset({7, 4}))
         assert not groups.spectrum_covers(partial)
+
+    def test_both_directions(self):
+        # _make skips the constructor's check, so a prime of mu outside |G|
+        # reaches the cover test, which must see it
+        d = groups.classical("A", 1, 7)
+        assert not groups.spectrum_covers(groups.SpectrumData._make((d, frozenset({7, 3, 4, 11}))))
+        assert not groups.spectrum_covers(groups.SpectrumData._make((d, frozenset({7, 3, 4 * 5**40}))))
+        assert groups.spectrum_covers(groups.SpectrumData._make((d, frozenset({7**9, 3**20, 2**70}))))
+
+    def test_alternating_symmetric_and_sporadic(self):
+        for d, mu, covers in (
+            (groups.alternating(7), {4, 5, 6, 7}, True),
+            (groups.alternating(10), {5, 12}, False),
+            (groups.symmetric(10), {5, 7, 12}, True),
+            (groups.sporadic("M11"), {5, 6, 8, 11}, True),
+            (groups.sporadic("Tits"), {12, 16, 20}, False),
+        ):
+            assert groups.spectrum_covers(groups.SpectrumData(d, frozenset(mu))) == covers, d
+
+    def test_foreign_element_order_named(self):
+        with pytest.raises(SpectrumError, match="element order 14 has a prime that does not divide"):
+            groups.SpectrumData(groups.classical("A", 1, 5), frozenset({14, 5}))
+
+    def test_alt_million_refused_without_its_order(self):
+        # |Alt(10^6)| has 18.5 million bits and takes 9 s to compute; the
+        # cover test reads the product of the primes up to 10^6 instead
+        start = time.perf_counter()
+        with pytest.raises(SpectrumError, match="do not cover"):
+            groups.spectrum_from_json(json.dumps({"group": "Alt(1000000)", "mu": [2]}))
+        assert time.perf_counter() - start < 5
 
 
 class TestMaximalElements:

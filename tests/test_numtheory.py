@@ -159,12 +159,42 @@ class TestOrders:
 
 class TestPiPart:
     def test_examples(self):
-        assert nt.pi_part(12, {2}) == 4
-        assert nt.pi_part(6, {3}) == 3
-        assert nt.pi_part(45, set()) == 1
+        assert nt.pi_part(12, 2) == 4
+        assert nt.pi_part(6, 3) == 3
+        assert nt.pi_part(45, 1) == 1
 
     def test_full(self):
-        assert nt.pi_part(360, {2, 3, 5}) == 360
+        assert nt.pi_part(360, 30) == 360
+
+    def test_matches_trial_division(self):
+        primes = {n: {p for p, _ in brute_factor(n)} for n in range(1, 301)}
+        for a in range(1, 301):
+            for b in range(1, 301):
+                want = prod(p**e for p, e in brute_factor(a) if p in primes[b])
+                assert nt.pi_part(a, b) == want, (a, b)
+
+    def test_high_powers_take_few_gcds(self):
+        # one gcd per factor of 2 would take 100,000 rounds (about 3 s)
+        start = time.perf_counter()
+        assert nt.pi_part(3**5 * 2**100_000 * 7, 6 * 5) == 3**5 * 2**100_000
+        assert nt.pi_part(10**4000 + 3, 10**4000) == 1
+        assert time.perf_counter() - start < 0.5
+
+    def test_hard_operands_need_no_factoring(self):
+        # 2^89 - 1 and 2^107 - 1 are prime; factoring their product runs the
+        # default budget out
+        m89, m107 = 2**89 - 1, 2**107 - 1
+        start = time.perf_counter()
+        assert nt.pi_part(3 * m89, m89 * m107) == m89
+        assert nt.pi_part(m89 * m107, 3 * m89) == m89
+        assert nt.pi_part(m89**3 * m107**2, m107) == m107**2
+        assert nt.pi_part(m89 * m107, 6) == 1
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("a, b", [(0, 6), (12, 0), (-12, 6), (12, -6)])
+    def test_operands_below_one_are_refused(self, a, b):
+        with pytest.raises(PreconditionViolated):
+            nt.pi_part(a, b)
 
 
 class TestPrimeNeighbours:
