@@ -116,7 +116,12 @@ def theorem_c(budget: int = nt.DEFAULT_BUDGET):
 
 def theorem_d(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
     """The compact prime graph of one group: split, with a certificate that
-    rechecks; the partition and any class left without members are shown."""
+    rechecks; the partition and any class left without members are shown.
+
+    The partition shown is the degree route's on the compact graph; the
+    certificate carries the diagram's.  Both validate on that graph, and for
+    13 of the 53 ``_EXCEPTIONAL_SAMPLES`` groups (A2(5), G2(4), E8(2) among
+    them) they differ."""
     obj, verdict, cert = gkbuild.theoremD_verify(d, budget)
     failures = recheck(cert)
     good = verdict.split and not failures
@@ -172,8 +177,10 @@ def spectrum(budget: int = nt.DEFAULT_BUDGET):
     """The compact form of each spectrum-built prime graph equals the drawn
     diagram, which carries its split partition.
 
-    For B2, B3(3) and the Tits group both sides come from the same maximal
-    element orders, so those rows check the partition, not a drawn diagram.
+    The B2 and B3(3) diagrams are transcribed from the same maximal element
+    orders, so their rows compare two independent transcriptions.  Only the
+    Tits row builds both sides from one spectrum, so it checks the partition,
+    not a drawn diagram.
     """
     lines = []
     ok = True

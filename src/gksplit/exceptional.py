@@ -7,11 +7,12 @@ of 5 in R_4, divisibility, q even, q equal to a value, and negation, so the
 resource file can be audited line by line against the published drawings.
 
 Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
-2B2, 2G2, 2F4, 3D4, and the Tits group.  For the families whose construction
-comes from a closed-form list of maximal element orders (B2, B3(3)/C3(3), the
-Tits group), the class graph is the compact form of the spectrum-built prime
-graph rather than a drawn diagram; its clique is the classes that hold a
-listed prime or, with "char", the characteristic, and the rest are independent.
+2B2, 2G2, 2F4, 3D4, and the Tits group.  Every Lie family is a diagram, so no
+class needs factoring to exist; the diagrams of B2 and B3(3)/C3(3) are
+transcribed from the maximal element orders of ``groups.spectrum_formulas``,
+and ``verify spectrum`` checks them against those orders.  The Tits group, one
+group with a fixed spectrum, is the compact form of its spectrum-built prime
+graph, with the classes of 2 and 3 as its clique.
 """
 
 from __future__ import annotations
@@ -211,8 +212,7 @@ def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> t
     return () if None in lookups else tuple(sorted(head.union(*lookups) - minus))
 
 
-def _build_diagram(variant, q, p, eps, budget):
-    trail: list = []
+def _build_diagram(variant, q, p, eps, budget, trail):
     labels: dict[str, ClassLabel] = {}
     for vspec in variant["vertices"]:
         if not _eval_pred(vspec.get("when"), q, eps, trail):
@@ -224,8 +224,7 @@ def _build_diagram(variant, q, p, eps, budget):
     for u, v, cond in variant["edges"]:
         if u in labels and v in labels and _eval_pred(cond, q, eps, trail):
             edges.append((labels[u], labels[v]))
-    graph = Graph(labels.values(), edges)
-    return graph, labels, trail
+    return Graph(labels.values(), edges), labels
 
 
 def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
@@ -240,18 +239,6 @@ def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
     raise InternalInconsistency(
         f"no published partition alternative validates at q={q}"
     )
-
-
-def _build_spectrum_variant(descriptor, rule, q, p):
-    mu = groups.spectrum_formulas(descriptor)
-    graph = groups.gk_from_spectrum(mu).compact_form().quotient
-    marked = {*rule["clique_primes"], *([p] if rule["char"] else [])}
-    clique = {label for label in graph.vertices if marked.intersection(label.members)}
-    part = flag_special(graph, clique, set(graph.vertices) - clique)
-    ok, reason = validate_partition(graph, part)
-    if not ok:
-        raise InternalInconsistency(f"spectrum partition invalid at q={q}: {reason}")
-    return graph, part, [assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum")]
 
 
 def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
@@ -271,15 +258,8 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
         trail: list = []
         if not _eval_pred(variant.get("when"), q, eps, trail):
             continue
-        if variant["strategy"] == "spectrum":
-            graph, part, extra = _build_spectrum_variant(
-                descriptor, variant["partition_rule"], q, p
-            )
-            trail.extend(extra)
-        else:
-            graph, labels, build_trail = _build_diagram(variant, q, p, eps, budget)
-            trail.extend(build_trail)
-            part = _partition_from_alternatives(variant, graph, labels, q, eps, trail)
+        graph, labels = _build_diagram(variant, q, p, eps, budget, trail)
+        part = _partition_from_alternatives(variant, graph, labels, q, eps, trail)
         trail.append(
             assume(
                 f"class graph is the published compact diagram of {family} at q={q}",
@@ -297,8 +277,15 @@ def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
 
 
 def tits_compact():
-    """The Tits group: its prime graph equals its own compact form."""
-    rule = {"clique_primes": [2, 3], "char": False}
-    graph, part, trail = _build_spectrum_variant(groups.sporadic(groups.TITS_NAME), rule, 2, 2)
+    """The Tits group, built from its maximal element orders: its prime graph
+    equals its own compact form, with C the classes of 2 and 3."""
+    mu = groups.spectrum_formulas(groups.sporadic(groups.TITS_NAME))
+    graph = groups.gk_from_spectrum(mu).compact_form().quotient
+    clique = {label for label in graph.vertices if {2, 3}.intersection(label.members)}
+    part = flag_special(graph, clique, set(graph.vertices) - clique)
+    ok, reason = validate_partition(graph, part)
+    if not ok:
+        raise InternalInconsistency(f"Tits group partition invalid: {reason}")
+    trail = (assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),)
     context = {"family": groups.TITS_NAME, "q": 2}
-    return graph, part, Certificate(KIND_SPLIT, tuple(trail), partition=part, context=context)
+    return graph, part, Certificate(KIND_SPLIT, trail, partition=part, context=context)

@@ -34,6 +34,11 @@ def brute_factor(n):
     return sorted(out.items())
 
 
+def prime_powers(lo, hi):
+    """The prime powers q with lo <= q <= hi, by trial division."""
+    return [q for q in range(lo, hi + 1) if len(brute_factor(q)) == 1]
+
+
 def brute_order(base, mod):
     """Multiplicative order of base modulo mod by repeated multiplication."""
     b = base % mod
@@ -258,18 +263,26 @@ def adjacency(vertices, edges):
 
 
 def brute_is_split(vertices, edges):
-    """Split check by trying every clique/independent bipartition."""
-    vs = list(vertices)
-    adj = adjacency(vs, edges)
-    for size in range(len(vs) + 1):
-        for clique in combinations(vs, size):
-            cs = set(clique)
-            if any(v not in adj[u] for u, v in combinations(clique, 2)):
-                continue
-            rest = [v for v in vs if v not in cs]
-            if all(v not in adj[u] for u, v in combinations(rest, 2)):
-                return True
-    return False
+    """Split check by trying every clique/independent bipartition.
+
+    Subsets are bitmasks over the vertices in the given order; whether a
+    subset is a clique (or independent) is read off the subset without its
+    lowest vertex, so each of the 2^n subsets costs one row test.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    rows = [0] * len(index)
+    for e in edges:
+        u, v = (index[x] for x in e)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    full = (1 << len(rows)) - 1
+    clique, indep = [True] * (full + 1), [True] * (full + 1)
+    for mask in range(1, full + 1):
+        rest = mask & (mask - 1)
+        row = rows[(mask ^ rest).bit_length() - 1]
+        clique[mask] = clique[rest] and row & rest == rest
+        indep[mask] = indep[rest] and not row & rest
+    return any(clique[mask] and indep[full ^ mask] for mask in range(full + 1))
 
 
 def brute_has_forbidden(vertices, edges):

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from gksplit import campaigns, cli, groups
+from gksplit import campaigns, cli, exceptional, gkbuild, groups
+from gksplit.splitcheck import validate_partition
+
+from oracles import prime_powers
 
 # each campaign called with plain values, next to the argv that runs it
 CASES = [
@@ -50,3 +53,24 @@ def test_theorem_a_300_keeps_its_lines():
     assert ok and len(lines) == 596
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == "8578e0ed7133cebeb52b9970b0d9834d98b296f6d2f9dfdc0e3860e9e9c73293"
+
+
+def test_printed_and_certified_partitions_both_validate():
+    # theorem-d prints the degree route's partition of the compact graph and
+    # the certificate carries the diagram's: both validate on the graph
+    # theorem-d returns, for every exceptional sample, and they differ at 13
+    # of the 53 (A2(5), G2(4), E8(2), ...)
+    differ = []
+    for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
+        for q in qs:
+            graph, verdict, cert = gkbuild.theoremD_verify(exceptional.descriptor_for(family, q))
+            for part in (verdict.partition, cert.partition):
+                assert validate_partition(graph, part) == (True, None), (family, q)
+            if verdict.partition != cert.partition:
+                differ.append(f"{family}({q})")
+    assert len(differ) == 13 and {"A2(5)", "G2(4)", "E8(2)"} <= set(differ)
+    # B2 = C2 prints the partition it certifies at every field size q <= 400
+    for q in prime_powers(3, 400):
+        for family in ("B2", "C2"):
+            graph, verdict, cert = gkbuild.theoremD_verify(exceptional.descriptor_for(family, q))
+            assert verdict.partition == cert.partition, (family, q)

@@ -221,7 +221,7 @@ class TestVerifyCommands:
         assert cli.main(["verify", "theorem-d", "--group", "B4(3)"]) == 0
         assert "members unknown" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("group", ["A2(13)", "E8(2)", "2G2(27)", "A4(13)"])
+    @pytest.mark.parametrize("group", ["A2(13)", "E8(2)", "2G2(27)", "A4(13)", "B2(5)", "C2(7)"])
     def test_theorem_d_keeps_classes_at_any_budget(self, group, capsys):
         # class existence never needs factoring: the diagrams, and delta(L)
         # of A4(13), once ran the budget out with exit 3
@@ -231,6 +231,19 @@ class TestVerifyCommands:
         assert cli.main(["verify", "theorem-d", "--group", group]) == 0
         full = capsys.readouterr().out.splitlines()
         assert re.sub(r"\{[0-9,]+\}", "", lines[1]) == re.sub(r"\{[0-9,]+\}", "", full[1])
+
+    def test_theorem_d_b2_at_budget_1_without_factoring(self, capsys):
+        # q = 2^127 - 1: B2 is a diagram of order indices, so one unit of
+        # budget decides it at once; it once factored its maximal element
+        # orders at the default budget and exited 3 after seconds
+        start = time.perf_counter()
+        code = cli.main(
+            ["verify", "theorem-d", "--group", "B2(170141183460469231731687303715884105727)", "--budget", "1"]
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "  members unknown (factoring budget exhausted): R, R4"
 
     def test_theorem_c_at_budget_1(self, capsys):
         assert cli.main(["verify", "theorem-c", "--budget", "1"]) == 0

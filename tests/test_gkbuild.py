@@ -7,7 +7,6 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
-    InvalidField,
     NotSimple,
     PreconditionViolated,
     RankTooSmall,
@@ -26,6 +25,7 @@ from oracles import (
     convention_order,
     lemma52_indices,
     ppd_class_empty,
+    prime_powers,
 )
 
 
@@ -484,11 +484,15 @@ class TestArtin:
         assert gkbuild.artin_pairs(p, 500) == brute_artin_pairs(p, 500)
 
 
+def _member_sides(part):
+    return [{frozenset(v.members) for v in side} for side in (part.clique, part.independent)] + [part.special]
+
+
 class TestExceptionalGraphs:
     @pytest.mark.parametrize("family, q", [("B2", 3), ("B2", 7), ("B3", 3), (groups.TITS_NAME, 2)])
     def test_spectrum_partition_flag_is_verified(self, family, q):
-        # the spectrum builder, the Tits group's included, sets the special
-        # flag from the graph
+        # the diagrams transcribed from a spectrum, and the Tits group's
+        # spectrum build, set the special flag from the graph
         graph, part, _ = gkbuild.exceptional_compact(family, q)
         assert part == flag_special(graph, part.clique, part.independent)
 
@@ -496,20 +500,35 @@ class TestExceptionalGraphs:
         # the classes that avoid p and whose members all have order 4 modulo q
         # are independent, the rest form the clique: the characteristic rule
         # gives the same partition for every prime power q <= 400
-        seen = 0
-        for q in range(3, 401):
-            try:
-                p, _ = groups.char_and_degree(q)
-            except InvalidField:
-                continue
+        qs = prime_powers(3, 400)
+        for q in qs:
+            p, _ = groups.char_and_degree(q)
             graph, part, _ = gkbuild.exceptional_compact("B2", q)
             indep = {
                 v for v in graph.vertices
                 if p not in v.members and all(convention_order(r, q) == 4 for r in v.members)
             }
             assert (part.clique, part.independent) == (set(graph.vertices) - indep, indep), q
-            seen += 1
-        assert seen == 96
+        assert len(qs) == 96
+
+    def test_spectrum_transcriptions_match_the_spectrum(self):
+        # the B2 = C2 and B3(3) = C3(3) diagrams are transcribed from
+        # groups.spectrum_formulas: each is the compact form of the prime graph
+        # built from the maximal element orders, by member sets, and its
+        # partition is the one read off that graph (C = the class of p for B2,
+        # the class of 2 for B3(3)), special flag included
+        cases = [(family, q) for q in prime_powers(3, 400) for family in ("B2", "C2")]
+        cases += [("B3", 3), ("C3", 3)]
+        for family, q in cases:
+            graph, part, _ = gkbuild.exceptional_compact(family, q)
+            mu = groups.spectrum_formulas(exceptional.descriptor_for(family, q))
+            lhs = groups.gk_from_spectrum(mu).compact_form().quotient
+            assert same_class_graph(lhs, graph), (family, q)
+            marked = 2 if family[1] == "3" else groups.char_and_degree(q)[0]
+            clique = {v for v in lhs.vertices if marked in v.members}
+            want = flag_special(lhs, clique, set(lhs.vertices) - clique)
+            assert _member_sides(part) == _member_sides(want), (family, q)
+        assert len(cases) == 194
 
     def test_2b2_8(self):
         graph, part, cert = gkbuild.exceptional_compact("2B2", 8)
@@ -591,7 +610,7 @@ class TestExceptionalGraphs:
             ("A1", (4, 7, 9)),
             ("A2", (5, 7, 13)),
             ("2A2", (5, 7, 8)),
-            ("B2", (3, 5, 7)),      # spectrum strategy: compact by construction
+            ("B2", (3, 5, 7)),      # two isolated classes, R and R4
             ("G2", (13, 27, 31)),
             ("F4", (4, 8, 32)),
             ("E7", (2, 3, 4)),
