@@ -2,16 +2,18 @@
 
 Each campaign is a function of plain values that returns ``(ok, lines)``:
 whether every check passed, and the report lines ``gksplit verify`` prints.
-Theorem A sweeps the Alt/Sym prime graphs, theorem B the sporadic tables,
-theorems C and D the compact forms of Lie-type groups; zsigmondy and
-spectrum check the arithmetic and the diagrams those forms rest on.
+Theorem A sweeps the Alt/Sym prime graphs.  Theorem B (the sporadic groups),
+theorem C (the classical grid and the diagram samples) and theorem D (one
+group) check each group the same way, by ``_check``: ``gkbuild.theoremD_verify``
+and then ``recheck`` of its certificate.  zsigmondy checks the primitive
+divisor arithmetic, and spectrum compares each spectrum-built prime graph
+with the diagram of a group that passes ``_check``.
 """
 
 from __future__ import annotations
 
 from . import gkbuild, groups, numtheory as nt
 from .certificates import recheck
-from .exceptional import descriptor_for
 from .errors import BudgetExceeded
 from .graph import ClassLabel, Graph, label_key, label_members, label_text, same_class_graph
 from .splitcheck import is_split_degree, partition_text, validate_partition
@@ -37,20 +39,25 @@ def theorem_a(top: int = 300):
     return ok, lines
 
 
+def _check(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
+    """The one check of every Theorem B, C and D campaign: theoremD_verify on
+    d, then recheck of its certificate.  Returns (ok, compact graph or None,
+    verdict, recheck failures)."""
+    graph, verdict, cert = gkbuild.theoremD_verify(d, budget)
+    failures = recheck(cert)
+    return verdict.split and not failures, graph, verdict, failures
+
+
 def theorem_b():
-    """The sporadic tables: each partition covers the prime spectrum without
-    overlap, and M22's solvable graph is nonsplit with its known 2K2 and
-    compact form."""
+    """Every sporadic group passes ``_check`` on its table partition (the
+    table itself is checked when it loads), and M22's solvable graph is
+    nonsplit with its known 2K2 and compact form."""
     lines = []
     ok = True
     for rec in groups.sporadic_table():
-        pi = rec.prime_spectrum
-        good = True
-        for part in (rec.prime_partition, rec.solvable_partition):
-            if part is not None:
-                good &= part.clique | part.independent == pi and not part.clique & part.independent
+        good = _check(groups.sporadic(rec.name))[0]
         if rec.name == "M22":
-            g = Graph(sorted(pi), rec.solvable_edges)
+            g = Graph(sorted(rec.prime_spectrum), rec.solvable_edges)
             verdict = is_split_degree(g)
             good &= not verdict.split
             good &= set(verdict.forbidden.vertices) == {3, 5, 7, 11}
@@ -88,29 +95,23 @@ _EXCEPTIONAL_SAMPLES = [
 
 
 def theorem_c(budget: int = nt.DEFAULT_BUDGET):
-    """Compact split partitions whose certificates recheck: the classical
-    grid by family, then the exceptional samples, whose diagrams must also
-    carry their partition."""
+    """Every group of the classical grid, one line per family, and of the
+    exceptional samples, one line per family, passes ``_check``."""
+    rows = [
+        (f"{family}-series {text}", [groups.classical(family, rank, q) for rank in ranks for q in qs])
+        for families, ranks, qs, text in _THEOREM_C_GRID
+        for family in families
+    ]
+    rows += [
+        (f"{family} at q in {qs}", [groups.parse_descriptor(f"{family}({q})") for q in qs])
+        for family, qs in _EXCEPTIONAL_SAMPLES
+    ]
     lines = []
     ok = True
-    for families, ranks, qs, text in _THEOREM_C_GRID:
-        for family in families:
-            good = True
-            for rank in ranks:
-                for q in qs:
-                    ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q))
-                    part, cert = gkbuild.classical_compact_partition(ctx, budget)
-                    good &= not recheck(cert)
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {family}-series {text}")
-    for family, qlist in _EXCEPTIONAL_SAMPLES:
-        good = True
-        for q in qlist:
-            graph, part, cert = gkbuild.exceptional_compact(family, q, budget)
-            valid, _ = validate_partition(graph, part)
-            good &= valid and not recheck(cert)
+    for text, descriptors in rows:
+        good = all(_check(d, budget)[0] for d in descriptors)
         ok &= good
-        lines.append(f"{'PASS' if good else 'FAIL'} {family} at q in {qlist}")
+        lines.append(f"{'PASS' if good else 'FAIL'} {text}")
     return ok, lines
 
 
@@ -122,9 +123,7 @@ def theorem_d(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
     certificate carries the diagram's.  Both validate on that graph, and for
     13 of the 53 ``_EXCEPTIONAL_SAMPLES`` groups (A2(5), G2(4), E8(2) among
     them) they differ."""
-    obj, verdict, cert = gkbuild.theoremD_verify(d, budget)
-    failures = recheck(cert)
-    good = verdict.split and not failures
+    good, _, verdict, failures = _check(d, budget)
     lines = [f"{'PASS' if good else 'FAIL'} {d}: compact prime graph split"]
     if verdict.partition is not None:
         part = verdict.partition
@@ -169,30 +168,31 @@ _SPECTRUM_CHECKS = [
     ("2G2", (27,)),
     ("B2", (3,)),
     ("B3", (3,)),
-    (groups.TITS_NAME, (2,)),
 ]
 
 
 def spectrum(budget: int = nt.DEFAULT_BUDGET):
     """The compact form of each spectrum-built prime graph equals the drawn
-    diagram, which carries its split partition.
+    diagram of the same group, which passes ``_check``.
 
     The B2 and B3(3) diagrams are transcribed from the same maximal element
     orders, so their rows compare two independent transcriptions.  Only the
     Tits row builds both sides from one spectrum, so it checks the partition,
     not a drawn diagram.
     """
+    rows = [
+        (f"{family} q={q}", groups.parse_descriptor(f"{family}({q})")) for family, qs in _SPECTRUM_CHECKS for q in qs
+    ]
+    rows.append((f"{groups.TITS_NAME} q=2", groups.sporadic(groups.TITS_NAME)))
     lines = []
     ok = True
-    for family, qlist in _SPECTRUM_CHECKS:
-        for q in qlist:
-            mu = groups.spectrum_formulas(descriptor_for(family, q))
-            lhs = groups.gk_from_spectrum(mu).compact_form().quotient
-            rhs, part, cert = gkbuild.exceptional_compact(family, q, budget)
-            if not all(map(label_members, rhs.vertices)):
-                # a class without members cannot be matched to the spectrum side
-                raise BudgetExceeded(f"class members of {family} at q={q} unknown at budget {budget}")
-            good = same_class_graph(lhs, rhs) and validate_partition(rhs, part)[0]
-            ok &= good
-            lines.append(f"{'PASS' if good else 'FAIL'} {family} q={q}")
+    for text, d in rows:
+        lhs = groups.gk_from_spectrum(groups.spectrum_formulas(d), budget).compact_form().quotient
+        good, rhs, _, _ = _check(d, budget)
+        if not all(map(label_members, rhs.vertices)):
+            # a class without members cannot be matched to the spectrum side
+            raise BudgetExceeded(f"class members of {d} unknown at budget {budget}")
+        good &= same_class_graph(lhs, rhs)
+        ok &= good
+        lines.append(f"{'PASS' if good else 'FAIL'} {text}")
     return ok, lines

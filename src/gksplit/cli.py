@@ -41,11 +41,11 @@ _RESULT_SCHEMA = "gksplit/result/1"
 _SPECTRUM_FAMILIES = "Alt/Sym, A1, B2=C2, B3(3)=C3(3), 2B2, 2G2, and the Tits group"
 
 
-def _prime_graph_for(d: groups.GroupDescriptor) -> Graph:
+def _prime_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
     if d.kind in ("alternating", "symmetric"):
         return gkbuild.gk_altsym(d.kind, d.n)
     try:
-        return groups.gk_from_spectrum(groups.spectrum_formulas(d))
+        return groups.gk_from_spectrum(groups.spectrum_formulas(d), budget)
     except UnsupportedFamily:
         raise UnsupportedFamily(
             f"no closed-form prime graph for {d}; supply one with --spectrum FILE "
@@ -90,14 +90,14 @@ def _acquire_graph(args) -> tuple[Graph, str]:
             return _solvable_graph_for(d), f"solvable graph of {d}"
         if args.graph == "compact":
             return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
-        return _prime_graph_for(d), f"prime graph of {d}"
+        return _prime_graph_for(d, args.budget), f"prime graph of {d}"
     if args.graph == "solvable":
         raise GKSplitError("--graph solvable needs --group; --spectrum and --in give no solvable graph")
     if args.infile:
         g, title = Graph.from_json(_read_text(args.infile)), args.infile
     else:
         data = groups.spectrum_from_json(_read_text(args.spectrum))
-        g, title = groups.gk_from_spectrum(data), f"spectrum of {data.group}"
+        g, title = groups.gk_from_spectrum(data, args.budget), f"spectrum of {data.group}"
     if args.graph == "compact":
         g = g.compact_form().quotient
     return g, title
@@ -154,7 +154,6 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_compact(args) -> int:
-    args.graph = "prime" if args.graph == "compact" else args.graph
     g, title = _acquire_graph(args)
     cf = g.compact_form()
     _emit(_render_graph(cf.quotient, args.format, f"compact form of {title}"), args.out)

@@ -7,7 +7,8 @@ of 5 in R_4, divisibility, q even, q equal to a value, and negation, so the
 resource file can be audited line by line against the published drawings.
 
 Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
-2B2, 2G2, 2F4, 3D4, and the Tits group.  Every Lie family is a diagram, so no
+2B2, 2G2, 2F4, 3D4, and the Tits group, each keyed by its
+``groups.GroupDescriptor``.  Every Lie family is a diagram, so no
 class needs factoring to exist; the diagrams of B2 and B3(3)/C3(3) are
 transcribed from the maximal element orders of ``groups.spectrum_formulas``,
 and ``verify spectrum`` checks them against those orders.  The Tits group, one
@@ -36,13 +37,12 @@ from .splitcheck import flag_special, validate_partition
 
 _DIAGRAMS: dict | None = None
 
-#: family string accepted by exceptional_compact -> (template key, epsilon)
+#: diagram family (a descriptor's family and rank, as in its text) -> (template key, epsilon)
 _FAMILY_MAP = {
     "A1": ("A1", 1),
     "A2": ("A2", 1),
     "2A2": ("A2", -1),
     "B2": ("B2", 1),
-    "C2": ("B2", 1),
     "B3": ("B3C3", 1),
     "C3": ("B3C3", 1),
     "G2": ("G2", 1),
@@ -68,18 +68,6 @@ def _load() -> dict:
         text = resources.files("gksplit.data").joinpath("diagrams.json").read_text()
         _DIAGRAMS = json.loads(text)
     return _DIAGRAMS
-
-
-def descriptor_for(family: str, q: int) -> groups.GroupDescriptor:
-    """The group a family string names at field size q.
-
-    Each name in ``groups.TITS_ALIASES``, and ("2F4", 2), names the Tits group.
-    """
-    if family in groups.TITS_ALIASES or (family, q) == ("2F4", 2):
-        return groups.sporadic(groups.TITS_NAME)
-    if family not in _FAMILY_MAP:
-        raise UnsupportedFamily(f"no compact diagram for family {family!r}")
-    return groups.parse_descriptor(f"{family}({q})")
 
 
 def nu(n: int) -> int:
@@ -241,17 +229,20 @@ def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
     )
 
 
-def exceptional_compact(family: str, q: int, budget: int = nt.DEFAULT_BUDGET):
-    """Compact class graph, split partition and certificate for one family at q.
+def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
+    """Compact class graph, split partition and certificate of the group d.
 
     Returns (Graph over ClassLabel vertices, SplitPartition, Certificate).
-    Field-size and simplicity constraints are enforced through the usual
-    descriptor validation; ("2F4", 2) is routed to the Tits group.
+    d is the Tits group or a group whose family is in ``diagram_families()``;
+    any other group raises UnsupportedFamily.
     """
-    descriptor = descriptor_for(family, q)
-    if descriptor.tits:
+    if d.tits:
         return tits_compact()
+    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
+    if family not in _FAMILY_MAP:
+        raise UnsupportedFamily(f"no compact diagram for {d}")
     key, eps = _FAMILY_MAP[family]
+    q = d.q
     p, _ = groups.char_and_degree(q)
     template = _load()["families"][key]
     for variant in template["variants"]:

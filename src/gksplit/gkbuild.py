@@ -4,7 +4,7 @@ This module turns the arithmetic adjacency criteria into concrete artifacts:
 
 * alternating/symmetric prime graphs and their clique/independent partitions
   (primes up to n/2 against primes above n/2);
-* the order-index bookkeeping (nu, eta, nu_eps, phi) for classical groups and
+* the order-index bookkeeping (nu, eta, nu_eps) for classical groups and
   the resulting compact split partition for dimension/rank at least 4, with a
   certificate whose arithmetic steps re-verify independently;
 * compact diagrams for small-rank and exceptional families (see
@@ -54,7 +54,6 @@ __all__ = [
     "gk_altsym",
     "altsym_partition",
     "PhiContext",
-    "phi",
     "j_set",
     "classical_compact_partition",
     "lemma52_check",
@@ -140,7 +139,7 @@ class PhiContext(NamedTuple):
     kind is "linear-unitary" (with sign eps) or "symplectic-orthogonal";
     n is the dimension resp. Lie rank; the excluded prime set delta(L) is
     pi(delta_of), with delta_of = q - eps for linear/unitary and
-    gcd(2, q - 1) otherwise.  Nothing is factored until delta is read.
+    gcd(2, q - 1) otherwise.  It is never factored.
     """
 
     descriptor: groups.GroupDescriptor
@@ -150,10 +149,6 @@ class PhiContext(NamedTuple):
     q: int
     p: int
     delta_of: int
-
-    @property
-    def delta(self) -> frozenset[int]:
-        return nt.prime_set(self.delta_of)
 
     @staticmethod
     def from_descriptor(d: groups.GroupDescriptor) -> "PhiContext":
@@ -165,15 +160,6 @@ class PhiContext(NamedTuple):
             eps = groups.epsilon(d)
             return PhiContext(d, "linear-unitary", eps, n, d.q, p, d.q - eps)
         return PhiContext(d, "symplectic-orthogonal", 1, n, d.q, p, gcd(2, d.q - 1))
-
-
-def phi(r: int, ctx: PhiContext) -> int:
-    """Adjacency-relevant order index of the prime r (r != characteristic)."""
-    if r == ctx.p:
-        raise PreconditionViolated("phi is undefined for the characteristic")
-    if ctx.kind == "linear-unitary":
-        return nt.mult_order(r, ctx.eps * ctx.q)
-    return eta(nt.mult_order(r, ctx.q))
 
 
 def _phi_of_index(e: int, ctx: PhiContext) -> int:
@@ -708,7 +694,13 @@ def theoremD_verify(
     Returns (compact-graph-or-None, verdict, certificate); the graph is None
     exactly when ``compact_graph_built(d)`` is false.  For sporadic groups
     the embedded partition is returned with its table assumption.  The Tits
-    group takes the diagram path of the small-rank and exceptional families.
+    group takes the diagram path of the small-rank and exceptional families,
+    where the certified partition must validate on the diagram.
+
+    A diagram graph is the drawn class graph, which can hold true twins (3
+    and R3 in G2(4), 2 and U1 in A2(11)); its ``compact_form()`` is split
+    too, and the certified partition, each merged class on C when any of its
+    classes is, validates on it.
     """
     if d.kind in ("alternating", "symmetric"):
         g = gk_altsym(d.kind, d.n)
@@ -729,9 +721,7 @@ def theoremD_verify(
         return compact.quotient, verdict, cert
     if not compact_graph_built(d):
         if d.kind == "sporadic":
-            record = groups.sporadic_record(d.name)
-            groups.prime_spectrum(d)  # raises loudly if the table is inconsistent
-            part = record.prime_partition._replace(special=True)
+            part = groups.sporadic_record(d.name).prime_partition._replace(special=True)
             cert = Certificate(
                 KIND_SPLIT,
                 (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),
@@ -742,8 +732,10 @@ def theoremD_verify(
             part, cert = classical_compact_partition(PhiContext.from_descriptor(d), budget)
         return None, SplitVerdict(True, None, part), cert
     # Small-rank classical, exceptional and Tits: the compact diagram is explicit.
-    family = d.name if d.tits else str(d).partition("(")[0]
-    graph, part, cert = exceptional_compact(family, d.q, budget)
+    graph, part, cert = exceptional_compact(d, budget)
+    ok, reason = validate_partition(graph, part)
+    if not ok:
+        raise InternalInconsistency(f"certified partition of {d} invalid on its diagram: {reason}")
     verdict = is_split_degree(graph)
     if not verdict.split:
         raise InternalInconsistency(f"compact diagram of {d} is not split")

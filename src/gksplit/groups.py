@@ -302,21 +302,12 @@ def order(d: GroupDescriptor) -> int:
 
 
 def prime_spectrum(d: GroupDescriptor) -> frozenset[int]:
-    """pi(G) of an alternating, symmetric or sporadic group, factoring nothing;
-    the embedded sporadic factorization is cross-checked against the partition
-    table.  Lie-type groups raise UnsupportedFamily."""
+    """pi(G) of an alternating, symmetric or sporadic group, factoring nothing.
+    Lie-type groups raise UnsupportedFamily."""
     if d.kind in ("alternating", "symmetric"):
         return frozenset(nt.primes_upto(d.n))
     if d.kind == "sporadic":
-        pi = frozenset(p for p, _ in _sporadic_order_factors(d.name))
-        if not d.tits:
-            record = sporadic_record(d.name)
-            declared = record.prime_partition.clique | record.prime_partition.independent
-            if declared != pi:
-                raise InternalInconsistency(
-                    f"{d.name}: partition table covers {sorted(declared)}, order has {sorted(pi)}"
-                )
-        return pi
+        return frozenset(p for p, _ in _sporadic_order_factors(d.name))
     raise UnsupportedFamily(f"no prime spectrum without factoring for {d}")
 
 
@@ -435,10 +426,10 @@ def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:
     raise UnsupportedFamily(f"no closed-form spectrum for {d}")
 
 
-def gk_from_spectrum(s: SpectrumData) -> Graph:
+def gk_from_spectrum(s: SpectrumData, budget: int = nt.DEFAULT_BUDGET) -> Graph:
     """The prime graph determined by mu: primes r, s adjacent iff rs divides
-    some maximal order."""
-    pi_of = {m: nt.prime_set(m) for m in s.mu}
+    some maximal order.  Each element of mu is factored within budget."""
+    pi_of = {m: nt.prime_set(m, budget) for m in s.mu}
     vertices = set()
     for pi in pi_of.values():
         vertices |= pi
@@ -479,6 +470,9 @@ _BY_NAME: dict[str, SporadicRecord] = {}
 
 
 def _load_table() -> list[SporadicRecord]:
+    """The sporadic records, read once.  Each prime and solvable partition
+    must cover the primes of the group's order without overlap; the one
+    check of the table, made before any record is used."""
     global _TABLE
     if _TABLE is not None:
         return _TABLE
@@ -496,6 +490,10 @@ def _load_table() -> list[SporadicRecord]:
             solvable_edges=tuple(tuple(e) for e in row["solvable_edges"]) if row["solvable_edges"] else None,
             notes=row["notes"],
         )
+        pi = rec.prime_spectrum
+        for part in (rec.prime_partition, rec.solvable_partition):
+            if part is not None and (part.clique | part.independent != pi or part.clique & part.independent):
+                raise InternalInconsistency(f"{rec.name}: a table partition does not split the primes {sorted(pi)}")
         records.append(rec)
         _BY_NAME[rec.name.lower()] = rec
         for alias in rec.aliases:

@@ -160,7 +160,7 @@ def test_criterion_4_theorem_c_sample_grid():
     for family, qs in samples:
         assert len(qs) >= 3
         for q in qs:
-            graph, part, cert = gkbuild.exceptional_compact(family, q)
+            graph, part, cert = gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))
             ok, reason = validate_partition(graph, part)
             assert ok, (family, q, reason)
             failures = recheck(cert)
@@ -195,7 +195,7 @@ def test_criterion_5_spectrum_cross_checks():
         else:
             d = groups.exceptional(family, q)
         lhs = groups.gk_from_spectrum(groups.spectrum_formulas(d)).compact_form().quotient
-        rhs, part, _ = gkbuild.exceptional_compact(family, q)
+        rhs, part, _ = gkbuild.exceptional_compact(d)
         assert same_class_graph(lhs, rhs), (family, q)
         ok, reason = validate_partition(rhs, part)
         assert ok, (family, q, reason)

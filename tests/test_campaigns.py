@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gksplit import campaigns, cli, exceptional, gkbuild, groups
+from gksplit import campaigns, cli, gkbuild, groups
 from gksplit.splitcheck import validate_partition
 
 from oracles import prime_powers
@@ -63,7 +63,7 @@ def test_printed_and_certified_partitions_both_validate():
     differ = []
     for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
         for q in qs:
-            graph, verdict, cert = gkbuild.theoremD_verify(exceptional.descriptor_for(family, q))
+            graph, verdict, cert = gkbuild.theoremD_verify(groups.parse_descriptor(f"{family}({q})"))
             for part in (verdict.partition, cert.partition):
                 assert validate_partition(graph, part) == (True, None), (family, q)
             if verdict.partition != cert.partition:
@@ -72,5 +72,5 @@ def test_printed_and_certified_partitions_both_validate():
     # B2 = C2 prints the partition it certifies at every field size q <= 400
     for q in prime_powers(3, 400):
         for family in ("B2", "C2"):
-            graph, verdict, cert = gkbuild.theoremD_verify(exceptional.descriptor_for(family, q))
+            graph, verdict, cert = gkbuild.theoremD_verify(groups.parse_descriptor(f"{family}({q})"))
             assert verdict.partition == cert.partition, (family, q)

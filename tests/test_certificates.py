@@ -299,7 +299,7 @@ def emitted_certificates():
                     yield gkbuild.classical_compact_partition(ctx)[1]
     for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
         for q in qs:
-            yield gkbuild.exceptional_compact(family, q)[2]
+            yield gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))[2]
     yield gkbuild.nonsplit_witness_linear(13, 2, 2)[1]
     yield gkbuild.prop72_certificate(5, 7, 2)
     yield gkbuild.sc_nonsplit_certificate(19, 2)

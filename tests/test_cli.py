@@ -146,6 +146,20 @@ class TestBuildExport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_budget_reaches_spectrum_built_graphs(self, tmp_path, capsys):
+        # mu = {|E8(1000003)|}: building the graph factors that order, which
+        # ran for 75 s at the default budget whatever --budget said; the
+        # closed-form spectrum of A1(2^127 - 1) needs 2^126 - 1 factored
+        path = tmp_path / "mu.json"
+        order = groups.order(groups.parse_descriptor("E8(1000003)"))
+        path.write_text(json.dumps({"group": "E8(1000003)", "mu": [order]}))
+        for source in (["--spectrum", str(path)], ["--group", f"A1({2**127 - 1})"]):
+            start = time.perf_counter()
+            assert cli.main(["split", *source, "--budget", "1"]) == 3
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: factoring budget exhausted: ") and err.count("\n") == 1
+
     def test_compact_unavailable_for_big_classical(self, capsys):
         code = cli.main(["build", "--group", "A12(4)", "--graph", "compact"])
         assert code == 2
@@ -181,6 +195,22 @@ class TestCompactCommand:
         doc = json.loads(capsys.readouterr().out)
         members = sorted(tuple(v["class"]["members"]) for v in doc["vertices"])
         assert members == [(2,), (3, 7), (5,), (11,)]
+
+    def test_compact_graph_of_a_diagram_group(self, capsys):
+        # the drawn diagram that build prints can hold true twins: compact
+        # merges 3 and R3 of G2(4), and takes A2(11) from 5 classes to 4
+        assert cli.main(["compact", "--group", "G2(4)", "--graph", "compact"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "vertices (3): 3{3,7} R2p{2,5} R6{13}"
+        for verb, classes in (("build", 5), ("compact", 4)):
+            assert cli.main([verb, "--group", "A2(11)", "--graph", "compact", "--format", "json"]) == 0
+            assert len(json.loads(capsys.readouterr().out)["vertices"]) == classes
+
+    def test_compacting_a_compact_graph_changes_nothing(self, capsys):
+        outs = []
+        for extra in ([], ["--graph", "compact"]):
+            assert cli.main(["compact", "--group", "Alt(30)", "--format", "json", *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestVerifyCommands:

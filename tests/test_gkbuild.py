@@ -7,13 +7,14 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
+    InvalidField,
     NotSimple,
     PreconditionViolated,
     RankTooSmall,
     UnsupportedFamily,
 )
 from gksplit.graph import Graph, same_class_graph
-from gksplit.splitcheck import flag_special, is_split_degree, validate_partition
+from gksplit.splitcheck import SplitPartition, flag_special, is_split_degree, validate_partition
 
 from oracles import (
     altsym_edges,
@@ -125,28 +126,6 @@ class TestIndexFunctions:
         assert gkbuild.eta(6) == 3
         assert gkbuild.eta(7) == 7
 
-    def test_phi_linear(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 2))
-        assert gkbuild.phi(7, ctx) == 3
-        assert gkbuild.phi(31, ctx) == 5
-
-    def test_phi_unitary_matches_negative_base(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("2A", 4, 2))
-        assert gkbuild.phi(5, ctx) == brute_order(-2 % 5, 5)
-        # e(r, -q) = nu(e(r, q)) throughout
-        for r in (3, 5, 7, 11, 13, 17, 31):
-            assert gkbuild.phi(r, ctx) == gkbuild.nu(nt.mult_order(r, 2))
-
-    def test_phi_symplectic(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("C", 4, 2))
-        assert gkbuild.phi(7, ctx) == 3  # e(7,2)=3, odd
-        assert gkbuild.phi(5, ctx) == 2  # e(5,2)=4, halved
-
-    def test_phi_rejects_characteristic(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 2))
-        with pytest.raises(PreconditionViolated):
-            gkbuild.phi(2, ctx)
-
     def test_j_set_linear_13(self):
         ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 12, 4))
         assert gkbuild.j_set(ctx) == (7, 8, 9, 10, 11, 12, 13)
@@ -160,12 +139,6 @@ class TestIndexFunctions:
         ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 2, 4))
         with pytest.raises(RankTooSmall):
             gkbuild.j_set(ctx)
-
-    def test_delta(self):
-        assert gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 7)).delta == {2, 3}
-        assert gkbuild.PhiContext.from_descriptor(groups.classical("2A", 4, 7)).delta == {2}
-        assert gkbuild.PhiContext.from_descriptor(groups.classical("C", 4, 7)).delta == {2}
-        assert gkbuild.PhiContext.from_descriptor(groups.classical("C", 4, 2)).delta == frozenset()
 
 
 def theorem_c_grid():
@@ -488,12 +461,18 @@ def _member_sides(part):
     return [{frozenset(v.members) for v in side} for side in (part.clique, part.independent)] + [part.special]
 
 
+def diagram(family, q, budget=nt.DEFAULT_BUDGET):
+    """exceptional_compact of the group family(q)."""
+    return gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"), budget)
+
+
 class TestExceptionalGraphs:
     @pytest.mark.parametrize("family, q", [("B2", 3), ("B2", 7), ("B3", 3), (groups.TITS_NAME, 2)])
     def test_spectrum_partition_flag_is_verified(self, family, q):
         # the diagrams transcribed from a spectrum, and the Tits group's
         # spectrum build, set the special flag from the graph
-        graph, part, _ = gkbuild.exceptional_compact(family, q)
+        d = groups.sporadic(family) if family == groups.TITS_NAME else groups.parse_descriptor(f"{family}({q})")
+        graph, part, _ = gkbuild.exceptional_compact(d)
         assert part == flag_special(graph, part.clique, part.independent)
 
     def test_b2_partition_is_the_order_four_rule(self):
@@ -503,7 +482,7 @@ class TestExceptionalGraphs:
         qs = prime_powers(3, 400)
         for q in qs:
             p, _ = groups.char_and_degree(q)
-            graph, part, _ = gkbuild.exceptional_compact("B2", q)
+            graph, part, _ = diagram("B2", q)
             indep = {
                 v for v in graph.vertices
                 if p not in v.members and all(convention_order(r, q) == 4 for r in v.members)
@@ -520,8 +499,8 @@ class TestExceptionalGraphs:
         cases = [(family, q) for q in prime_powers(3, 400) for family in ("B2", "C2")]
         cases += [("B3", 3), ("C3", 3)]
         for family, q in cases:
-            graph, part, _ = gkbuild.exceptional_compact(family, q)
-            mu = groups.spectrum_formulas(exceptional.descriptor_for(family, q))
+            graph, part, _ = diagram(family, q)
+            mu = groups.spectrum_formulas(groups.parse_descriptor(f"{family}({q})"))
             lhs = groups.gk_from_spectrum(mu).compact_form().quotient
             assert same_class_graph(lhs, graph), (family, q)
             marked = 2 if family[1] == "3" else groups.char_and_degree(q)[0]
@@ -531,7 +510,7 @@ class TestExceptionalGraphs:
         assert len(cases) == 194
 
     def test_2b2_8(self):
-        graph, part, cert = gkbuild.exceptional_compact("2B2", 8)
+        graph, part, cert = diagram("2B2", 8)
         assert graph.edges == ()
         members = {frozenset(v.members) for v in graph.vertices}
         assert members == {frozenset({2}), frozenset({7}), frozenset({5}), frozenset({13})}
@@ -541,7 +520,7 @@ class TestExceptionalGraphs:
     def test_g2_one_mod_three_path(self):
         # 3 | q - 1 with R_1 \ {3} nonempty needs q = 1 mod 4 or an odd
         # divisor of q - 1 beyond 3; q = 13 gives the full path
-        graph, part, cert = gkbuild.exceptional_compact("G2", 13)
+        graph, part, cert = diagram("G2", 13)
         by_name = {v.name: v for v in graph.vertices}
         assert set(by_name) == {"R2p", "R1", "3", "R3", "R6"}
         assert graph.adjacent(by_name["R2p"], by_name["R1"])
@@ -552,21 +531,21 @@ class TestExceptionalGraphs:
 
     def test_g2_4_degenerate_path(self):
         # at q = 4 the class R_1 \ {3} is empty and drops out
-        graph, part, cert = gkbuild.exceptional_compact("G2", 4)
+        graph, part, cert = diagram("G2", 4)
         names = {v.name for v in graph.vertices}
         assert "R1" not in names
         ok, _ = validate_partition(graph, part)
         assert ok
 
     def test_3d4_2_empty_r6(self):
-        graph, part, cert = gkbuild.exceptional_compact("3D4", 2)
+        graph, part, cert = diagram("3D4", 2)
         names = {v.name for v in graph.vertices}
         assert names == {"R", "R3", "R12"}
         assert {l.name for l in part.clique} == {"R", "R3"}
         assert {l.name for l in part.independent} == {"R12"}
 
     def test_e8_five_in_r4(self):
-        graph, part, cert = gkbuild.exceptional_compact("E8", 2)
+        graph, part, cert = diagram("E8", 2)
         by_name = {v.name: v for v in graph.vertices}
         assert "5" in by_name and "R4" not in by_name  # R_4(2) = {5} entirely
         assert graph.adjacent(by_name["5"], by_name["R20"])
@@ -574,7 +553,7 @@ class TestExceptionalGraphs:
         assert ok
 
     def test_e8_without_five(self):
-        graph, part, cert = gkbuild.exceptional_compact("E8", 4)
+        graph, part, cert = diagram("E8", 4)
         by_name = {v.name: v for v in graph.vertices}
         assert "5" not in by_name and "R4" in by_name
         assert graph.degree(by_name["R20"]) == 0
@@ -582,21 +561,21 @@ class TestExceptionalGraphs:
     def test_a2_cases(self):
         # (q-1)_3 = 1, 3, 9 at q = 5, 7, 19
         for q, in_clique in ((5, False), (7, False), (19, True)):
-            graph, part, cert = gkbuild.exceptional_compact("A2", q)
+            graph, part, cert = diagram("A2", q)
             three = next(v for v in graph.vertices if v.name == "3")
             assert (three in part.clique) == in_clique, q
             ok, reason = validate_partition(graph, part)
             assert ok, (q, reason)
 
     def test_2a2_8_case_a(self):
-        graph, part, cert = gkbuild.exceptional_compact("2A2", 8)
+        graph, part, cert = diagram("2A2", 8)
         names = {v.name for v in graph.vertices}
         assert names == {"p", "3", "U2", "RN3"}
         assert {l.name for l in part.clique} == {"3", "p"}
 
     def test_field_constraints_enforced(self):
         with pytest.raises(Exception):
-            gkbuild.exceptional_compact("2G2", 9)
+            diagram("2G2", 9)
 
     def test_twin_free_samples(self):
         # Families and field sizes whose compact diagram carries no true
@@ -622,7 +601,7 @@ class TestExceptionalGraphs:
         singles = [("B3", 3), ("E6", 2)]
         flat = [(fam, q) for fam, qs in cases for q in qs] + singles
         for fam, q in flat:
-            graph, _, _ = gkbuild.exceptional_compact(fam, q)
+            graph, _, _ = diagram(fam, q)
             cf = graph.compact_form()
             assert all(len(c) == 1 for c in cf.class_contents.values()), (fam, q)
 
@@ -633,7 +612,7 @@ class TestExceptionalGraphs:
         bare = 0
 
         def shape(family, q, budget):
-            graph, part, _ = gkbuild.exceptional_compact(family, q, budget)
+            graph, part, _ = diagram(family, q, budget)
             names = lambda labels: sorted(v.name for v in labels)
             edges = sorted(tuple(names(e)) for e in graph.edges)
             return names(graph.vertices), edges, names(part.clique), part.special, graph
@@ -646,8 +625,8 @@ class TestExceptionalGraphs:
         assert bare > 50
 
     def test_b3c3_shared(self):
-        g1, p1, _ = gkbuild.exceptional_compact("B3", 5)
-        g2, p2, _ = gkbuild.exceptional_compact("C3", 5)
+        g1, p1, _ = diagram("B3", 5)
+        g2, p2, _ = diagram("C3", 5)
         assert same_class_graph(g1, g2)
 
     @pytest.mark.parametrize(
@@ -663,47 +642,45 @@ class TestExceptionalGraphs:
             exceptional._eval_pred(pred, 5, 1, [])
 
 
-_DESCRIPTOR_FOR_CASES = [
-    ("A1", 4, groups.classical("A", 1, 4)),
-    ("A2", 5, groups.classical("A", 2, 5)),
-    ("2A2", 5, groups.classical("2A", 2, 5)),
-    ("B2", 3, groups.classical("B", 2, 3)),
-    ("C2", 5, groups.classical("B", 2, 5)),
-    ("B3", 3, groups.classical("B", 3, 3)),
-    ("C3", 5, groups.classical("C", 3, 5)),
-    ("G2", 4, groups.exceptional("G2", 4)),
-    ("F4", 2, groups.exceptional("F4", 2)),
-    ("E6", 2, groups.exceptional("E6", 2)),
-    ("2E6", 2, groups.exceptional("2E6", 2)),
-    ("E7", 2, groups.exceptional("E7", 2)),
-    ("E8", 2, groups.exceptional("E8", 2)),
-    ("2B2", 8, groups.exceptional("2B2", 8)),
-    ("2G2", 27, groups.exceptional("2G2", 27)),
-    ("2F4", 8, groups.exceptional("2F4", 8)),
-    ("3D4", 2, groups.exceptional("3D4", 2)),
-    ("2F4", 2, groups.sporadic(groups.TITS_NAME)),
-    ("Tits", 2, groups.sporadic(groups.TITS_NAME)),
-    (groups.TITS_NAME, 2, groups.sporadic(groups.TITS_NAME)),
-]
-
-
-class TestDescriptorFor:
-    @pytest.mark.parametrize(
-        "family, q, explicit", _DESCRIPTOR_FOR_CASES, ids=[f"{f}({q})" for f, q, _ in _DESCRIPTOR_FOR_CASES]
-    )
-    def test_matches_explicit_constructor(self, family, q, explicit):
-        assert exceptional.descriptor_for(family, q) == explicit
-
-    def test_every_family_covered(self):
-        assert {f for f, _, _ in _DESCRIPTOR_FOR_CASES} >= set(exceptional.diagram_families())
-
-    def test_unknown_family(self):
-        for family in ("H4", "A3", "M22", ""):
-            with pytest.raises(UnsupportedFamily):
-                exceptional.descriptor_for(family, 4)
+def test_every_diagram_family_parses_and_has_a_diagram():
+    # exceptional_compact is keyed by the descriptor: each diagram family
+    # name parses at a sample field size into a group that has a diagram,
+    # and a group of another family has none
+    samples = dict(campaigns._EXCEPTIONAL_SAMPLES)
+    for family in exceptional.diagram_families():
+        q = (samples.get(family) or samples["B" + family[1:]])[0]
+        d = groups.parse_descriptor(f"{family}({q})")
+        graph, part, _ = gkbuild.exceptional_compact(d)
+        assert validate_partition(graph, part) == (True, None), family
+    for text in ("A3(4)", "D7(5)", "Alt(7)", "M22"):
+        with pytest.raises(UnsupportedFamily):
+            gkbuild.exceptional_compact(groups.parse_descriptor(text))
 
 
 class TestTheoremD:
+    def test_verdict_holds_on_the_true_compact_form(self):
+        # for a diagram family theoremD_verify returns the drawn class graph,
+        # which can hold true twins (2 and U1 in A2(11)); over every diagram
+        # group with q < 300 its compact form is split, and the certified
+        # partition validates on it, a merged class on C when any of its
+        # classes is
+        groups_seen = with_twins = 0
+        for family in exceptional.diagram_families():
+            for q in prime_powers(2, 299):
+                try:
+                    d = groups.parse_descriptor(f"{family}({q})")
+                except (InvalidField, NotSimple):
+                    continue
+                graph, _, cert = gkbuild.theoremD_verify(d)
+                cf = graph.compact_form()
+                assert is_split_degree(cf.quotient).split, d
+                clique = frozenset(cf.class_map[v] for v in cert.partition.clique)
+                part = SplitPartition(clique, frozenset(cf.class_contents) - clique)
+                assert validate_partition(cf.quotient, part) == (True, None), d
+                groups_seen += 1
+                with_twins += cf.quotient.n < graph.n
+        assert (groups_seen, with_twins) == (1030, 519)
+
     def test_alt7(self):
         obj, verdict, cert = gkbuild.theoremD_verify(groups.alternating(7))
         assert verdict.split
