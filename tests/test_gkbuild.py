@@ -642,19 +642,22 @@ class TestExceptionalGraphs:
             exceptional._eval_pred(pred, 5, 1, [])
 
 
-def test_every_diagram_family_parses_and_has_a_diagram():
-    # exceptional_compact is keyed by the descriptor: each diagram family
-    # name parses at a sample field size into a group that has a diagram,
-    # and a group of another family has none
-    samples = dict(campaigns._EXCEPTIONAL_SAMPLES)
-    for family in exceptional.diagram_families():
-        q = (samples.get(family) or samples["B" + family[1:]])[0]
-        d = groups.parse_descriptor(f"{family}({q})")
-        graph, part, _ = gkbuild.exceptional_compact(d)
-        assert validate_partition(graph, part) == (True, None), family
-    for text in ("A3(4)", "D7(5)", "Alt(7)", "M22"):
-        with pytest.raises(UnsupportedFamily):
-            gkbuild.exceptional_compact(groups.parse_descriptor(text))
+class TestDescriptorFor:
+    # exceptional_compact is keyed by the parsed descriptor: each diagram
+    # family name parses at a sample field size into a group that has a
+    # diagram, and a group of another family has none
+    def test_every_family_covered(self):
+        samples = dict(campaigns._EXCEPTIONAL_SAMPLES)
+        for family in exceptional.diagram_families():
+            q = (samples.get(family) or samples["B" + family[1:]])[0]
+            d = groups.parse_descriptor(f"{family}({q})")
+            graph, part, _ = gkbuild.exceptional_compact(d)
+            assert validate_partition(graph, part) == (True, None), family
+
+    def test_unknown_family(self):
+        for text in ("A3(4)", "D7(5)", "Alt(7)", "M22"):
+            with pytest.raises(UnsupportedFamily):
+                gkbuild.exceptional_compact(groups.parse_descriptor(text))
 
 
 class TestTheoremD:
