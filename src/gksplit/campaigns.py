@@ -27,13 +27,13 @@ def theorem_a(top: int = 300):
     ok = True
     for n in range(2, top + 1):
         part = gkbuild.altsym_partition(n)
-        for kind in ("symmetric", "alternating") if n >= 5 else ("symmetric",):
-            g = gkbuild.gk_altsym(kind, n)
+        for d in (groups.symmetric(n), groups.alternating(n)) if n >= 5 else (groups.symmetric(n),):
+            g = gkbuild.gk_altsym(d)
             verdict = is_split_degree(g)
             valid, reason = validate_partition(g, part)
             good = verdict.split and valid
             ok &= good
-            found[kind].append(f"{'PASS' if good else 'FAIL'} {kind} n={n}" + ("" if good else f" ({reason})"))
+            found[d.kind].append(f"{'PASS' if good else 'FAIL'} {d.kind} n={n}" + ("" if good else f" ({reason})"))
     lines = found["symmetric"] + found["alternating"]
     lines.append(("PASS" if ok else "FAIL") + f" theorem-a up to n={top}")
     return ok, lines

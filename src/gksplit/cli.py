@@ -43,7 +43,7 @@ _SPECTRUM_FAMILIES = "Alt/Sym, A1, B2=C2, B3(3)=C3(3), 2B2, 2G2, and the Tits gr
 
 def _prime_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
     if d.kind in ("alternating", "symmetric"):
-        return gkbuild.gk_altsym(d.kind, d.n)
+        return gkbuild.gk_altsym(d)
     try:
         return groups.gk_from_spectrum(groups.spectrum_formulas(d), budget)
     except UnsupportedFamily:

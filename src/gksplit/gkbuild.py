@@ -1,12 +1,13 @@
 """Prime-graph construction and split/nonsplit certificates per family.
 
-This module turns the arithmetic adjacency criteria into concrete artifacts:
+This module turns the arithmetic adjacency criteria into concrete artifacts.
+Every builder of a group's graph or partition takes its ``GroupDescriptor``:
 
 * alternating/symmetric prime graphs and their clique/independent partitions
-  (primes up to n/2 against primes above n/2);
-* the order-index bookkeeping (nu, eta, nu_eps) for classical groups and
-  the resulting compact split partition for dimension/rank at least 4, with a
-  certificate whose arithmetic steps re-verify independently;
+  (primes up to n/2 against primes above n/2, keyed by the degree alone);
+* the compact split partition of a classical group of dimension/rank at
+  least 4, read from its (order index, phi-value) pairs, with a certificate
+  whose arithmetic steps re-verify independently;
 * compact diagrams for small-rank and exceptional families (see
   :mod:`gksplit.exceptional`);
 * non-splitness witnesses: the two-cliques construction for linear groups
@@ -21,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from . import groups, numtheory as nt
 from .certificates import (
@@ -53,8 +53,6 @@ from .splitcheck import SplitPartition, SplitVerdict, is_split_degree, validate_
 __all__ = [
     "gk_altsym",
     "altsym_partition",
-    "PhiContext",
-    "j_set",
     "classical_compact_partition",
     "lemma52_check",
     "nonsplit_witness_linear",
@@ -76,22 +74,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def gk_altsym(kind: str, n: int) -> Graph:
-    """Prime graph of the alternating or symmetric group of degree n.
+def gk_altsym(d: groups.GroupDescriptor) -> Graph:
+    """Prime graph of the alternating or symmetric group d of degree n.
 
     Odd primes p, q are adjacent iff p + q <= n; the prime 2 is adjacent to
     an odd p iff 2 + p <= n (symmetric) or 4 + p <= n (alternating).  Both
     kinds take the odd-prime rows of ``_alt_rows``, kept for the last degree.
     """
-    kind = kind.lower()
-    if kind in ("alt", "alternating"):
-        groups.alternating(n)
+    if d.kind == "alternating":
         two_offset = 4
-    elif kind in ("sym", "symmetric"):
-        groups.symmetric(n)
+    elif d.kind == "symmetric":
         two_offset = 2
     else:
-        raise UnsupportedFamily(f"kind must be alternating or symmetric, got {kind!r}")
+        raise UnsupportedFamily(f"{d} is not an alternating or symmetric group")
+    n = d.n
     primes, odd_rows = _alt_rows(n)  # odd_rows[k - 1] is the row of primes[k]
     cut = bisect_right(primes, n - two_offset, 1) - 1  # 2 sees the odd p <= n - two_offset
     rows = [((1 << cut) - 1) << 1]
@@ -133,95 +129,61 @@ def altsym_partition(n: int) -> SplitPartition:
 # ---------------------------------------------------------------------------
 
 
-class PhiContext(NamedTuple):
-    """Arithmetic context for a classical group.
+def _phi_pairs(d: groups.GroupDescriptor, eps: int) -> tuple[int, list[tuple[int, int]]]:
+    """n = prk(d) and, in index order, each order index e <= 2n with the
+    phi-value m <= n shared by the primes of R_e(q), as (e, m).
 
-    kind is "linear-unitary" (with sign eps) or "symplectic-orthogonal";
-    n is the dimension resp. Lie rank; the excluded prime set delta(L) is
-    pi(delta_of), with delta_of = q - eps for linear/unitary and
-    gcd(2, q - 1) otherwise.  It is never factored.
+    m is nu_eps(e, eps) for linear and unitary groups (eps = +-1) and eta(e)
+    for symplectic and orthogonal ones (eps = 0); both are at least e / 2, so
+    no larger index qualifies.  Raises UnsupportedFamily unless d is classical.
     """
-
-    descriptor: groups.GroupDescriptor
-    kind: str
-    eps: int
-    n: int
-    q: int
-    p: int
-    delta_of: int
-
-    @staticmethod
-    def from_descriptor(d: groups.GroupDescriptor) -> "PhiContext":
-        if d.kind != "classical":
-            raise UnsupportedFamily(f"{d} is not classical")
-        p, _ = groups.char_and_degree(d.q)
-        n = groups.prk(d)
-        if d.family in ("A", "2A"):
-            eps = groups.epsilon(d)
-            return PhiContext(d, "linear-unitary", eps, n, d.q, p, d.q - eps)
-        return PhiContext(d, "symplectic-orthogonal", 1, n, d.q, p, gcd(2, d.q - 1))
-
-
-def _phi_of_index(e: int, ctx: PhiContext) -> int:
-    """phi-value shared by every prime in the class R_e(q)."""
-    if ctx.kind == "linear-unitary":
-        return nu_eps(e, ctx.eps)
-    return eta(e)
-
-
-def j_set(ctx: PhiContext) -> tuple[int, ...]:
-    """Order indices e(r, q) whose phi-value lies in (n/2, n].
-
-    The classes R_j(q) with j in this set form the independent side of the
-    compact split partition when the rank/dimension is at least 4.
-    """
-    if ctx.n < 4:
-        raise RankTooSmall(f"prk must be at least 4, got {ctx.n}")
-    return _order_indices(ctx, range(ctx.n // 2 + 1, ctx.n + 1))
-
-
-def _order_indices(ctx: PhiContext, phis: range) -> tuple[int, ...]:
-    """Order indices whose phi-value lies in phis: j_set's range, or [1, n/2]
-    for the clique side classes."""
-    if ctx.kind == "linear-unitary":
-        return tuple(sorted(nu_eps(m, ctx.eps) for m in phis))
-    out = [e for e in phis if e % 2]
-    out += [2 * m for m in phis]
-    return tuple(sorted(out))
+    n = groups.prk(d)
+    phi = eta if eps == 0 else lambda e: nu_eps(e, eps)
+    pairs = ((e, phi(e)) for e in range(1, 2 * n + 1))
+    return n, [(e, m) for e, m in pairs if m <= n]
 
 
 def classical_compact_partition(
-    ctx: PhiContext, budget: int = nt.DEFAULT_BUDGET
+    d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
 ) -> tuple[SplitPartition, Certificate]:
-    """Split partition of the compact prime graph for prk(L) >= 4.
+    """Split partition of the compact prime graph of the classical group d,
+    for prk(d) >= 4.
 
-    Independent side: one class per nonempty R_j(q), j in j_set(ctx);
-    clique side: the characteristic plus one class per nonempty R_e(q) with
-    small phi-value.  Nonemptiness comes from the Bang-Zsigmondy exception
-    list; class members are filled in when factoring fits the budget.  The
-    certificate checks each independent class's phi-value m against
-    n/2 < m <= n and states Lemma 5.3(iii) once: two such classes are
-    nonadjacent, since their indices differ, m1 + m2 > n, and neither
-    phi-value divides the other (the larger is below twice the smaller).
-    The group-theoretic clique claims are flagged as assumptions.
+    Independent side: one class per nonempty R_j(q) whose phi-value lies in
+    (n/2, n]; clique side: the characteristic plus one class per nonempty
+    R_e(q) with phi-value at most n/2.  Nonemptiness comes from the
+    Bang-Zsigmondy exception list; class members are filled in when
+    factoring fits the budget.  The certificate checks each independent
+    class's phi-value m against n/2 < m <= n and states Lemma 5.3(iii) once:
+    two such classes are nonadjacent, since their indices differ, m1 + m2 >
+    n, and neither phi-value divides the other (the larger is below twice
+    the smaller).  The group-theoretic clique claims are flagged as
+    assumptions.  The excluded prime set delta(L) is pi(delta_of), with
+    delta_of = q - eps for linear and unitary groups and gcd(2, q - 1)
+    otherwise; it is never factored.
     """
-    if ctx.n < 4:
-        raise RankTooSmall(f"prk must be at least 4, got {ctx.n}")
+    eps = groups.epsilon(d) if d.family in ("A", "2A") else 0
+    n, pairs = _phi_pairs(d, eps)
+    if n < 4:
+        raise RankTooSmall(f"prk must be at least 4, got {n}")
+    q = d.q
+    p, _ = groups.char_and_degree(q)
+    delta_of = q - eps if eps else gcd(2, q - 1)
     steps = []
-    n, q = ctx.n, ctx.q
 
     def make_label(e: int) -> ClassLabel:
         return ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
 
     indep_labels = []
     indep_indices = []
-    for j in j_set(ctx):
+    for j, m in pairs:
+        if 2 * m <= n:
+            continue
         if nt.is_zsigmondy_exception(j, q):
             steps.append(
                 step(f"R_{j}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=j)
             )
             continue
-        m = _phi_of_index(j, ctx)
         steps.append(
             step(f"R_{j}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=j)
         )
@@ -234,11 +196,10 @@ def classical_compact_partition(
         indep_indices.append(j)
         indep_labels.append(make_label(j))
 
-    clique_labels = [ClassLabel("p", (ctx.p,))]
-    for e in _order_indices(ctx, range(1, n // 2 + 1)):
-        if nt.is_zsigmondy_exception(e, q):
+    clique_labels = [ClassLabel("p", (p,))]
+    for e, m in pairs:
+        if 2 * m > n or nt.is_zsigmondy_exception(e, q):
             continue
-        m = _phi_of_index(e, ctx)
         steps.append(
             step(
                 f"class R_{e}({q}) has phi-value {m} <= {n}/2",
@@ -255,14 +216,14 @@ def classical_compact_partition(
     )
     steps.append(
         assume(
-            f"characteristic {ctx.p} and the small-index classes form a clique",
+            f"characteristic {p} and the small-index classes form a clique",
             TAG_L54,
         )
     )
-    if ctx.delta_of > 1:
+    if delta_of > 1:
         steps.append(
             assume(
-                f"delta(L) = pi({ctx.delta_of}) placed in the clique side; "
+                f"delta(L) = pi({delta_of}) placed in the clique side; "
                 "clique membership assumed (excluded from the adjacency criterion)",
                 TAG_L53,
             )
@@ -273,10 +234,10 @@ def classical_compact_partition(
         tuple(steps),
         partition=partition,
         context={
-            "group": str(ctx.descriptor),
+            "group": str(d),
             "prk": n,
             "q": q,
-            "epsilon": ctx.eps if ctx.kind == "linear-unitary" else 0,
+            "epsilon": eps,
             "independent_indices": indep_indices,
         },
     )
@@ -703,7 +664,7 @@ def theoremD_verify(
     classes is, validates on it.
     """
     if d.kind in ("alternating", "symmetric"):
-        g = gk_altsym(d.kind, d.n)
+        g = gk_altsym(d)
         part = altsym_partition(d.n)
         ok, reason = validate_partition(g, part)
         if not ok:
@@ -729,7 +690,7 @@ def theoremD_verify(
                 context={"group": d.name},
             )
         else:
-            part, cert = classical_compact_partition(PhiContext.from_descriptor(d), budget)
+            part, cert = classical_compact_partition(d, budget)
         return None, SplitVerdict(True, None, part), cert
     # Small-rank classical, exceptional and Tits: the compact diagram is explicit.
     graph, part, cert = exceptional_compact(d, budget)

@@ -301,16 +301,6 @@ def order(d: GroupDescriptor) -> int:
     return value // divisor
 
 
-def prime_spectrum(d: GroupDescriptor) -> frozenset[int]:
-    """pi(G) of an alternating, symmetric or sporadic group, factoring nothing.
-    Lie-type groups raise UnsupportedFamily."""
-    if d.kind in ("alternating", "symmetric"):
-        return frozenset(nt.primes_upto(d.n))
-    if d.kind == "sporadic":
-        return frozenset(p for p, _ in _sporadic_order_factors(d.name))
-    raise UnsupportedFamily(f"no prime spectrum without factoring for {d}")
-
-
 def maximal_elements(values) -> frozenset[int]:
     """The antichain of divisibility-maximal elements of a set of integers."""
     vals = sorted(set(values))

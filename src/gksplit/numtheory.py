@@ -329,8 +329,11 @@ def _factor(n: int, budget: int, s: int) -> Factorization:
         value = 1
         for p, e in partial:
             value *= p**e
+        text = str(n)
+        if len(text) > 30:  # a long integer is named by its ends and digit count
+            text = f"{text[:5]}...{text[-5:]} ({len(text)} digits)"
         return BudgetExceeded(
-            f"factoring budget exhausted on {n}",
+            f"could not factor {text} within budget {budget}",
             partial=Factorization(value, partial),
         )
 

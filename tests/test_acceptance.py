@@ -57,8 +57,9 @@ def test_criterion_2_theorem_a_desk_scale():
     start = time.perf_counter()
     count = 0
     for kind, lo in (("symmetric", 2), ("alternating", 5)):
+        make = groups.symmetric if kind == "symmetric" else groups.alternating
         for n in range(lo, 301):
-            g = gkbuild.gk_altsym(kind, n)
+            g = gkbuild.gk_altsym(make(n))
             verdict = is_split_degree(g)
             assert verdict.split, (kind, n)
             part = gkbuild.altsym_partition(n)
@@ -121,22 +122,19 @@ def test_criterion_4_theorem_c_sample_grid():
     for family in ("A", "2A"):
         for dim in range(4, 21):
             for q in (2, 3, 4, 5, 7, 8, 9):
-                ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, dim - 1, q))
-                part, cert = gkbuild.classical_compact_partition(ctx)
+                part, cert = gkbuild.classical_compact_partition(groups.classical(family, dim - 1, q))
                 failures = recheck(cert)
                 assert not failures, (family, dim, q, failures)
                 built += 1
     for family in ("B", "C", "D", "2D"):
         for rank in range(4, 13):
             for q in (2, 3, 5):
-                ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q))
-                part, cert = gkbuild.classical_compact_partition(ctx)
+                part, cert = gkbuild.classical_compact_partition(groups.classical(family, rank, q))
                 failures = recheck(cert)
                 assert not failures, (family, rank, q, failures)
                 built += 1
     # the serialized certificate re-verifies through the JSON round trip too
-    ctx = gkbuild.PhiContext.from_descriptor(groups.classical("2A", 12, 4))
-    _, cert = gkbuild.classical_compact_partition(ctx)
+    _, cert = gkbuild.classical_compact_partition(groups.classical("2A", 12, 4))
     assert not recheck(certificate_from_json(cert.to_json()))
 
     samples = [

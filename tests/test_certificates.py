@@ -295,8 +295,7 @@ def emitted_certificates():
         for family in families:
             for rank in ranks:
                 for q in qs:
-                    ctx = gkbuild.PhiContext.from_descriptor(groups.classical(family, rank, q))
-                    yield gkbuild.classical_compact_partition(ctx)[1]
+                    yield gkbuild.classical_compact_partition(groups.classical(family, rank, q))[1]
     for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
         for q in qs:
             yield gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))[2]

@@ -160,6 +160,20 @@ class TestBuildExport:
             err = capsys.readouterr().err
             assert err.startswith("error: factoring budget exhausted: ") and err.count("\n") == 1
 
+    def test_budget_message_says_it_once_and_shortens_long_integers(self, tmp_path, capsys):
+        # the 1,489-digit order of E8(1000003) is named by its ends and digit count
+        order = groups.order(groups.parse_descriptor("E8(1000003)"))
+        path = tmp_path / "mu.json"
+        path.write_text(json.dumps({"group": "E8(1000003)", "mu": [order]}))
+        assert cli.main(["split", "--spectrum", str(path), "--budget", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+        assert err.count("budget exhausted") == 1
+        assert f"({len(str(order))} digits)" in err
+        assert cli.main(["witness", "prop71", "--n", "40", "--p", "5", "--a", "3", "--budget", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: factoring budget exhausted: could not factor 113532654389881 within budget 1\n"
+
     def test_compact_unavailable_for_big_classical(self, capsys):
         code = cli.main(["build", "--group", "A12(4)", "--graph", "compact"])
         assert code == 2
@@ -476,7 +490,7 @@ class TestOversizedDescriptors:
 class TestOutOfMemory:
     def test_memory_error_is_one_error_line_and_exit_2(self, monkeypatch, capsys):
         # exit 1 would read as "refuted"; no real allocation is made
-        def exhausted(kind, n):
+        def exhausted(d):
             raise MemoryError
 
         monkeypatch.setattr(gkbuild, "gk_altsym", exhausted)

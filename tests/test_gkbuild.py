@@ -30,13 +30,19 @@ from oracles import (
 )
 
 
+def altsym(kind, n):
+    """The validated descriptor of gk_altsym's group: kind is "alternating"
+    or "symmetric"."""
+    return {"alternating": groups.alternating, "symmetric": groups.symmetric}[kind](n)
+
+
 class TestAltSym:
     def test_sym12_edge(self):
-        g = gkbuild.gk_altsym("symmetric", 12)
+        g = gkbuild.gk_altsym(groups.symmetric(12))
         assert g.adjacent(5, 7)
 
     def test_alt7_two_edges(self):
-        g = gkbuild.gk_altsym("alternating", 7)
+        g = gkbuild.gk_altsym(groups.alternating(7))
         assert not g.adjacent(2, 5)  # 4 + 5 > 7
         assert g.adjacent(2, 3)  # 4 + 3 <= 7
 
@@ -53,21 +59,23 @@ class TestAltSym:
         part = gkbuild.altsym_partition(6)
         assert part.clique == {2} and part.independent == {3, 5}
         for kind in ("alternating", "symmetric"):
-            ok, reason = validate_partition(gkbuild.gk_altsym(kind, 6), part)
+            ok, reason = validate_partition(gkbuild.gk_altsym(altsym(kind, 6)), part)
             assert ok, (kind, reason)
 
     def test_against_permutation_orders(self):
         # cross-check adjacency against cycle-type arithmetic for small n
         for n in range(5, 26):
-            g = gkbuild.gk_altsym("symmetric", n)
+            g = gkbuild.gk_altsym(groups.symmetric(n))
             for p in brute_primes(n):
                 for q in brute_primes(n):
                     if p < q and p != 2:
                         assert g.adjacent(p, q) == (p + q <= n)
 
     def test_bad_kind(self):
-        with pytest.raises(UnsupportedFamily):
-            gkbuild.gk_altsym("dihedral", 9)
+        # only an Alt or Sym descriptor names a degree-sum prime graph
+        for d in (groups.classical("A", 1, 4), groups.sporadic("M11"), groups.exceptional("G2", 3)):
+            with pytest.raises(UnsupportedFamily):
+                gkbuild.gk_altsym(d)
 
     @pytest.mark.parametrize("kind", ["alternating", "symmetric"])
     def test_rows_against_element_orders(self, kind):
@@ -75,9 +83,9 @@ class TestAltSym:
         for n in range(2, 401):
             if kind == "alternating" and n < 5:
                 with pytest.raises(NotSimple):
-                    gkbuild.gk_altsym(kind, n)
+                    altsym(kind, n)
                 continue
-            g = gkbuild.gk_altsym(kind, n)
+            g = gkbuild.gk_altsym(altsym(kind, n))
             primes, edges = altsym_edges(kind, n)
             assert list(g.vertices) == primes
             assert {frozenset(e) for e in g.edges} == edges, (kind, n)
@@ -105,7 +113,7 @@ def test_altsym_rows_against_the_edge_rule_to_3000_in_any_call_order(order):
         for kind, degree in CALL_ORDERS[order](n):
             if degree < (5 if kind == "alternating" else 2):
                 continue
-            g = gkbuild.gk_altsym(kind, degree)
+            g = gkbuild.gk_altsym(altsym(kind, degree))
             want_primes, want_rows = expected[degree]
             assert (g.vertices, g.rows) == (want_primes, want_rows[kind]), (order, kind, degree)
         previous = primes, rows
@@ -126,19 +134,20 @@ class TestIndexFunctions:
         assert gkbuild.eta(6) == 3
         assert gkbuild.eta(7) == 7
 
+    # The independent side's order indices, those with phi-value in (n/2, n];
+    # no Zsigmondy exception falls at these points, so every index is kept.
     def test_j_set_linear_13(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 12, 4))
-        assert gkbuild.j_set(ctx) == (7, 8, 9, 10, 11, 12, 13)
+        _, cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
+        assert cert.context["independent_indices"] == [7, 8, 9, 10, 11, 12, 13]
 
     def test_j_set_symplectic_rank4(self):
         # eta preimages of {3, 4}: odd 3 stays, even 6 halves to 3, even 8 halves to 4
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("C", 4, 3))
-        assert gkbuild.j_set(ctx) == (3, 6, 8)
+        _, cert = gkbuild.classical_compact_partition(groups.classical("C", 4, 3))
+        assert cert.context["independent_indices"] == [3, 6, 8]
 
     def test_j_set_rank_guard(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 2, 4))
         with pytest.raises(RankTooSmall):
-            gkbuild.j_set(ctx)
+            gkbuild.classical_compact_partition(groups.classical("A", 2, 4))
 
 
 def theorem_c_grid():
@@ -159,8 +168,7 @@ def interval_steps(cert):
 
 class TestClassicalPartition:
     def test_psl5_2(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 2))
-        part, cert = gkbuild.classical_compact_partition(ctx)
+        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 4, 2))
         indep = {l.name: l.members for l in part.independent}
         assert indep == {"R3": (7,), "R4": (5,), "R5": (31,)}
         clique = {l.name: l.members for l in part.clique}
@@ -169,8 +177,7 @@ class TestClassicalPartition:
         assert not recheck(cert)
 
     def test_psl13_4(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 12, 4))
-        part, cert = gkbuild.classical_compact_partition(ctx)
+        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
         names = sorted(int(l.name[1:]) for l in part.independent)
         assert names == [7, 8, 9, 10, 11, 12, 13]
         r7 = next(l for l in part.independent if l.name == "R7")
@@ -178,13 +185,16 @@ class TestClassicalPartition:
         assert not recheck(cert)
 
     def test_rank_three_rejected(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("B", 3, 3))
         with pytest.raises(RankTooSmall):
-            gkbuild.classical_compact_partition(ctx)
+            gkbuild.classical_compact_partition(groups.classical("B", 3, 3))
+
+    def test_not_classical_refused(self):
+        for d in (groups.exceptional("G2", 4), groups.alternating(7)):
+            with pytest.raises(UnsupportedFamily):
+                gkbuild.classical_compact_partition(d)
 
     def test_members_have_claimed_orders(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("2A", 7, 3))
-        part, cert = gkbuild.classical_compact_partition(ctx)
+        part, cert = gkbuild.classical_compact_partition(groups.classical("2A", 7, 3))
         for label in part.independent | part.clique:
             if label.name == "p":
                 continue
@@ -194,8 +204,7 @@ class TestClassicalPartition:
                 assert nt.mult_order(r, 3) == index
 
     def test_certificate_round_trip(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("D", 5, 3))
-        part, cert = gkbuild.classical_compact_partition(ctx)
+        part, cert = gkbuild.classical_compact_partition(groups.classical("D", 5, 3))
         again = certificate_from_json(cert.to_json())
         assert not recheck(again)
         assert again.partition.clique == part.clique
@@ -205,9 +214,8 @@ class TestClassicalPartition:
         # from nu/eta; every pair fact behind Lemma 5.3(iii) follows from
         # those values, so the certificate need not list the pairs.
         for d, kind, eps, n in theorem_c_grid():
-            ctx = gkbuild.PhiContext.from_descriptor(d)
-            assert ctx.n == n, d
-            part, cert = gkbuild.classical_compact_partition(ctx)
+            part, cert = gkbuild.classical_compact_partition(d)
+            assert cert.context["prk"] == n, d
             assert not recheck(cert), d
             indices = cert.context["independent_indices"]
             assert indices == [
@@ -233,21 +241,19 @@ class TestClassicalPartition:
             assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3, d
 
     def test_a63_2_linear_and_each_phi_bound_checked(self):
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 63, 2))
-        part, cert = gkbuild.classical_compact_partition(ctx)
+        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 63, 2))
         assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3
         doc = json.loads(cert.to_json())
         positions = [k for k, s in enumerate(doc["steps"]) if s["check"] and s["check"]["op"] == "in_interval"]
         assert len(positions) == 32
         for k in positions:
             forged = json.loads(cert.to_json())
-            forged["steps"][k]["check"]["x"] = ctx.n // 2
+            forged["steps"][k]["check"]["x"] = cert.context["prk"] // 2
             assert recheck(certificate_from_json(json.dumps(forged))) == [doc["steps"][k]["claim"]]
 
     def test_empty_independent_side_is_fine(self):
         # nothing in the grid produces it, but the partition type allows I = {}
-        ctx = gkbuild.PhiContext.from_descriptor(groups.classical("A", 4, 2))
-        part, _ = gkbuild.classical_compact_partition(ctx)
+        part, _ = gkbuild.classical_compact_partition(groups.classical("A", 4, 2))
         assert part.independent  # sanity: here it is nonempty
 
 

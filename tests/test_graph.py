@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gksplit import gkbuild, graph as graph_module
+from gksplit import gkbuild, graph as graph_module, groups
 from gksplit.cli import _graph_table
 from gksplit.errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
@@ -292,15 +292,16 @@ class TestCompactForm:
 
     @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
     def test_altsym_quotient_rows_against_head_pairs_to_3000(self, kind):
+        make = groups.symmetric if kind == "symmetric" else groups.alternating
         for n in range(2 if kind == "symmetric" else 5, 3001):
-            assert_head_pair_quotient(gkbuild.gk_altsym(kind, n))
+            assert_head_pair_quotient(gkbuild.gk_altsym(make(n)))
 
     @pytest.mark.parametrize("block", [1, 3, 5000])
     def test_altsym_quotient_rows_in_small_blocks(self, monkeypatch, block):
         monkeypatch.setattr(graph_module, "_TRANSPOSE_BYTES", block)
         for n in (5, 6, 7, 100, 997, 3000):
-            for kind in ("symmetric", "alternating"):
-                assert_head_pair_quotient(gkbuild.gk_altsym(kind, n))
+            for make in (groups.symmetric, groups.alternating):
+                assert_head_pair_quotient(gkbuild.gk_altsym(make(n)))
 
     @given(small_graphs())
     @settings(max_examples=150, deadline=None)

@@ -119,22 +119,6 @@ class TestOrders:
         assert groups.order(groups.sporadic("Tits")) == 17971200
 
 
-class TestPrimeSpectrum:
-    def test_m11(self):
-        assert groups.prime_spectrum(groups.sporadic("M11")) == {2, 3, 5, 11}
-
-    def test_tits(self):
-        assert groups.prime_spectrum(groups.sporadic("Tits")) == {2, 3, 5, 13}
-
-    def test_alternating(self):
-        assert groups.prime_spectrum(groups.alternating(10)) == {2, 3, 5, 7}
-
-    def test_lie_type_refused(self):
-        for d in (groups.classical("A", 1, 4), groups.exceptional("G2", 3)):
-            with pytest.raises(UnsupportedFamily):
-                groups.prime_spectrum(d)
-
-
 class TestSporadicTable:
     def test_twenty_six(self):
         table = groups.sporadic_table()

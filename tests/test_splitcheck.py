@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gksplit import graph as graph_module
 from gksplit.errors import InternalInconsistency, InvalidPartition, PreconditionViolated
 from gksplit.gkbuild import gk_altsym
+from gksplit.groups import parse_descriptor
 from gksplit.graph import Graph
 from gksplit.splitcheck import (
     SplitPartition,
@@ -213,14 +214,14 @@ class TestPartitionMasks:
 
     @pytest.mark.parametrize("route", [is_split_degree, is_split_forbidden, _partition_from_2sat])
     def test_routes_mask_no_label_set(self, route, masks):
-        g = gk_altsym("Alt", 300)
+        g = gk_altsym(parse_descriptor("Alt(300)"))
         masks.clear()
         assert route(g) is not None
         assert masks == []
 
     @pytest.mark.parametrize("special", [False, True])
     def test_validate_masks_at_most_twice(self, special, masks):
-        g = gk_altsym("Alt", 300)
+        g = gk_altsym(parse_descriptor("Alt(300)"))
         p = is_split_degree(g).partition
         p = specialize(g, p) if special else SplitPartition(p.clique, p.independent)
         masks.clear()
@@ -257,7 +258,7 @@ class TestTwoSat:
 
     @pytest.mark.parametrize("kind", ["Alt", "Sym"])
     def test_partition_validates_at_degree_2000(self, kind):
-        g = gk_altsym(kind, 2000)
+        g = gk_altsym(parse_descriptor(f"{kind}(2000)"))
         ok, reason = validate_partition(g, _partition_from_2sat(g))
         assert ok, reason
 
