@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import gkbuild, groups, numtheory as nt
 from .certificates import recheck
 from .errors import BudgetExceeded
-from .graph import ClassLabel, Graph, label_key, label_members, label_text, same_class_graph
+from .graph import ClassLabel, label_key, label_members, label_text, same_class_graph
 from .splitcheck import is_split_degree, partition_text, validate_partition
 
 
@@ -57,7 +57,7 @@ def theorem_b():
     for rec in groups.sporadic_table():
         good = _check(groups.sporadic(rec.name))[0]
         if rec.name == "M22":
-            g = Graph(sorted(rec.prime_spectrum), rec.solvable_edges)
+            g = gkbuild.solvable_graph(groups.sporadic(rec.name))
             verdict = is_split_degree(g)
             good &= not verdict.split
             good &= set(verdict.forbidden.vertices) == {3, 5, 7, 11}

@@ -27,7 +27,7 @@ from .errors import (
     MalformedInput,
     UnsupportedFamily,
 )
-from .graph import Graph, edge_count, edge_text, label_text
+from .graph import Graph, edge_count, edge_text, encode_label, label_text
 from .groups import parse_descriptor
 from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text
 
@@ -51,16 +51,6 @@ def _prime_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
             f"no closed-form prime graph for {d}; supply one with --spectrum FILE "
             f"(closed forms exist for {_SPECTRUM_FAMILIES})"
         ) from None
-
-
-def _solvable_graph_for(d: groups.GroupDescriptor) -> Graph:
-    if d.kind == "sporadic" and not d.tits:
-        record = groups.sporadic_record(d.name)
-        if record.solvable_edges:
-            return Graph(sorted(record.prime_spectrum), record.solvable_edges)
-    raise UnsupportedFamily(
-        f"no embedded solvable-graph edge set for {d} (only M22 ships one)"
-    )
 
 
 def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
@@ -87,7 +77,7 @@ def _acquire_graph(args) -> tuple[Graph, str]:
     if args.group:
         d = parse_descriptor(args.group)
         if args.graph == "solvable":
-            return _solvable_graph_for(d), f"solvable graph of {d}"
+            return gkbuild.solvable_graph(d), f"solvable graph of {d}"
         if args.graph == "compact":
             return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
         return _prime_graph_for(d, args.budget), f"prime graph of {d}"
@@ -173,7 +163,7 @@ def _cmd_split(args) -> int:
         else:
             doc["witness"] = {
                 "kind": verdict.forbidden.kind,
-                "vertices": [v if isinstance(v, int) else v.name for v in verdict.forbidden.vertices],
+                "vertices": [encode_label(v) for v in verdict.forbidden.vertices],
             }
         _emit(json.dumps(doc, indent=2), args.out)
     else:

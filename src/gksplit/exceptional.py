@@ -5,6 +5,9 @@ them at a concrete field size.  Diagrams are data, predicates are code: the
 closed predicate language covers three-part comparisons of q -+ 1, membership
 of 5 in R_4, divisibility, q even, q equal to a value, and negation, so the
 resource file can be audited line by line against the published drawings.
+Each variant states its partition, the first entry of its ``partitions``
+whose ``when`` holds.  This module builds and does not check: every built
+group's partition is validated once, by ``gkbuild.theoremD_verify``.
 
 Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
 2B2, 2G2, 2F4, 3D4, and the Tits group, each keyed by its
@@ -33,7 +36,7 @@ from .certificates import (
 )
 from .errors import BudgetExceeded, InternalInconsistency, UnsupportedFamily
 from .graph import ClassLabel, Graph
-from .splitcheck import flag_special, validate_partition
+from .splitcheck import flag_special
 
 _DIAGRAMS: dict | None = None
 
@@ -215,26 +218,14 @@ def _build_diagram(variant, q, p, eps, budget, trail):
     return Graph(labels.values(), edges), labels
 
 
-def _partition_from_alternatives(variant, graph, labels, q, eps, trail):
-    for alt in variant["partitions"]:
-        if not _eval_pred(alt.get("when"), q, eps, trail):
-            continue
-        clique = [labels[t] for t in alt["clique"] if t in labels]
-        indep = [labels[t] for t in alt["independent"] if t in labels]
-        part = flag_special(graph, clique, indep)
-        if validate_partition(graph, part)[0]:
-            return part
-    raise InternalInconsistency(
-        f"no published partition alternative validates at q={q}"
-    )
-
-
 def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
-    """Compact class graph, split partition and certificate of the group d.
+    """Compact class graph, stated split partition and certificate of the group d.
 
     Returns (Graph over ClassLabel vertices, SplitPartition, Certificate).
     d is the Tits group or a group whose family is in ``diagram_families()``;
-    any other group raises UnsupportedFamily.
+    any other group raises UnsupportedFamily.  The partition is the diagram's
+    first one whose 'when' holds, unchecked: ``gkbuild.theoremD_verify``
+    validates it.
     """
     if d.tits:
         return tits_compact()
@@ -250,7 +241,11 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
         if not _eval_pred(variant.get("when"), q, eps, trail):
             continue
         graph, labels = _build_diagram(variant, q, p, eps, budget, trail)
-        part = _partition_from_alternatives(variant, graph, labels, q, eps, trail)
+        stated = next((alt for alt in variant["partitions"] if _eval_pred(alt.get("when"), q, eps, trail)), None)
+        if stated is None:
+            raise InternalInconsistency(f"no stated partition of {d} applies")
+        clique, indep = ([labels[t] for t in stated[side] if t in labels] for side in ("clique", "independent"))
+        part = flag_special(graph, clique, indep)
         trail.append(
             assume(
                 f"class graph is the published compact diagram of {family} at q={q}",
@@ -264,7 +259,7 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
             context={"family": family, "q": q, "epsilon": eps},
         )
         return graph, part, cert
-    raise InternalInconsistency(f"no diagram variant applies for {family} at q={q}")
+    raise InternalInconsistency(f"no diagram variant of {d} applies")
 
 
 def tits_compact():
@@ -274,9 +269,6 @@ def tits_compact():
     graph = groups.gk_from_spectrum(mu).compact_form().quotient
     clique = {label for label in graph.vertices if {2, 3}.intersection(label.members)}
     part = flag_special(graph, clique, set(graph.vertices) - clique)
-    ok, reason = validate_partition(graph, part)
-    if not ok:
-        raise InternalInconsistency(f"Tits group partition invalid: {reason}")
     trail = (assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),)
     context = {"family": groups.TITS_NAME, "q": 2}
     return graph, part, Certificate(KIND_SPLIT, trail, partition=part, context=context)

@@ -59,6 +59,7 @@ __all__ = [
     "sc_nonsplit_certificate",
     "prop72_certificate",
     "psl11_2_sc",
+    "solvable_graph",
     "artin_pairs",
     "theoremD_verify",
     "compact_graph_built",
@@ -624,6 +625,16 @@ def psl11_2_sc() -> tuple[Graph, Certificate]:
     return graph, cert
 
 
+def solvable_graph(d: groups.GroupDescriptor) -> Graph:
+    """The embedded solvable graph of the sporadic group d, on its prime
+    spectrum; UnsupportedFamily for any group without one (only M22 ships one)."""
+    if d.kind == "sporadic" and not d.tits:
+        record = groups.sporadic_record(d.name)
+        if record.solvable_edges:
+            return Graph(sorted(record.prime_spectrum), record.solvable_edges)
+    raise UnsupportedFamily(f"no embedded solvable-graph edge set for {d} (only M22 ships one)")
+
+
 def artin_pairs(p: int, limit: int) -> list[int]:
     """All odd primes n <= limit (n != p) with p a primitive root modulo n."""
     return [n for n in nt.primes_upto(limit) if n != 2 and nt.is_primitive_root(p, n)]
@@ -654,32 +665,19 @@ def theoremD_verify(
 
     Returns (compact-graph-or-None, verdict, certificate); the graph is None
     exactly when ``compact_graph_built(d)`` is false.  For sporadic groups
-    the embedded partition is returned with its table assumption.  The Tits
-    group takes the diagram path of the small-rank and exceptional families,
-    where the certified partition must validate on the diagram.
+    the embedded partition is returned with its table assumption.
+
+    Builders build and this function checks: the Alt/Sym branch and
+    ``exceptional_compact`` (diagrams and the Tits group) return (graph,
+    certified partition, certificate) unchecked.  The partition is validated
+    on that graph once, the degree route decides the graph (compacted first
+    for Alt/Sym), and a failure raises InternalInconsistency naming the group.
 
     A diagram graph is the drawn class graph, which can hold true twins (3
     and R3 in G2(4), 2 and U1 in A2(11)); its ``compact_form()`` is split
     too, and the certified partition, each merged class on C when any of its
     classes is, validates on it.
     """
-    if d.kind in ("alternating", "symmetric"):
-        g = gk_altsym(d)
-        part = altsym_partition(d.n)
-        ok, reason = validate_partition(g, part)
-        if not ok:
-            raise InternalInconsistency(f"partition failed for {d}: {reason}")
-        compact = g.compact_form()
-        verdict = is_split_degree(compact.quotient)
-        if not verdict.split:
-            raise InternalInconsistency(f"compact prime graph of {d} is not split")
-        cert = Certificate(
-            KIND_SPLIT,
-            (assume("prime adjacency from the degree sum criteria", "criterion"),),
-            partition=part,
-            context={"group": str(d)},
-        )
-        return compact.quotient, verdict, cert
     if not compact_graph_built(d):
         if d.kind == "sporadic":
             part = groups.sporadic_record(d.name).prime_partition._replace(special=True)
@@ -692,12 +690,19 @@ def theoremD_verify(
         else:
             part, cert = classical_compact_partition(d, budget)
         return None, SplitVerdict(True, None, part), cert
-    # Small-rank classical, exceptional and Tits: the compact diagram is explicit.
-    graph, part, cert = exceptional_compact(d, budget)
+    altsym = d.kind in ("alternating", "symmetric")
+    if altsym:
+        graph, part = gk_altsym(d), altsym_partition(d.n)
+        trail = (assume("prime adjacency from the degree sum criteria", "criterion"),)
+        cert = Certificate(KIND_SPLIT, trail, partition=part, context={"group": str(d)})
+    else:
+        graph, part, cert = exceptional_compact(d, budget)
     ok, reason = validate_partition(graph, part)
     if not ok:
-        raise InternalInconsistency(f"certified partition of {d} invalid on its diagram: {reason}")
+        raise InternalInconsistency(f"certified partition of {d} invalid: {reason}")
+    if altsym:
+        graph = graph.compact_form().quotient
     verdict = is_split_degree(graph)
     if not verdict.split:
-        raise InternalInconsistency(f"compact diagram of {d} is not split")
+        raise InternalInconsistency(f"compact graph of {d} is not split")
     return graph, verdict, cert

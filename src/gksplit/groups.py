@@ -221,63 +221,43 @@ def epsilon(d: GroupDescriptor) -> int:
     raise UnsupportedFamily(f"{d} has no sign epsilon")
 
 
-def _f4_parts(q: int) -> list[int]:
-    return [q**24, q**12 - 1, q**8 - 1, q**6 - 1, q**2 - 1]
+#: exceptional family -> (N, degrees d with a factor q^d - 1, degrees d with a
+#: factor q^d + 1) of its order formula
+_EXCEPTIONAL_DEGREES = {
+    "G2": (6, (2, 6), ()),
+    "F4": (24, (2, 6, 8, 12), ()),
+    "E6": (36, (2, 5, 6, 8, 9, 12), ()),
+    "2E6": (36, (2, 6, 8, 12), (5, 9)),
+    "E7": (63, (2, 6, 8, 10, 12, 14, 18), ()),
+    "E8": (120, (2, 8, 12, 14, 18, 20, 24, 30), ()),
+    "2B2": (2, (1,), (2,)),
+    "2G2": (3, (1,), (3,)),
+    "2F4": (12, (1, 4), (3, 6)),
+    "3D4": (12, (2, 6, 12), ()),
+}
 
 
-def order_parts(d: GroupDescriptor) -> tuple[list[int], int]:
-    """Multiplicands of the group order and the gcd divisor d."""
-    q, n = d.q, d.n
-    if d.kind == "classical":
-        if d.family == "A":
-            parts = [q ** comb(n + 1, 2)] + [q**i - 1 for i in range(2, n + 2)]
-            return parts, gcd(n + 1, q - 1)
-        if d.family == "2A":
-            parts = [q ** comb(n + 1, 2)] + [
-                q**i - (-1) ** i for i in range(2, n + 2)
-            ]
-            return parts, gcd(n + 1, q + 1)
-        if d.family in ("B", "C"):
-            return [q ** (n * n)] + [q ** (2 * i) - 1 for i in range(1, n + 1)], gcd(2, q - 1)
-        if d.family == "D":
-            parts = [q ** (n * (n - 1)), q**n - 1] + [
-                q ** (2 * i) - 1 for i in range(1, n)
-            ]
-            return parts, gcd(4, q**n - 1)
-        if d.family == "2D":
-            parts = [q ** (n * (n - 1)), q**n + 1] + [
-                q ** (2 * i) - 1 for i in range(1, n)
-            ]
-            return parts, gcd(4, q**n + 1)
-    if d.kind == "exceptional":
-        if d.family == "G2":
-            return [q**6, q**6 - 1, q**2 - 1], 1
-        if d.family == "F4":
-            return _f4_parts(q), 1
-        if d.family == "E6":
-            return [q**12, q**9 - 1, q**5 - 1] + _f4_parts(q), gcd(3, q - 1)
-        if d.family == "2E6":
-            return [q**12, q**9 + 1, q**5 + 1] + _f4_parts(q), gcd(3, q + 1)
-        if d.family == "E7":
-            return [q**39, q**18 - 1, q**14 - 1, q**10 - 1] + _f4_parts(q), gcd(2, q - 1)
-        if d.family == "E8":
-            return [
-                q**96,
-                q**30 - 1,
-                q**12 + 1,
-                q**20 - 1,
-                q**18 - 1,
-                q**14 - 1,
-                q**6 + 1,
-            ] + _f4_parts(q), 1
-        if d.family == "2B2":
-            return [q**2, q**2 + 1, q - 1], 1
-        if d.family == "2G2":
-            return [q**3, q**3 + 1, q - 1], 1
-        if d.family == "2F4":
-            return [q**12, q**6 + 1, q**4 - 1, q**3 + 1, q - 1], 1
-        if d.family == "3D4":
-            return [q**12, q**8 + q**4 + 1, q**6 - 1, q**2 - 1], 1
+def _order_rule(d: GroupDescriptor) -> tuple:
+    """(N, minus degrees, plus degrees, divisor): the order of the Lie-type
+    group d is q^N times the product of q^e - 1 over the minus degrees and
+    q^e + 1 over the plus degrees, divided by the divisor.  The divisor is
+    the gcd of the formula, and for 3D4 also q^4 - 1, which turns its factor
+    q^12 - 1 into q^8 + q^4 + 1."""
+    q, n, family = d.q, d.n, d.family
+    if d.kind == "exceptional" and family in _EXCEPTIONAL_DEGREES:
+        divisor = {"E6": gcd(3, q - 1), "2E6": gcd(3, q + 1), "E7": gcd(2, q - 1), "3D4": q**4 - 1}.get(family, 1)
+        return *_EXCEPTIONAL_DEGREES[family], divisor
+    degrees, evens = range(2, n + 2), range(2, 2 * n + 1, 2)
+    if family == "A":
+        return comb(n + 1, 2), degrees, (), gcd(n + 1, q - 1)
+    if family == "2A":
+        return comb(n + 1, 2), degrees[::2], degrees[1::2], gcd(n + 1, q + 1)
+    if family in ("B", "C"):
+        return n * n, evens, (), gcd(2, q - 1)
+    if family == "D":
+        return n * (n - 1), [*evens[:-1], n], (), gcd(4, q**n - 1)
+    if family == "2D":
+        return n * (n - 1), evens[:-1], (n,), gcd(4, q**n + 1)
     raise UnsupportedFamily(f"no order formula for {d}")
 
 
@@ -292,10 +272,8 @@ def order(d: GroupDescriptor) -> int:
         for p, e in _sporadic_order_factors(d.name):
             value *= p**e
         return value
-    parts, divisor = order_parts(d)
-    value = 1
-    for part in parts:
-        value *= part
+    top, minus, plus, divisor = _order_rule(d)
+    value = d.q**top * prod(d.q**e - 1 for e in minus) * prod(d.q**e + 1 for e in plus)
     if value % divisor:
         raise InternalInconsistency(f"order of {d} is not divisible by {divisor}")
     return value // divisor

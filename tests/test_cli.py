@@ -12,7 +12,7 @@ import pytest
 import gksplit
 from gksplit import cli, gkbuild, groups
 from gksplit.errors import DescriptorSyntaxError, InputTooLarge, InvalidField, NotSimple
-from gksplit.graph import Graph
+from gksplit.graph import ClassLabel, Graph, decode_label
 
 
 class TestParseDescriptor:
@@ -87,6 +87,17 @@ class TestSplitCommand:
         assert sorted(doc["witness"]["vertices"]) == [11, 3, 5, 7] or set(
             doc["witness"]["vertices"]
         ) == {3, 5, 7, 11}
+
+    def test_json_witness_keeps_class_members(self, tmp_path, capsys):
+        # two R5 and two R7 classes form a 2K2; the witness names each class
+        # by the label codec, so it decodes back to four distinct vertices
+        r5a, r7a, r5b, r7b = (ClassLabel(n, (p,)) for n, p in (("R5", 11), ("R7", 29), ("R5", 13), ("R7", 43)))
+        doc = tmp_path / "classes.json"
+        doc.write_text(Graph([r5a, r7a, r5b, r7b], [(r5a, r7a), (r5b, r7b)]).to_json())
+        assert cli.main(["split", "--in", str(doc), "--format", "json"]) == 1
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        vertices = [decode_label(v) for v in witness["vertices"]]
+        assert witness["kind"] == "2K2" and set(vertices) == {r5a, r7a, r5b, r7b}
 
     def test_two_sources_rejected(self, capsys):
         code = cli.main(["split", "--group", "M22", "--in", "x.json"])

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
+    InternalInconsistency,
     InvalidField,
     NotSimple,
     PreconditionViolated,
@@ -14,7 +17,7 @@ from gksplit.errors import (
     UnsupportedFamily,
 )
 from gksplit.graph import Graph, same_class_graph
-from gksplit.splitcheck import SplitPartition, flag_special, is_split_degree, validate_partition
+from gksplit.splitcheck import SplitPartition, SplitVerdict, flag_special, is_split_degree, validate_partition
 
 from oracles import (
     altsym_edges,
@@ -743,3 +746,100 @@ class TestTheoremD:
             obj, verdict, cert = gkbuild.theoremD_verify(d)
             assert verdict.split, d
             assert not recheck(cert), d
+
+
+def planted(monkeypatch, key, edit):
+    """Load data/diagrams.json with edit applied to the template of key."""
+    data = copy.deepcopy(exceptional._load())
+    edit(data["families"][key])
+    monkeypatch.setattr(exceptional, "_DIAGRAMS", data)
+
+
+def raises_for(text, reason):
+    """theoremD_verify of the group text raises InternalInconsistency naming
+    the group and the reason."""
+    d = groups.parse_descriptor(text)
+    with pytest.raises(InternalInconsistency, match=re.escape(reason)) as info:
+        gkbuild.theoremD_verify(d, 1)
+    assert str(d) in str(info.value)
+
+
+class TestTheoremDCheckSite:
+    # theoremD_verify is the one place a built group's partition is checked;
+    # each planted defect must raise there, naming the group, and no other
+    # partition may be tried in its place
+    def test_edge_inside_i(self, monkeypatch):
+        # G2(5) takes the q = -1 (mod 3) variant, whose I holds R1p and R3
+        planted(monkeypatch, "G2", lambda t: t["variants"][2]["edges"].append(["R1p", "R3", None]))
+        raises_for("G2(5)", "certified partition of G2(5) invalid: I is not independent")
+
+    def test_diagram_made_nonsplit(self, monkeypatch):
+        # 2B2(8) has the classes {2}, {7}, {5}, {13}; two edges make a 2K2
+        planted(monkeypatch, "2B2", lambda t: t["variants"][0]["edges"].extend(
+            [["2", "pi_q_minus_1", None], ["pi_v_minus", "pi_v_plus", None]]))
+        assert not is_split_degree(exceptional.exceptional_compact(groups.parse_descriptor("2B2(8)"), 1)[0]).split
+        raises_for("2B2(8)", "I is not independent")
+
+    def test_stated_partition_fails_with_a_valid_one_after_it(self, monkeypatch):
+        def edit(template):
+            template["variants"][0]["partitions"] = [
+                {"when": None, "clique": ["pi_minus", "pi_plus"], "independent": ["p"]},
+                {"when": None, "clique": ["p"], "independent": ["pi_minus", "pi_plus"]},
+            ]
+
+        planted(monkeypatch, "A1", edit)
+        raises_for("A1(8)", "C is not a clique")
+
+    def test_no_partition_applies(self, monkeypatch):
+        def edit(template):
+            for alt in template["variants"][0]["partitions"]:
+                alt["when"] = {"pred": "q_eq", "value": 1}
+
+        planted(monkeypatch, "A2", edit)
+        raises_for("A2(5)", "no stated partition of A2(5) applies")
+
+    def test_no_variant_applies(self, monkeypatch):
+        def edit(template):
+            for variant in template["variants"]:
+                variant["when"] = {"pred": "q_eq", "value": 1}
+
+        planted(monkeypatch, "G2", edit)
+        raises_for("G2(5)", "no diagram variant of G2(5) applies")
+
+    def test_altsym_partition(self, monkeypatch):
+        monkeypatch.setattr(gkbuild, "altsym_partition", lambda n: SplitPartition(frozenset({2, 3, 5}), frozenset({7})))
+        raises_for("Alt(7)", "C is not a clique")
+
+    def test_wrong_tits_clique(self, monkeypatch):
+        real = exceptional.tits_compact
+
+        def wrong():
+            graph, _, cert = real()
+            clique = {v for v in graph.vertices if {2, 13}.intersection(v.members)}
+            return graph, flag_special(graph, clique, set(graph.vertices) - clique), cert
+
+        monkeypatch.setattr(exceptional, "tits_compact", wrong)
+        raises_for("Tits", "C is not a clique")
+
+    def test_degree_route_disagrees(self, monkeypatch):
+        monkeypatch.setattr(gkbuild, "is_split_degree", lambda g: SplitVerdict(False, 1, None))
+        raises_for("3D4(2)", "compact graph of 3D4(2) is not split")
+
+    def test_every_diagram_group_below_1000_at_budget_1(self):
+        # every diagram family at every prime power q < 1000; A2 and 2A2
+        # certify each of their two stated partitions somewhere on the grid
+        seen, a2_cliques = 0, set()
+        for family in exceptional.diagram_families():
+            for q in prime_powers(2, 999):
+                try:
+                    d = groups.parse_descriptor(f"{family}({q})")
+                except (InvalidField, NotSimple):
+                    continue
+                graph, verdict, cert = gkbuild.theoremD_verify(d, 1)
+                assert verdict.split and graph is not None, d
+                seen += 1
+                if family in ("A2", "2A2"):
+                    a2_cliques.add(frozenset(v.name for v in cert.partition.clique))
+        assert seen == 2514
+        assert frozenset({"2", "3", "p", "U1"}) in a2_cliques
+        assert frozenset({"2", "p", "U1"}) in a2_cliques

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from math import factorial
@@ -117,6 +118,24 @@ class TestOrders:
 
     def test_tits_order(self):
         assert groups.order(groups.sporadic("Tits")) == 17971200
+
+    def test_lie_orders_pinned(self):
+        # every classical family at ranks 1..29 and every exceptional family
+        # at 19 field sizes: the digest of the orders as recorded from the
+        # per-family product formulas before they became one degree rule
+        digest, seen = hashlib.sha256(), 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 128, 243, 2187):
+            calls = [(groups.classical, (f, r, q)) for f in groups.CLASSICAL_FAMILIES for r in range(1, 30)]
+            calls += [(groups.exceptional, (f, q)) for f in groups.EXCEPTIONAL_FAMILIES]
+            for make, args in calls:
+                try:
+                    d = make(*args)
+                except (InvalidField, NotSimple):
+                    continue
+                digest.update(f"{d}:{groups.order(d):x}\n".encode())
+                seen += 1
+        assert seen == 3328
+        assert digest.hexdigest() == "4f3123495306e0009e88d1a694a6860c222d82ed991cbb4a9da152feb95228d4"
 
 
 class TestSporadicTable:
