@@ -73,23 +73,6 @@ def _load() -> dict:
     return _DIAGRAMS
 
 
-def nu(n: int) -> int:
-    """n for n = 0 (4); n/2 for n = 2 (4); 2n for odd n.  An involution."""
-    if n % 4 == 0:
-        return n
-    if n % 2 == 0:
-        return n // 2
-    return 2 * n
-
-
-def eta(n: int) -> int:
-    return n if n % 2 else n // 2
-
-
-def nu_eps(n: int, eps: int) -> int:
-    return n if eps == 1 else nu(n)
-
-
 # -- expression registry -----------------------------------------------------
 
 _EXPRS = {
@@ -187,8 +170,8 @@ def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> t
     # a ppd rule is the one-index case of ppd_union
     found = []
     for index in rule["indices"] if kind == "ppd_union" else (rule["index"],):
-        if rule.get("eps"):
-            index = nu_eps(index, eps)
+        if rule.get("eps") and eps == -1:
+            index = nt.nu(index)
         if nt.is_zsigmondy_exception(index, q):
             if kind == "ppd":
                 trail.append(

@@ -46,7 +46,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedFamily,
 )
-from .exceptional import eta, exceptional_compact, nu, nu_eps, ppd_members as _class_members
+from .exceptional import exceptional_compact, ppd_members as _class_members
 from .graph import ClassLabel, ForbiddenWitness, Graph
 from .splitcheck import SplitPartition, SplitVerdict, is_split_degree, validate_partition
 
@@ -64,9 +64,6 @@ __all__ = [
     "theoremD_verify",
     "compact_graph_built",
     "exceptional_compact",
-    "nu",
-    "eta",
-    "nu_eps",
 ]
 
 
@@ -130,29 +127,18 @@ def altsym_partition(n: int) -> SplitPartition:
 # ---------------------------------------------------------------------------
 
 
-def _phi_pairs(d: groups.GroupDescriptor, eps: int) -> tuple[int, list[tuple[int, int]]]:
-    """n = prk(d) and, in index order, each order index e <= 2n with the
-    phi-value m <= n shared by the primes of R_e(q), as (e, m).
-
-    m is nu_eps(e, eps) for linear and unitary groups (eps = +-1) and eta(e)
-    for symplectic and orthogonal ones (eps = 0); both are at least e / 2, so
-    no larger index qualifies.  Raises UnsupportedFamily unless d is classical.
-    """
-    n = groups.prk(d)
-    phi = eta if eps == 0 else lambda e: nu_eps(e, eps)
-    pairs = ((e, phi(e)) for e in range(1, 2 * n + 1))
-    return n, [(e, m) for e, m in pairs if m <= n]
-
-
 def classical_compact_partition(
     d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
 ) -> tuple[SplitPartition, Certificate]:
     """Split partition of the compact prime graph of the classical group d,
     for prk(d) >= 4.
 
-    Independent side: one class per nonempty R_j(q) whose phi-value lies in
-    (n/2, n]; clique side: the characteristic plus one class per nonempty
-    R_e(q) with phi-value at most n/2.  Nonemptiness comes from the
+    The classes are the order indices e of ``groups.order_indices``, whose
+    phi-value m is the first k <= n = prk(d) with Phi_e(q) dividing the k-th
+    factor of the order, so every class's primes divide |G|.  Independent
+    side: one class per nonempty R_j(q) whose phi-value lies in (n/2, n];
+    clique side: the characteristic plus one class per nonempty R_e(q) with
+    phi-value at most n/2.  Nonemptiness comes from the
     Bang-Zsigmondy exception list; class members are filled in when
     factoring fits the budget.  The certificate checks each independent
     class's phi-value m against n/2 < m <= n and states Lemma 5.3(iii) once:
@@ -163,10 +149,11 @@ def classical_compact_partition(
     delta_of = q - eps for linear and unitary groups and gcd(2, q - 1)
     otherwise; it is never factored.
     """
-    eps = groups.epsilon(d) if d.family in ("A", "2A") else 0
-    n, pairs = _phi_pairs(d, eps)
+    n = groups.prk(d)
     if n < 4:
         raise RankTooSmall(f"prk must be at least 4, got {n}")
+    eps = groups.epsilon(d) if d.family in ("A", "2A") else 0
+    pairs = groups.order_indices(d)
     q = d.q
     p, _ = groups.char_and_degree(q)
     delta_of = q - eps if eps else gcd(2, q - 1)

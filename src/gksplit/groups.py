@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from importlib import resources
 from math import comb, factorial, gcd, isqrt, lcm, prod
 from typing import NamedTuple
@@ -237,28 +238,52 @@ _EXCEPTIONAL_DEGREES = {
 }
 
 
-def _order_rule(d: GroupDescriptor) -> tuple:
-    """(N, minus degrees, plus degrees, divisor): the order of the Lie-type
-    group d is q^N times the product of q^e - 1 over the minus degrees and
-    q^e + 1 over the plus degrees, divided by the divisor.  The divisor is
-    the gcd of the formula, and for 3D4 also q^4 - 1, which turns its factor
-    q^12 - 1 into q^8 + q^4 + 1."""
+def _order_rule(d: GroupDescriptor) -> tuple[int, list[tuple[int, int]], int]:
+    """(N, factors, divisor): the order of the Lie-type group d is q^N times
+    the product of q^e - s over its factors (e, s), s = +-1, divided by the
+    divisor.  A classical group lists one factor per k = 1..prk(d): q^k - 1
+    (linear), q^k - (-1)^k (unitary), q^2k - 1 (symplectic and orthogonal),
+    with q^n -+ 1 in place of the last for D_n and 2D_n.  The divisor is the
+    gcd of the formula, times q -+ 1 for linear and unitary groups, and for
+    3D4 it is q^4 - 1, which turns its factor q^12 - 1 into q^8 + q^4 + 1."""
     q, n, family = d.q, d.n, d.family
     if d.kind == "exceptional" and family in _EXCEPTIONAL_DEGREES:
+        top, minus, plus = _EXCEPTIONAL_DEGREES[family]
         divisor = {"E6": gcd(3, q - 1), "2E6": gcd(3, q + 1), "E7": gcd(2, q - 1), "3D4": q**4 - 1}.get(family, 1)
-        return *_EXCEPTIONAL_DEGREES[family], divisor
-    degrees, evens = range(2, n + 2), range(2, 2 * n + 1, 2)
+        return top, [(e, 1) for e in minus] + [(e, -1) for e in plus], divisor
+    evens = [(2 * k, 1) for k in range(1, n + 1)]
     if family == "A":
-        return comb(n + 1, 2), degrees, (), gcd(n + 1, q - 1)
+        return comb(n + 1, 2), [(k, 1) for k in range(1, n + 2)], (q - 1) * gcd(n + 1, q - 1)
     if family == "2A":
-        return comb(n + 1, 2), degrees[::2], degrees[1::2], gcd(n + 1, q + 1)
+        return comb(n + 1, 2), [(k, (-1) ** k) for k in range(1, n + 2)], (q + 1) * gcd(n + 1, q + 1)
     if family in ("B", "C"):
-        return n * n, evens, (), gcd(2, q - 1)
-    if family == "D":
-        return n * (n - 1), [*evens[:-1], n], (), gcd(4, q**n - 1)
-    if family == "2D":
-        return n * (n - 1), evens[:-1], (n,), gcd(4, q**n + 1)
+        return n * n, evens, gcd(2, q - 1)
+    if family in ("D", "2D"):
+        s = 1 if family == "D" else -1
+        return n * (n - 1), [*evens[:-1], (n, s)], gcd(4, q**n - s)
     raise UnsupportedFamily(f"no order formula for {d}")
+
+
+def order_indices(d: GroupDescriptor) -> tuple[tuple[int, int], ...]:
+    """(e, m) in increasing e for each order index e of the Lie-type group d:
+    Phi_e(q) divides a factor q^f - s of ``_order_rule`` (e | f for s = 1;
+    e | 2f but not f for s = -1), and m is the position, from 1, of the
+    first such factor.  For a classical group, whose k-th factor is the k-th
+    of its order formula, m is the phi-value of R_e(q)."""
+    return _first_factors(tuple(_order_rule(d)[1]))
+
+
+@lru_cache(maxsize=1024)
+def _first_factors(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """order_indices of a factor list, which does not depend on q."""
+    first = {}
+    for k, (f, s) in enumerate(factors, 1):
+        for a in range(1, isqrt(2 * f) + 1):
+            if 2 * f % a == 0:
+                for e in (a, 2 * f // a):
+                    if (f % e == 0) == (s == 1):
+                        first.setdefault(e, k)
+    return tuple(sorted(first.items()))
 
 
 def order(d: GroupDescriptor) -> int:
@@ -272,8 +297,8 @@ def order(d: GroupDescriptor) -> int:
         for p, e in _sporadic_order_factors(d.name):
             value *= p**e
         return value
-    top, minus, plus, divisor = _order_rule(d)
-    value = d.q**top * prod(d.q**e - 1 for e in minus) * prod(d.q**e + 1 for e in plus)
+    top, factors, divisor = _order_rule(d)
+    value = d.q**top * prod(d.q**e - s for e, s in factors)
     if value % divisor:
         raise InternalInconsistency(f"order of {d} is not divisible by {divisor}")
     return value // divisor

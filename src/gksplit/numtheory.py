@@ -503,16 +503,21 @@ def _perfect_power(x: int) -> tuple[int, int]:
     return b, k
 
 
+def nu(n: int) -> int:
+    """n for n = 0 (4); n/2 for n = 2 (4); 2n for odd n.  An involution, with
+    |Phi_n(-x)| = Phi_nu(n)(x); nu(e) is R_e(q)'s phi-value in a unitary group."""
+    return n if n % 4 == 0 else n // 2 if n % 2 == 0 else 2 * n
+
+
 def _cyclotomic_split(i: int, n: int) -> tuple[int, list[int]]:
     """(b, js) with |Phi_i(n)| = prod(Phi_j(b) for j in js), b not a perfect power.
 
-    |Phi_i(-x)| = Phi_i'(x) with i' = 2i for odd i, i/2 for i = 2 (mod 4)
-    and i otherwise; and for |n| = b^k, Phi_i'(b^k) is the product of the
-    Phi_j(b) over the j | i'k with j / gcd(j, k) = i' (a root of Phi_j has
-    order j, its k-th power order j / gcd(j, k)).
+    |Phi_i(-x)| = Phi_i'(x) with i' = nu(i); and for |n| = b^k, Phi_i'(b^k)
+    is the product of the Phi_j(b) over the j | i'k with j / gcd(j, k) = i'
+    (a root of Phi_j has order j, its k-th power order j / gcd(j, k)).
     """
     if n < 0:
-        i = 2 * i if i % 2 else i // 2 if i % 4 == 2 else i
+        i = nu(i)
     b, k = _perfect_power(abs(n))
     top = i * k
     return b, [j for j in range(1, top + 1) if top % j == 0 and j // gcd(j, k) == i]

@@ -86,6 +86,28 @@ def classical_phi(e, kind, eps=1):
     return e if e % 2 else e // 2
 
 
+def classical_order_factors(family, n):
+    """The factors (f, s), each q^f - s, of the standard order formula of the
+    classical group of family A, 2A, B, C, D or 2D with prk n (the dimension
+    for A and 2A, the Lie rank otherwise), as the tables write it:
+    q^2 - 1, ..., q^n - 1 for A; q^k - (-1)^k, k = 2..n, for 2A; q^2 - 1, ...,
+    q^2n - 1 for B and C; q^2 - 1, ..., q^2(n-1) - 1 and q^n -+ 1 for D, 2D.
+    """
+    if family in ("A", "2A"):
+        return [(k, 1 if family == "A" else (-1) ** k) for k in range(2, n + 1)]
+    evens = [(2 * k, 1) for k in range(1, n)]
+    if family in ("B", "C"):
+        return evens + [(2 * n, 1)]
+    return evens + [(n, 1 if family == "D" else -1)]
+
+
+def cyclotomic_divides(e, f, s):
+    """Phi_e(x) divides x^f - s, s = +-1, as a polynomial: the roots of Phi_e
+    have order e, those of x^f - 1 an order dividing f, and those of x^f + 1
+    an order dividing 2f but not f."""
+    return f % e == 0 if s == 1 else 2 * f % e == 0 and f % e != 0
+
+
 def ppd_class_empty(i, q):
     """R_i(q) is empty, for a field size q >= 2 (Bang-Zsigmondy).
 

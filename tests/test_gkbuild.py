@@ -25,8 +25,10 @@ from oracles import (
     brute_artin_pairs,
     brute_order,
     brute_primes,
+    classical_order_factors,
     classical_phi,
     convention_order,
+    cyclotomic_divides,
     lemma52_indices,
     ppd_class_empty,
     prime_powers,
@@ -125,17 +127,13 @@ def test_altsym_rows_against_the_edge_rule_to_3000_in_any_call_order(order):
 class TestIndexFunctions:
     def test_nu_involution(self):
         for n in range(1, 60):
-            assert gkbuild.nu(gkbuild.nu(n)) == n
+            assert nt.nu(nt.nu(n)) == n
 
     def test_nu_values(self):
-        assert gkbuild.nu(4) == 4
-        assert gkbuild.nu(6) == 3
-        assert gkbuild.nu(3) == 6
-        assert gkbuild.nu(1) == 2
-
-    def test_eta(self):
-        assert gkbuild.eta(6) == 3
-        assert gkbuild.eta(7) == 7
+        assert nt.nu(4) == 4
+        assert nt.nu(6) == 3
+        assert nt.nu(3) == 6
+        assert nt.nu(1) == 2
 
     # The independent side's order indices, those with phi-value in (n/2, n];
     # no Zsigmondy exception falls at these points, so every index is kept.
@@ -215,15 +213,19 @@ class TestClassicalPartition:
     def test_grid_phi_values_match_oracle(self):
         # One in_interval step per independent class, its phi-value recomputed
         # from nu/eta; every pair fact behind Lemma 5.3(iii) follows from
-        # those values, so the certificate need not list the pairs.
+        # those values, so the certificate need not list the pairs.  A class
+        # is an order index: Phi_e divides a factor of the order formula,
+        # which leaves out R_2n of D_n and R_n of 2D_n at odd n.
         for d, kind, eps, n in theorem_c_grid():
             part, cert = gkbuild.classical_compact_partition(d)
             assert cert.context["prk"] == n, d
             assert not recheck(cert), d
             indices = cert.context["independent_indices"]
+            factors = classical_order_factors(d.family, n)
             assert indices == [
                 e for e in range(1, 2 * n + 1)
                 if n < 2 * classical_phi(e, kind, eps) and classical_phi(e, kind, eps) <= n
+                and any(cyclotomic_divides(e, f, s) for f, s in factors)
                 and not ppd_class_empty(e, d.q)
             ], d
             assert {label.name for label in part.independent} == {f"R{j}" for j in indices}
@@ -242,6 +244,20 @@ class TestClassicalPartition:
             lemma = [s for s in cert.assumptions() if s.tag == TAG_L53 and "nonadjacent" in s.claim]
             assert len(lemma) == 1, d
             assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3, d
+
+    def test_printed_members_divide_the_order(self):
+        # every class the classical route prints holds primes of |G|; the
+        # phi-value bound alone would admit R_2n of D_n and R_n of odd-rank
+        # 2D_n, whose primes divide no factor (R_8(3) = {41}, and 41 does
+        # not divide |D4(3)|)
+        for family in groups.CLASSICAL_FAMILIES:
+            for rank in range(4, 21):
+                for q in (2, 3, 4, 5, 7, 8, 9):
+                    d = groups.classical(family, rank, q)
+                    order = groups.order(d)
+                    part, _ = gkbuild.classical_compact_partition(d)
+                    for label in part.clique | part.independent:
+                        assert label.members and all(order % r == 0 for r in label.members), (d, label)
 
     def test_a63_2_linear_and_each_phi_bound_checked(self):
         part, cert = gkbuild.classical_compact_partition(groups.classical("A", 63, 2))
@@ -475,7 +491,46 @@ def diagram(family, q, budget=nt.DEFAULT_BUDGET):
     return gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"), budget)
 
 
+def order_primes(d):
+    """pi(|G|) of the Lie-type group d: the characteristic and the primes of
+    each factor q^f - s of its order list, factored through its cyclotomic
+    pieces Phi_e(q), that divide the order (the divisor may remove some)."""
+    q, order = d.q, groups.order(d)
+    primes = {groups.char_and_degree(q)[0]}
+    for f, s in groups._order_rule(d)[1]:
+        for e in range(1, 2 * f + 1):
+            if cyclotomic_divides(e, f, s):
+                primes |= nt.prime_set(nt.cyclotomic_value(e, q))
+    return {r for r in primes if order % r == 0}
+
+
+#: E8's diagram has no class R7 or R14, although Phi_7 and Phi_14 divide its
+#: factor q^14 - 1: E8(2) lacks 43 and 127, E8(5) lacks 29, 449 and 19531
+DIAGRAM_COVERAGE = [
+    pytest.param(f, marks=pytest.mark.xfail(strict=True, reason="E8 diagram lacks R7 and R14"))
+    if f == "E8" else f
+    for f in exceptional.diagram_families()
+]
+
+
 class TestExceptionalGraphs:
+    @pytest.mark.parametrize("family", DIAGRAM_COVERAGE)
+    def test_class_members_are_the_order_primes(self, family):
+        # at every q < 60 where each class names its members, the classes
+        # together hold exactly the primes of |G|
+        seen = 0
+        for q in prime_powers(2, 59):
+            try:
+                d = groups.parse_descriptor(f"{family}({q})")
+            except (InvalidField, NotSimple):
+                continue
+            graph, _, _ = gkbuild.exceptional_compact(d)
+            members = [set(v.members) for v in graph.vertices]
+            if all(members):
+                assert set().union(*members) == order_primes(d), d
+                seen += 1
+        assert seen, family
+
     @pytest.mark.parametrize("family, q", [("B2", 3), ("B2", 7), ("B3", 3), (groups.TITS_NAME, 2)])
     def test_spectrum_partition_flag_is_verified(self, family, q):
         # the diagrams transcribed from a spectrum, and the Tits group's
