@@ -12,8 +12,8 @@ from gksplit.certificates import certificate_from_json, recheck
 
 d = groups.classical("A", 12, 4)  # PSL_13(4)
 print(f"{d}: compact split partition for dimension 13 over GF(4)")
-part, cert = gkbuild.classical_compact_partition(d)
-c, i = part.as_sorted()
+cert = gkbuild.classical_compact_partition(d)
+c, i = cert.partition.as_sorted()
 print("clique side:     ", ", ".join(f"{v.name}{v.members}" for v in c))
 print("independent side:", ", ".join(f"{v.name}{v.members}" for v in i))
 print(f"certificate: {len(cert.checked_steps())} arithmetic checks, "

@@ -6,8 +6,9 @@ closed predicate language covers three-part comparisons of q -+ 1, membership
 of 5 in R_4, divisibility, q even, q equal to a value, and negation, so the
 resource file can be audited line by line against the published drawings.
 Each variant states its partition, the first entry of its ``partitions``
-whose ``when`` holds.  This module builds and does not check: every built
-group's partition is validated once, by ``gkbuild.theoremD_verify``.
+whose ``when`` holds, and a group's certificate carries it.  This module
+builds and does not check: every built group's certified partition is
+validated once, by ``gkbuild.theoremD_verify``.
 
 Families handled here: A1, A2/2A2, B2(=C2), B3/C3, G2, F4, E6/2E6, E7, E8,
 2B2, 2G2, 2F4, 3D4, and the Tits group, each keyed by its
@@ -99,8 +100,15 @@ def _expr_value(name: str, q: int, eps: int) -> int:
     return _EXPRS[name](q)
 
 
+def _record(trail: list, s) -> None:
+    """Append the step s to the trail unless it is already there: the
+    predicates of one group share their steps, so each is recorded once."""
+    if s not in trail:
+        trail.append(s)
+
+
 def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
-    """Evaluate a predicate, appending machine-checkable steps to the trail."""
+    """Evaluate a predicate, recording its machine-checkable steps on the trail."""
     if pred is None:
         return True
     if "not" in pred:
@@ -109,26 +117,19 @@ def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
     if kind in ("three_part_eq", "three_part_gt"):
         a = _expr_value(pred["expr"], q, eps)
         got = nt.pi_part(a, 3)
-        trail.append(
-            step(
-                f"three-part of {a} is {got}",
-                op="pi_part_eq", a=a, pi_of=3, equals=got,
-            )
-        )
+        _record(trail, step(f"three-part of {a} is {got}", op="pi_part_eq", a=a, pi_of=3, equals=got))
         return got == pred["value"] if kind == "three_part_eq" else got > pred["value"]
     if kind == "member":
         r, i = pred["r"], pred["index"]
         got = q % r != 0 and nt.is_mult_order(r, q, i)
         if got:
-            trail.append(
-                step(f"order of {q} modulo {r} is {i}", op="mult_order", r=r, base=q, equals=i)
-            )
+            _record(trail, step(f"order of {q} modulo {r} is {i}", op="mult_order", r=r, base=q, equals=i))
         return got
     if kind == "divides":
         a = _expr_value(pred["expr"], q, eps)
         got = a % pred["d"] == 0
         if got:
-            trail.append(step(f"{pred['d']} divides {a}", op="divides", a=pred["d"], b=a))
+            _record(trail, step(f"{pred['d']} divides {a}", op="divides", a=pred["d"], b=a))
         return got
     if kind == "q_even":
         return q % 2 == 0
@@ -174,9 +175,8 @@ def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> t
             index = nt.nu(index)
         if nt.is_zsigmondy_exception(index, q):
             if kind == "ppd":
-                trail.append(
-                    step(f"R_{index}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=index)
-                )
+                empty = step(f"R_{index}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=index)
+                _record(trail, empty)
         elif not minus or nt.has_ppd(index, q, minus):
             found.append(index)
     head = {p} if rule.get("char") and p not in minus else set()
@@ -202,13 +202,14 @@ def _build_diagram(variant, q, p, eps, budget, trail):
 
 
 def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET):
-    """Compact class graph, stated split partition and certificate of the group d.
+    """Compact class graph and certificate of the group d.
 
-    Returns (Graph over ClassLabel vertices, SplitPartition, Certificate).
-    d is the Tits group or a group whose family is in ``diagram_families()``;
-    any other group raises UnsupportedFamily.  The partition is the diagram's
-    first one whose 'when' holds, unchecked: ``gkbuild.theoremD_verify``
-    validates it.
+    Returns (Graph over ClassLabel vertices, Certificate).  d is the Tits
+    group or a group whose family is in ``diagram_families()``; any other
+    group raises UnsupportedFamily.  The certificate's partition is the
+    diagram's first one whose 'when' holds, unchecked:
+    ``gkbuild.theoremD_verify`` validates it.  Each predicate step appears on
+    the certificate once, however many vertices, edges and partitions ask it.
     """
     if d.tits:
         return tits_compact()
@@ -228,7 +229,6 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
         if stated is None:
             raise InternalInconsistency(f"no stated partition of {d} applies")
         clique, indep = ([labels[t] for t in stated[side] if t in labels] for side in ("clique", "independent"))
-        part = flag_special(graph, clique, indep)
         trail.append(
             assume(
                 f"class graph is the published compact diagram of {family} at q={q}",
@@ -238,20 +238,20 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
         cert = Certificate(
             KIND_SPLIT,
             tuple(trail),
-            partition=part,
+            partition=flag_special(graph, clique, indep),
             context={"family": family, "q": q, "epsilon": eps},
         )
-        return graph, part, cert
+        return graph, cert
     raise InternalInconsistency(f"no diagram variant of {d} applies")
 
 
 def tits_compact():
-    """The Tits group, built from its maximal element orders: its prime graph
-    equals its own compact form, with C the classes of 2 and 3."""
+    """The Tits group's compact graph and certificate, built from its maximal
+    element orders: its prime graph equals its own compact form, with C the
+    classes of 2 and 3."""
     mu = groups.spectrum_formulas(groups.sporadic(groups.TITS_NAME))
     graph = groups.gk_from_spectrum(mu).compact_form().quotient
     clique = {label for label in graph.vertices if {2, 3}.intersection(label.members)}
     part = flag_special(graph, clique, set(graph.vertices) - clique)
     trail = (assume(f"maximal element orders are {sorted(mu.mu)}", "spectrum"),)
-    context = {"family": groups.TITS_NAME, "q": 2}
-    return graph, part, Certificate(KIND_SPLIT, trail, partition=part, context=context)
+    return graph, Certificate(KIND_SPLIT, trail, partition=part, context={"family": groups.TITS_NAME, "q": 2})

@@ -129,9 +129,9 @@ def altsym_partition(n: int) -> SplitPartition:
 
 def classical_compact_partition(
     d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
-) -> tuple[SplitPartition, Certificate]:
-    """Split partition of the compact prime graph of the classical group d,
-    for prk(d) >= 4.
+) -> Certificate:
+    """Certified split partition of the compact prime graph of the classical
+    group d, for prk(d) >= 4.
 
     The classes are the order indices e of ``groups.order_indices``, whose
     phi-value m is the first k <= n = prk(d) with Phi_e(q) dividing the k-th
@@ -146,56 +146,42 @@ def classical_compact_partition(
     n, and neither phi-value divides the other (the larger is below twice
     the smaller).  The group-theoretic clique claims are flagged as
     assumptions.  The excluded prime set delta(L) is pi(delta_of), with
-    delta_of = q - eps for linear and unitary groups and gcd(2, q - 1)
-    otherwise; it is never factored.
+    delta_of = q - eps for linear (eps = 1) and unitary (eps = -1) groups and
+    gcd(2, q - 1) otherwise; it is never factored.
     """
     n = groups.prk(d)
     if n < 4:
         raise RankTooSmall(f"prk must be at least 4, got {n}")
-    eps = groups.epsilon(d) if d.family in ("A", "2A") else 0
-    pairs = groups.order_indices(d)
+    eps = {"A": 1, "2A": -1}.get(d.family, 0)
     q = d.q
     p, _ = groups.char_and_degree(q)
     delta_of = q - eps if eps else gcd(2, q - 1)
-    steps = []
-
-    def make_label(e: int) -> ClassLabel:
-        return ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
-
-    indep_labels = []
-    indep_indices = []
-    for j, m in pairs:
-        if 2 * m <= n:
+    steps, clique_steps = [], []  # the independent side's steps, then the clique side's
+    indep_indices, indep_labels, clique_labels = [], [], [ClassLabel("p", (p,))]
+    for e, m in groups.order_indices(d):
+        large = 2 * m > n
+        if nt.is_zsigmondy_exception(e, q):
+            if large:
+                steps.append(
+                    step(f"R_{e}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=e)
+                )
             continue
-        if nt.is_zsigmondy_exception(j, q):
+        label = ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
+        if large:
             steps.append(
-                step(f"R_{j}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=j)
+                step(f"R_{e}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=e)
             )
-            continue
-        steps.append(
-            step(f"R_{j}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=j)
-        )
-        steps.append(
-            step(
-                f"phi-value {m} of R_{j}({q}) lies in ({n}/2, {n}]",
-                op="in_interval", x=m, lo=n // 2, hi=n,
+            steps.append(
+                step(f"phi-value {m} of R_{e}({q}) lies in ({n}/2, {n}]", op="in_interval", x=m, lo=n // 2, hi=n)
             )
-        )
-        indep_indices.append(j)
-        indep_labels.append(make_label(j))
-
-    clique_labels = [ClassLabel("p", (p,))]
-    for e, m in pairs:
-        if 2 * m > n or nt.is_zsigmondy_exception(e, q):
-            continue
-        steps.append(
-            step(
-                f"class R_{e}({q}) has phi-value {m} <= {n}/2",
-                op="cmp", a=2 * m, rel="le", b=n,
+            indep_indices.append(e)
+            indep_labels.append(label)
+        else:
+            clique_steps.append(
+                step(f"class R_{e}({q}) has phi-value {m} <= {n}/2", op="cmp", a=2 * m, rel="le", b=n)
             )
-        )
-        clique_labels.append(make_label(e))
-
+            clique_labels.append(label)
+    steps += clique_steps
     steps.append(
         assume(
             f"classes with distinct order indices and phi-values in ({n}/2, {n}] are nonadjacent",
@@ -216,11 +202,10 @@ def classical_compact_partition(
                 TAG_L53,
             )
         )
-    partition = SplitPartition(frozenset(clique_labels), frozenset(indep_labels))
-    cert = Certificate(
+    return Certificate(
         KIND_SPLIT,
         tuple(steps),
-        partition=partition,
+        partition=SplitPartition(frozenset(clique_labels), frozenset(indep_labels)),
         context={
             "group": str(d),
             "prk": n,
@@ -229,12 +214,18 @@ def classical_compact_partition(
             "independent_indices": indep_indices,
         },
     )
-    return partition, cert
 
 
 # ---------------------------------------------------------------------------
 # Nonsplitness constructions
 # ---------------------------------------------------------------------------
+
+
+def _two_k2(steps, vertices, context: dict) -> Certificate:
+    """The non-split certificate whose steps end in an induced 2K2 on the four
+    vertices; a str vertex names a ClassLabel without members."""
+    labels = tuple(ClassLabel(v) if isinstance(v, str) else v for v in vertices)
+    return Certificate(KIND_NONSPLIT, tuple(steps), witness=ForbiddenWitness("2K2", labels), context=context)
 
 
 def lemma52_check(k: int, p: int, a: int) -> Certificate:
@@ -335,15 +326,8 @@ def nonsplit_witness_linear(
             TAG_L53,
         )
     )
-    r1, r2, s1, s2 = primes
-    witness = ForbiddenWitness("2K2", (r1, r2, s1, s2))
-    cert = Certificate(
-        KIND_NONSPLIT,
-        tuple(steps),
-        witness=witness,
-        context={"n": n, "p": p, "a": a, "q": q, "k1": k1, "k2": k2},
-    )
-    return (r1, r2, s1, s2), cert
+    cert = _two_k2(steps, primes, {"n": n, "p": p, "a": a, "q": q, "k1": k1, "k2": k2})
+    return cert.witness.vertices, cert
 
 
 def sc_nonsplit_certificate(n: int, p: int) -> Certificate:
@@ -439,21 +423,7 @@ def sc_nonsplit_certificate(n: int, p: int) -> Certificate:
             TAG_AK_SOLV,
         ),
     ]
-    witness = ForbiddenWitness(
-        "2K2",
-        (
-            ClassLabel(f"R{k}"),
-            ClassLabel(f"R{m}"),
-            ClassLabel(f"R{n - 1}"),
-            ClassLabel(f"R{n}"),
-        ),
-    )
-    return Certificate(
-        KIND_NONSPLIT,
-        tuple(steps),
-        witness=witness,
-        context={"n": n, "p": p, "k": k, "m": m, "l": l},
-    )
+    return _two_k2(steps, (f"R{k}", f"R{m}", f"R{n - 1}", f"R{n}"), {"n": n, "p": p, "k": k, "m": m, "l": l})
 
 
 def prop72_certificate(
@@ -525,16 +495,7 @@ def prop72_certificate(
         )
     except nt.BudgetExceeded:
         pass
-    witness = ForbiddenWitness(
-        "2K2",
-        (
-            ClassLabel(f"R{n}", ()),
-            ClassLabel(f"R{n}'", ()),
-            ClassLabel(f"R{n - 1}", ()),
-            ClassLabel(f"R{n - 1}'", ()),
-        ),
-    )
-    return Certificate(KIND_NONSPLIT, tuple(steps), witness=witness, context=context)
+    return _two_k2(steps, (f"R{n}", f"R{n}'", f"R{n - 1}", f"R{n - 1}'"), context)
 
 
 _PSL11_EDGES = {
@@ -600,16 +561,8 @@ def psl11_2_sc() -> tuple[Graph, Certificate]:
             assume("remaining adjacency as encoded in the published diagram", "reference-diagram"),
         ]
     )
-    witness = ForbiddenWitness(
-        "2K2", (labels["R3"], labels["R7"], labels["R10"], labels["R11"])
-    )
-    cert = Certificate(
-        KIND_NONSPLIT,
-        tuple(steps),
-        witness=witness,
-        context={"group": "A10(2)", "n": 11, "p": 2},
-    )
-    return graph, cert
+    witness = (labels["R3"], labels["R7"], labels["R10"], labels["R11"])
+    return graph, _two_k2(steps, witness, {"group": "A10(2)", "n": 11, "p": 2})
 
 
 def solvable_graph(d: groups.GroupDescriptor) -> Graph:
@@ -651,14 +604,17 @@ def theoremD_verify(
     """Split verdict with certificate for the compact prime graph of d.
 
     Returns (compact-graph-or-None, verdict, certificate); the graph is None
-    exactly when ``compact_graph_built(d)`` is false.  For sporadic groups
-    the embedded partition is returned with its table assumption.
+    exactly when ``compact_graph_built(d)`` is false, and then the verdict's
+    partition is the certificate's.  For sporadic groups the embedded
+    partition is certified by its table assumption.
 
-    Builders build and this function checks: the Alt/Sym branch and
-    ``exceptional_compact`` (diagrams and the Tits group) return (graph,
-    certified partition, certificate) unchecked.  The partition is validated
-    on that graph once, the degree route decides the graph (compacted first
-    for Alt/Sym), and a failure raises InternalInconsistency naming the group.
+    Builders build and this function checks: ``classical_compact_partition``
+    returns its certificate and ``exceptional_compact`` (diagrams and the
+    Tits group) its graph and certificate, unchecked; the Alt/Sym and
+    sporadic certificates are made here.  The certificate's partition is
+    validated on the graph once, the degree route decides the graph
+    (compacted first for Alt/Sym), and a failure raises
+    InternalInconsistency naming the group.
 
     A diagram graph is the drawn class graph, which can hold true twins (3
     and R3 in G2(4), 2 and U1 in A2(11)); its ``compact_form()`` is split
@@ -667,24 +623,23 @@ def theoremD_verify(
     """
     if not compact_graph_built(d):
         if d.kind == "sporadic":
-            part = groups.sporadic_record(d.name).prime_partition._replace(special=True)
             cert = Certificate(
                 KIND_SPLIT,
                 (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),
-                partition=part,
+                partition=groups.sporadic_record(d.name).prime_partition._replace(special=True),
                 context={"group": d.name},
             )
         else:
-            part, cert = classical_compact_partition(d, budget)
-        return None, SplitVerdict(True, None, part), cert
+            cert = classical_compact_partition(d, budget)
+        return None, SplitVerdict(True, None, cert.partition), cert
     altsym = d.kind in ("alternating", "symmetric")
     if altsym:
-        graph, part = gk_altsym(d), altsym_partition(d.n)
+        graph = gk_altsym(d)
         trail = (assume("prime adjacency from the degree sum criteria", "criterion"),)
-        cert = Certificate(KIND_SPLIT, trail, partition=part, context={"group": str(d)})
+        cert = Certificate(KIND_SPLIT, trail, partition=altsym_partition(d.n), context={"group": str(d)})
     else:
-        graph, part, cert = exceptional_compact(d, budget)
-    ok, reason = validate_partition(graph, part)
+        graph, cert = exceptional_compact(d, budget)
+    ok, reason = validate_partition(graph, cert.partition)
     if not ok:
         raise InternalInconsistency(f"certified partition of {d} invalid: {reason}")
     if altsym:

@@ -378,11 +378,11 @@ class Graph:
                     raise MalformedInput(f"vertices {other!r} and {v!r} both print as {label_text(v, sep)!r}")
         return g
 
-    def to_dot(self, name: str = "G") -> str:
+    def to_dot(self) -> str:
         """Graphviz text: one quoted vertex line per label (``R5={11,31}``
         for classes), then one ``u -- v`` line per edge, joined per row."""
         text = [f'"{label_text(v, "=")}"' for v in self._vertices]
-        lines = [f"graph {name} {{"]
+        lines = ["graph G {"]
         lines.extend(f"  {t};" for t in text)
         lines.extend(edge_text(self._rows, text, "  ", " -- ", ";", "\n"))
         lines.append("}\n")

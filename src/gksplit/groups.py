@@ -1,7 +1,7 @@
 """Group descriptors, exact orders, prime spectra, and spectrum-built prime graphs.
 
 Descriptors cover alternating and symmetric groups, the 26 sporadic groups
-(plus the Tits group, carried as a sporadic-style descriptor with a flag),
+(plus the Tits group, a sporadic-style descriptor named 2F4(2)'),
 classical groups A_n(q), 2A_n(q), B_n(q), C_n(q), D_n(q), 2D_n(q), and the
 exceptional families.  Construction enforces simplicity (A1(2), A1(3), B2(2),
 2B2(2), G2(2), 2G2(3), 2F4(2) and friends are rejected) and field-size
@@ -53,7 +53,11 @@ class GroupDescriptor(NamedTuple):
     n: int = 0
     q: int = 0
     name: str = ""
-    tits: bool = False
+
+    @property
+    def tits(self) -> bool:
+        """Whether this is the Tits group, carried as a sporadic-style descriptor."""
+        return self.kind == "sporadic" and self.name == TITS_NAME
 
     def __str__(self):
         if self.kind == "alternating":
@@ -104,7 +108,7 @@ def symmetric(n: int) -> GroupDescriptor:
 
 def sporadic(name: str) -> GroupDescriptor:
     if name in TITS_ALIASES:
-        return GroupDescriptor("sporadic", name=TITS_NAME, tits=True)
+        return GroupDescriptor("sporadic", name=TITS_NAME)
     record = sporadic_record(name)
     return GroupDescriptor("sporadic", name=record.name)
 
@@ -212,14 +216,6 @@ def prk(d: GroupDescriptor) -> int:
     if d.kind != "classical":
         raise UnsupportedFamily(f"prk is defined for classical groups, not {d}")
     return d.n + 1 if d.family in ("A", "2A") else d.n
-
-
-def epsilon(d: GroupDescriptor) -> int:
-    if d.family == "A":
-        return 1
-    if d.family == "2A":
-        return -1
-    raise UnsupportedFamily(f"{d} has no sign epsilon")
 
 
 #: exceptional family -> (N, degrees d with a factor q^d - 1, degrees d with a

@@ -454,9 +454,9 @@ def _label_text(label, sep=""):
     return label.name
 
 
-def reference_graph_dot(g, name="G"):
+def reference_graph_dot(g):
     """Graphviz text with one line per vertex, then one line per edge."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     lines += [f'  "{_label_text(v, "=")}";' for v in g.vertices]
     lines += [f'  "{_label_text(u, "=")}" -- "{_label_text(v, "=")}";' for u, v in g.edges]
     lines.append("}")

@@ -122,19 +122,21 @@ def test_criterion_4_theorem_c_sample_grid():
     for family in ("A", "2A"):
         for dim in range(4, 21):
             for q in (2, 3, 4, 5, 7, 8, 9):
-                part, cert = gkbuild.classical_compact_partition(groups.classical(family, dim - 1, q))
+                cert = gkbuild.classical_compact_partition(groups.classical(family, dim - 1, q))
+                part = cert.partition
                 failures = recheck(cert)
                 assert not failures, (family, dim, q, failures)
                 built += 1
     for family in ("B", "C", "D", "2D"):
         for rank in range(4, 13):
             for q in (2, 3, 5):
-                part, cert = gkbuild.classical_compact_partition(groups.classical(family, rank, q))
+                cert = gkbuild.classical_compact_partition(groups.classical(family, rank, q))
+                part = cert.partition
                 failures = recheck(cert)
                 assert not failures, (family, rank, q, failures)
                 built += 1
     # the serialized certificate re-verifies through the JSON round trip too
-    _, cert = gkbuild.classical_compact_partition(groups.classical("2A", 12, 4))
+    cert = gkbuild.classical_compact_partition(groups.classical("2A", 12, 4))
     assert not recheck(certificate_from_json(cert.to_json()))
 
     samples = [
@@ -158,7 +160,8 @@ def test_criterion_4_theorem_c_sample_grid():
     for family, qs in samples:
         assert len(qs) >= 3
         for q in qs:
-            graph, part, cert = gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))
+            graph, cert = gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))
+            part = cert.partition
             ok, reason = validate_partition(graph, part)
             assert ok, (family, q, reason)
             failures = recheck(cert)
@@ -193,7 +196,8 @@ def test_criterion_5_spectrum_cross_checks():
         else:
             d = groups.exceptional(family, q)
         lhs = groups.gk_from_spectrum(groups.spectrum_formulas(d)).compact_form().quotient
-        rhs, part, _ = gkbuild.exceptional_compact(d)
+        rhs, cert = gkbuild.exceptional_compact(d)
+        part = cert.partition
         assert same_class_graph(lhs, rhs), (family, q)
         ok, reason = validate_partition(rhs, part)
         assert ok, (family, q, reason)

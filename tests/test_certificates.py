@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gksplit import campaigns, gkbuild, groups
+from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import (
     Certificate,
@@ -16,9 +16,11 @@ from gksplit.certificates import (
     recheck,
     step,
 )
-from gksplit.errors import MalformedInput
+from gksplit.errors import InvalidField, MalformedInput, NotSimple
 from gksplit.graph import ClassLabel, ForbiddenWitness
 from gksplit.splitcheck import SplitPartition
+
+from oracles import prime_powers
 
 
 def chain(*steps):
@@ -295,10 +297,10 @@ def emitted_certificates():
         for family in families:
             for rank in ranks:
                 for q in qs:
-                    yield gkbuild.classical_compact_partition(groups.classical(family, rank, q))[1]
+                    yield gkbuild.classical_compact_partition(groups.classical(family, rank, q))
     for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
         for q in qs:
-            yield gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))[2]
+            yield gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))[1]
     yield gkbuild.nonsplit_witness_linear(13, 2, 2)[1]
     yield gkbuild.prop72_certificate(5, 7, 2)
     yield gkbuild.sc_nonsplit_certificate(19, 2)
@@ -317,3 +319,48 @@ def test_every_emitted_certificate_loads_and_rechecks():
         assert again == cert and not recheck(again)
         ops.update(s.check["op"] for s in again.checked_steps())
     assert ops == CHECK_OPS
+
+
+def certificates_to_audit():
+    """(group or builder, certificate) over every diagram group with q < 300
+    at budget 1, the Theorem C grid, the sporadic groups, Alt/Sym samples and
+    the four witness builders."""
+    for family in exceptional.diagram_families():
+        for q in prime_powers(2, 299):
+            try:
+                d = groups.parse_descriptor(f"{family}({q})")
+            except (InvalidField, NotSimple):
+                continue
+            yield d, gkbuild.exceptional_compact(d, 1)[1]
+    for families, ranks, qs, _ in campaigns._THEOREM_C_GRID:
+        for family in families:
+            for rank in ranks:
+                for q in qs:
+                    d = groups.classical(family, rank, q)
+                    yield d, gkbuild.classical_compact_partition(d)
+    for d in [groups.sporadic(rec.name) for rec in groups.sporadic_table()] + [groups.sporadic("Tits")]:
+        yield d, gkbuild.theoremD_verify(d)[2]
+    for n in (5, 6, 7, 12, 30, 100):
+        for d in (groups.alternating(n), groups.symmetric(n)):
+            yield d, gkbuild.theoremD_verify(d)[2]
+    for n, p, a in ((13, 2, 2), (14, 3, 2), (20, 3, 2), (25, 5, 3)):
+        yield f"prop71 {n} {p} {a}", gkbuild.nonsplit_witness_linear(n, p, a)[1]
+    for u, w, p in ((5, 7, 2), (5, 7, 3), (5, 13, 5)):
+        yield f"prop72 {u} {w} {p}", gkbuild.prop72_certificate(u, w, p)
+    for n, p in ((19, 2), (17, 3), (29, 2)):
+        yield f"prop73 {n} {p}", gkbuild.sc_nonsplit_certificate(n, p)
+    yield "psl11", gkbuild.psl11_2_sc()[1]
+
+
+def test_no_emitted_certificate_repeats_a_step():
+    # each claim is made once: no certificate holds two steps with equal
+    # claim, tag and check, however many diagram vertices, edges and
+    # partitions ask the same predicate
+    repeated = {}
+    for source, cert in certificates_to_audit():
+        seen = []
+        for s in cert.steps:
+            if s in seen:
+                repeated.setdefault(str(source), []).append(s.claim)
+            seen.append(s)
+    assert not repeated

@@ -138,12 +138,12 @@ class TestIndexFunctions:
     # The independent side's order indices, those with phi-value in (n/2, n];
     # no Zsigmondy exception falls at these points, so every index is kept.
     def test_j_set_linear_13(self):
-        _, cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
+        cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
         assert cert.context["independent_indices"] == [7, 8, 9, 10, 11, 12, 13]
 
     def test_j_set_symplectic_rank4(self):
         # eta preimages of {3, 4}: odd 3 stays, even 6 halves to 3, even 8 halves to 4
-        _, cert = gkbuild.classical_compact_partition(groups.classical("C", 4, 3))
+        cert = gkbuild.classical_compact_partition(groups.classical("C", 4, 3))
         assert cert.context["independent_indices"] == [3, 6, 8]
 
     def test_j_set_rank_guard(self):
@@ -169,7 +169,8 @@ def interval_steps(cert):
 
 class TestClassicalPartition:
     def test_psl5_2(self):
-        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 4, 2))
+        cert = gkbuild.classical_compact_partition(groups.classical("A", 4, 2))
+        part = cert.partition
         indep = {l.name: l.members for l in part.independent}
         assert indep == {"R3": (7,), "R4": (5,), "R5": (31,)}
         clique = {l.name: l.members for l in part.clique}
@@ -178,7 +179,8 @@ class TestClassicalPartition:
         assert not recheck(cert)
 
     def test_psl13_4(self):
-        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
+        cert = gkbuild.classical_compact_partition(groups.classical("A", 12, 4))
+        part = cert.partition
         names = sorted(int(l.name[1:]) for l in part.independent)
         assert names == [7, 8, 9, 10, 11, 12, 13]
         r7 = next(l for l in part.independent if l.name == "R7")
@@ -195,7 +197,8 @@ class TestClassicalPartition:
                 gkbuild.classical_compact_partition(d)
 
     def test_members_have_claimed_orders(self):
-        part, cert = gkbuild.classical_compact_partition(groups.classical("2A", 7, 3))
+        cert = gkbuild.classical_compact_partition(groups.classical("2A", 7, 3))
+        part = cert.partition
         for label in part.independent | part.clique:
             if label.name == "p":
                 continue
@@ -205,7 +208,8 @@ class TestClassicalPartition:
                 assert nt.mult_order(r, 3) == index
 
     def test_certificate_round_trip(self):
-        part, cert = gkbuild.classical_compact_partition(groups.classical("D", 5, 3))
+        cert = gkbuild.classical_compact_partition(groups.classical("D", 5, 3))
+        part = cert.partition
         again = certificate_from_json(cert.to_json())
         assert not recheck(again)
         assert again.partition.clique == part.clique
@@ -217,7 +221,8 @@ class TestClassicalPartition:
         # is an order index: Phi_e divides a factor of the order formula,
         # which leaves out R_2n of D_n and R_n of 2D_n at odd n.
         for d, kind, eps, n in theorem_c_grid():
-            part, cert = gkbuild.classical_compact_partition(d)
+            cert = gkbuild.classical_compact_partition(d)
+            part = cert.partition
             assert cert.context["prk"] == n, d
             assert not recheck(cert), d
             indices = cert.context["independent_indices"]
@@ -255,12 +260,13 @@ class TestClassicalPartition:
                 for q in (2, 3, 4, 5, 7, 8, 9):
                     d = groups.classical(family, rank, q)
                     order = groups.order(d)
-                    part, _ = gkbuild.classical_compact_partition(d)
+                    part = gkbuild.classical_compact_partition(d).partition
                     for label in part.clique | part.independent:
                         assert label.members and all(order % r == 0 for r in label.members), (d, label)
 
     def test_a63_2_linear_and_each_phi_bound_checked(self):
-        part, cert = gkbuild.classical_compact_partition(groups.classical("A", 63, 2))
+        cert = gkbuild.classical_compact_partition(groups.classical("A", 63, 2))
+        part = cert.partition
         assert len(cert.steps) <= 3 * (len(part.clique) + len(part.independent)) + 3
         doc = json.loads(cert.to_json())
         positions = [k for k, s in enumerate(doc["steps"]) if s["check"] and s["check"]["op"] == "in_interval"]
@@ -272,7 +278,7 @@ class TestClassicalPartition:
 
     def test_empty_independent_side_is_fine(self):
         # nothing in the grid produces it, but the partition type allows I = {}
-        part, _ = gkbuild.classical_compact_partition(groups.classical("A", 4, 2))
+        part = gkbuild.classical_compact_partition(groups.classical("A", 4, 2)).partition
         assert part.independent  # sanity: here it is nonempty
 
 
@@ -487,8 +493,9 @@ def _member_sides(part):
 
 
 def diagram(family, q, budget=nt.DEFAULT_BUDGET):
-    """exceptional_compact of the group family(q)."""
-    return gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"), budget)
+    """(graph, certified partition, certificate) of exceptional_compact of the group family(q)."""
+    graph, cert = gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"), budget)
+    return graph, cert.partition, cert
 
 
 def order_primes(d):
@@ -524,7 +531,7 @@ class TestExceptionalGraphs:
                 d = groups.parse_descriptor(f"{family}({q})")
             except (InvalidField, NotSimple):
                 continue
-            graph, _, _ = gkbuild.exceptional_compact(d)
+            graph, _ = gkbuild.exceptional_compact(d)
             members = [set(v.members) for v in graph.vertices]
             if all(members):
                 assert set().union(*members) == order_primes(d), d
@@ -536,7 +543,8 @@ class TestExceptionalGraphs:
         # the diagrams transcribed from a spectrum, and the Tits group's
         # spectrum build, set the special flag from the graph
         d = groups.sporadic(family) if family == groups.TITS_NAME else groups.parse_descriptor(f"{family}({q})")
-        graph, part, _ = gkbuild.exceptional_compact(d)
+        graph, cert = gkbuild.exceptional_compact(d)
+        part = cert.partition
         assert part == flag_special(graph, part.clique, part.independent)
 
     def test_b2_partition_is_the_order_four_rule(self):
@@ -715,7 +723,8 @@ class TestDescriptorFor:
         for family in exceptional.diagram_families():
             q = (samples.get(family) or samples["B" + family[1:]])[0]
             d = groups.parse_descriptor(f"{family}({q})")
-            graph, part, _ = gkbuild.exceptional_compact(d)
+            graph, cert = gkbuild.exceptional_compact(d)
+            part = cert.partition
             assert validate_partition(graph, part) == (True, None), family
 
     def test_unknown_family(self):
@@ -869,9 +878,9 @@ class TestTheoremDCheckSite:
         real = exceptional.tits_compact
 
         def wrong():
-            graph, _, cert = real()
+            graph, cert = real()
             clique = {v for v in graph.vertices if {2, 13}.intersection(v.members)}
-            return graph, flag_special(graph, clique, set(graph.vertices) - clique), cert
+            return graph, cert._replace(partition=flag_special(graph, clique, set(graph.vertices) - clique))
 
         monkeypatch.setattr(exceptional, "tits_compact", wrong)
         raises_for("Tits", "C is not a clique")

@@ -561,7 +561,6 @@ class TestAgainstReference:
     def test_to_dot(self, data):
         g = Graph(*data)
         assert g.to_dot() == reference_graph_dot(g)
-        assert g.to_dot("H") == reference_graph_dot(g, "H")
 
     @given(mixed_graphs())
     @example(([], []))

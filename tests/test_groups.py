@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from gksplit import groups
+from gksplit import gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.errors import InvalidField, NotSimple, SpectrumError, UnsupportedFamily
 
@@ -61,6 +61,16 @@ class TestDescriptors:
         assert groups.sporadic("Tits") == d
         with pytest.raises(NotSimple):
             groups.exceptional("2F4", 2)
+
+    def test_tits_is_read_from_the_name(self):
+        # the Tits group is the sporadic-style descriptor named 2F4(2)';
+        # built by hand it is the same group, and no other descriptor is it
+        d = groups.GroupDescriptor("sporadic", name=groups.TITS_NAME)
+        assert d.tits and d == groups.sporadic("Tits")
+        assert gkbuild.theoremD_verify(d)[1].split
+        assert not groups.sporadic("M22").tits and not groups.exceptional("2F4", 8).tits
+        with pytest.raises(AttributeError):
+            d.tits = False
 
     def test_aliases_normalized(self):
         assert groups.classical("C", 2, 3) == groups.classical("B", 2, 3)
