@@ -22,7 +22,8 @@ print("re-check failures:", recheck(cert) or "none")
 print()
 
 print("Same group, uncompacted: the prime graph is NOT split.")
-primes, wcert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+wcert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+primes = wcert.witness.vertices
 print(f"witness primes: {primes[0]},{primes[1]} (order index 7) and "
       f"{primes[2]},{primes[3]} (order index 9)")
 print("re-check failures:", recheck(wcert) or "none")

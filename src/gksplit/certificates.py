@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from . import numtheory as nt
 from .errors import MalformedInput
-from .graph import ForbiddenWitness, decode_label, encode_label, json_typed, load_document
-from .splitcheck import SplitPartition, partition_doc
+from .graph import ForbiddenWitness, decode_label, json_typed, load_document
+from .splitcheck import SplitPartition, partition_doc, witness_doc
 
 _SCHEMA = "gksplit/certificate/1"
 
@@ -94,10 +94,7 @@ class Certificate(_CertificateFields):
         if self.partition is not None:
             doc["partition"] = partition_doc(self.partition)
         if self.witness is not None:
-            doc["witness"] = {
-                "kind": self.witness.kind,
-                "vertices": [encode_label(v) for v in self.witness.vertices],
-            }
+            doc["witness"] = witness_doc(self.witness)
         return json.dumps(doc, indent=2)
 
 

@@ -7,7 +7,8 @@ calls them and prints their lines.  ``--graph compact`` compacts a graph from an
 source; ``--graph solvable`` needs ``--group``.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
-revalidates; 2 = error, malformed input, a usage error and running out of
+revalidates, or a verify campaign with a FAIL line; 2 = error, malformed
+input, a usage error, a failed check outside a campaign and running out of
 memory included; 3 = factoring budget exhausted (never a silent pass).
 
 Group descriptors are parsed by ``groups.parse_descriptor``.
@@ -27,9 +28,9 @@ from .errors import (
     MalformedInput,
     UnsupportedFamily,
 )
-from .graph import Graph, edge_count, edge_text, encode_label, label_text
+from .graph import Graph, edge_count, edge_text, label_text
 from .groups import parse_descriptor
-from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text
+from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text, witness_doc
 
 _RESULT_SCHEMA = "gksplit/result/1"
 
@@ -161,10 +162,7 @@ def _cmd_split(args) -> int:
         if verdict.split:
             doc["partition"] = partition_doc(verdict.partition)
         else:
-            doc["witness"] = {
-                "kind": verdict.forbidden.kind,
-                "vertices": [encode_label(v) for v in verdict.forbidden.vertices],
-            }
+            doc["witness"] = witness_doc(verdict.forbidden)
         _emit(json.dumps(doc, indent=2), args.out)
     else:
         lines = [f"{title}: {'split' if verdict.split else 'NOT split'} (m = {verdict.m_index})"]
@@ -228,7 +226,8 @@ def _cmd_witness(args) -> int:
     if missing:
         raise GKSplitError(f"witness {args.which} needs {' '.join(missing)}")
     if args.which == "prop71":
-        primes, cert = gkbuild.nonsplit_witness_linear(args.n, args.p, args.a, args.budget)
+        cert = gkbuild.nonsplit_witness_linear(args.n, args.p, args.a, args.budget)
+        primes = cert.witness.vertices
         header = (
             f"prime graph of A{args.n - 1}({args.p}^{args.a}) is nonsplit; "
             f"2K2 on {{{primes[0]}, {primes[1]}}} x {{{primes[2]}, {primes[3]}}}"

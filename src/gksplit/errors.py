@@ -33,6 +33,10 @@ class InternalInconsistency(GKSplitError):
     """Two criteria that must agree disagreed.  Never repaired silently."""
 
 
+class CheckFailed(InternalInconsistency):
+    """A group's built data failed its check: a FAIL row in a campaign, else an error."""
+
+
 class PreconditionViolated(GKSplitError):
     """Operation called outside its stated domain."""
 

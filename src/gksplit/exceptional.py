@@ -35,7 +35,7 @@ from .certificates import (
     assume,
     step,
 )
-from .errors import BudgetExceeded, InternalInconsistency, UnsupportedFamily
+from .errors import BudgetExceeded, CheckFailed, UnsupportedFamily
 from .graph import ClassLabel, Graph
 from .splitcheck import flag_special
 
@@ -208,7 +208,8 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
     group or a group whose family is in ``diagram_families()``; any other
     group raises UnsupportedFamily.  The certificate's partition is the
     diagram's first one whose 'when' holds, unchecked:
-    ``gkbuild.theoremD_verify`` validates it.  Each predicate step appears on
+    ``gkbuild.theoremD_verify`` validates it.  CheckFailed when no variant,
+    or no stated partition of it, applies.  Each predicate step appears on
     the certificate once, however many vertices, edges and partitions ask it.
     """
     if d.tits:
@@ -227,7 +228,7 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
         graph, labels = _build_diagram(variant, q, p, eps, budget, trail)
         stated = next((alt for alt in variant["partitions"] if _eval_pred(alt.get("when"), q, eps, trail)), None)
         if stated is None:
-            raise InternalInconsistency(f"no stated partition of {d} applies")
+            raise CheckFailed(f"no stated partition of {d} applies")
         clique, indep = ([labels[t] for t in stated[side] if t in labels] for side in ("clique", "independent"))
         trail.append(
             assume(
@@ -242,7 +243,7 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
             context={"family": family, "q": q, "epsilon": eps},
         )
         return graph, cert
-    raise InternalInconsistency(f"no diagram variant of {d} applies")
+    raise CheckFailed(f"no diagram variant of {d} applies")
 
 
 def tits_compact():

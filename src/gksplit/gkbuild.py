@@ -41,6 +41,7 @@ from .certificates import (
     step,
 )
 from .errors import (
+    CheckFailed,
     InternalInconsistency,
     PreconditionViolated,
     RankTooSmall,
@@ -263,11 +264,10 @@ def lemma52_check(k: int, p: int, a: int) -> Certificate:
     )
 
 
-def nonsplit_witness_linear(
-    n: int, p: int, a: int, budget: int = nt.DEFAULT_BUDGET
-) -> tuple[tuple[int, int, int, int], Certificate]:
-    """Four primes inducing 2K2 in the prime graph of the linear group of
-    dimension n over GF(p^a), for n > 11 and a >= 2.
+def nonsplit_witness_linear(n: int, p: int, a: int, budget: int = nt.DEFAULT_BUDGET) -> Certificate:
+    """The certificate of four primes, its ``witness``, inducing 2K2 in the
+    prime graph of the linear group of dimension n over GF(p^a), for n > 11
+    and a >= 2.
 
     Picks the lexicographically smallest k1 < k2 in (n/2, n) at which
     ``lemma52_check`` applies; each class R_{k_i}(q) then has two members, one
@@ -326,8 +326,7 @@ def nonsplit_witness_linear(
             TAG_L53,
         )
     )
-    cert = _two_k2(steps, primes, {"n": n, "p": p, "a": a, "q": q, "k1": k1, "k2": k2})
-    return cert.witness.vertices, cert
+    return _two_k2(steps, primes, {"n": n, "p": p, "a": a, "q": q, "k1": k1, "k2": k2})
 
 
 def sc_nonsplit_certificate(n: int, p: int) -> Certificate:
@@ -612,9 +611,10 @@ def theoremD_verify(
     returns its certificate and ``exceptional_compact`` (diagrams and the
     Tits group) its graph and certificate, unchecked; the Alt/Sym and
     sporadic certificates are made here.  The certificate's partition is
-    validated on the graph once, the degree route decides the graph
-    (compacted first for Alt/Sym), and a failure raises
-    InternalInconsistency naming the group.
+    validated on the graph once; a failure raises CheckFailed naming the
+    group, a FAIL row in a verify campaign and an error everywhere else.  The
+    degree route then decides the graph (compacted first for Alt/Sym), and
+    its disagreeing is a fault of the verifier: InternalInconsistency.
 
     A diagram graph is the drawn class graph, which can hold true twins (3
     and R3 in G2(4), 2 and U1 in A2(11)); its ``compact_form()`` is split
@@ -641,7 +641,7 @@ def theoremD_verify(
         graph, cert = exceptional_compact(d, budget)
     ok, reason = validate_partition(graph, cert.partition)
     if not ok:
-        raise InternalInconsistency(f"certified partition of {d} invalid: {reason}")
+        raise CheckFailed(f"certified partition of {d} invalid: {reason}")
     if altsym:
         graph = graph.compact_form().quotient
     verdict = is_split_degree(graph)

@@ -62,6 +62,11 @@ def partition_doc(p: SplitPartition) -> dict:
     }
 
 
+def witness_doc(w: ForbiddenWitness) -> dict:
+    """The JSON block of a witness, shared by split results and certificates."""
+    return {"kind": w.kind, "vertices": [encode_label(v) for v in w.vertices]}
+
+
 def partition_text(p: SplitPartition) -> str:
     """The table line of a partition, shared by split results and theorem D."""
     c, i = p.as_sorted()

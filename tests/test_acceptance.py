@@ -208,7 +208,8 @@ def test_criterion_6_prop71_concrete_witness():
     """(n,p,a) = (13,2,2): the four witness primes are exactly {43,127} and
     {19,73} with order indices 7,7,9,9 over GF(4); the model graph is 2K2.
     Exact, against an independent order oracle."""
-    primes, cert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+    cert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+    primes = cert.witness.vertices
     assert set(primes[:2]) == {43, 127}
     assert set(primes[2:]) == {19, 73}
     for r in primes[:2]:

@@ -291,17 +291,13 @@ CHECK_OPS = {
 
 
 def emitted_certificates():
-    """One certificate from each producer: the classical Theorem C grid, every
-    exceptional sample, the four witnesses, Lemma 5.2 and theorem D."""
-    for families, ranks, qs, _ in campaigns._THEOREM_C_GRID:
-        for family in families:
-            for rank in ranks:
-                for q in qs:
-                    yield gkbuild.classical_compact_partition(groups.classical(family, rank, q))
-    for family, qs in campaigns._EXCEPTIONAL_SAMPLES:
-        for q in qs:
-            yield gkbuild.exceptional_compact(groups.parse_descriptor(f"{family}({q})"))[1]
-    yield gkbuild.nonsplit_witness_linear(13, 2, 2)[1]
+    """One certificate from each producer: every group of the Theorem C rows
+    (the classical grid and the exceptional samples), the four witnesses,
+    Lemma 5.2 and theorem D."""
+    for _, descriptors in campaigns.theorem_c_rows():
+        for d in descriptors:
+            yield gkbuild.theoremD_verify(d)[2]
+    yield gkbuild.nonsplit_witness_linear(13, 2, 2)
     yield gkbuild.prop72_certificate(5, 7, 2)
     yield gkbuild.sc_nonsplit_certificate(19, 2)
     yield gkbuild.psl11_2_sc()[1]
@@ -323,7 +319,7 @@ def test_every_emitted_certificate_loads_and_rechecks():
 
 def certificates_to_audit():
     """(group or builder, certificate) over every diagram group with q < 300
-    at budget 1, the Theorem C grid, the sporadic groups, Alt/Sym samples and
+    at budget 1, the Theorem C rows, the sporadic groups, Alt/Sym samples and
     the four witness builders."""
     for family in exceptional.diagram_families():
         for q in prime_powers(2, 299):
@@ -332,19 +328,16 @@ def certificates_to_audit():
             except (InvalidField, NotSimple):
                 continue
             yield d, gkbuild.exceptional_compact(d, 1)[1]
-    for families, ranks, qs, _ in campaigns._THEOREM_C_GRID:
-        for family in families:
-            for rank in ranks:
-                for q in qs:
-                    d = groups.classical(family, rank, q)
-                    yield d, gkbuild.classical_compact_partition(d)
+    for _, descriptors in campaigns.theorem_c_rows():
+        for d in descriptors:
+            yield d, gkbuild.theoremD_verify(d)[2]
     for d in [groups.sporadic(rec.name) for rec in groups.sporadic_table()] + [groups.sporadic("Tits")]:
         yield d, gkbuild.theoremD_verify(d)[2]
     for n in (5, 6, 7, 12, 30, 100):
         for d in (groups.alternating(n), groups.symmetric(n)):
             yield d, gkbuild.theoremD_verify(d)[2]
     for n, p, a in ((13, 2, 2), (14, 3, 2), (20, 3, 2), (25, 5, 3)):
-        yield f"prop71 {n} {p} {a}", gkbuild.nonsplit_witness_linear(n, p, a)[1]
+        yield f"prop71 {n} {p} {a}", gkbuild.nonsplit_witness_linear(n, p, a)
     for u, w, p in ((5, 7, 2), (5, 7, 3), (5, 13, 5)):
         yield f"prop72 {u} {w} {p}", gkbuild.prop72_certificate(u, w, p)
     for n, p in ((19, 2), (17, 3), (29, 2)):

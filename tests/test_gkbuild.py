@@ -9,6 +9,7 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
+    CheckFailed,
     InternalInconsistency,
     InvalidField,
     NotSimple,
@@ -302,7 +303,8 @@ class TestLemma52:
 
 class TestNonsplitWitnessLinear:
     def test_13_2_2_exact(self):
-        primes, cert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+        cert = gkbuild.nonsplit_witness_linear(13, 2, 2)
+        primes = cert.witness.vertices
         assert set(primes[:2]) == {43, 127}
         assert set(primes[2:]) == {19, 73}
         assert cert.context["k1"] == 7 and cert.context["k2"] == 9
@@ -324,7 +326,8 @@ class TestNonsplitWitnessLinear:
             gkbuild.nonsplit_witness_linear(13, 4, 2)
 
     def test_14_3_2_revalidates(self):
-        primes, cert = gkbuild.nonsplit_witness_linear(14, 3, 2)
+        cert = gkbuild.nonsplit_witness_linear(14, 3, 2)
+        primes = cert.witness.vertices
         q = 9
         ks = (cert.context["k1"],) * 2 + (cert.context["k2"],) * 2
         for r, k in zip(primes, ks):
@@ -342,7 +345,8 @@ class TestNonsplitWitnessLinear:
     )
     def test_sweep_orders_and_shape(self, n, p, a):
         q = p**a
-        primes, cert = gkbuild.nonsplit_witness_linear(n, p, a)
+        cert = gkbuild.nonsplit_witness_linear(n, p, a)
+        primes = cert.witness.vertices
         k1, k2 = cert.context["k1"], cert.context["k2"]
         # smallest admissible pair, inside the open interval, non-dividing
         assert n / 2 < k1 < k2 < n
@@ -366,7 +370,7 @@ class TestNonsplitWitnessLinear:
                         with pytest.raises(PreconditionViolated):
                             gkbuild.nonsplit_witness_linear(n, p, a)
                         continue
-                    _, cert = gkbuild.nonsplit_witness_linear(n, p, a)
+                    cert = gkbuild.nonsplit_witness_linear(n, p, a)
                     assert [cert.context["k1"], cert.context["k2"]] == expected, (n, p, a)
 
     def test_wings_are_the_least_members(self):
@@ -377,12 +381,12 @@ class TestNonsplitWitnessLinear:
                 for a in (2, 3, 4, 6):
                     if len(lemma52_indices(n, p, a)) < 2:
                         continue
-                    primes, cert = gkbuild.nonsplit_witness_linear(n, p, a)
+                    cert = gkbuild.nonsplit_witness_linear(n, p, a)
                     expected = []
                     for k in (cert.context["k1"], cert.context["k2"]):
                         a_prime = nt.pi_part(a, k)
                         expected += [min(nt.ppd_set(k * a, p)), min(nt.ppd_set(k * a_prime, p))]
-                    assert list(primes) == expected, (n, p, a)
+                    assert list(cert.witness.vertices) == expected, (n, p, a)
 
 
 class TestScNonsplit:
@@ -819,13 +823,14 @@ def planted(monkeypatch, key, edit):
     monkeypatch.setattr(exceptional, "_DIAGRAMS", data)
 
 
-def raises_for(text, reason):
-    """theoremD_verify of the group text raises InternalInconsistency naming
-    the group and the reason."""
+def raises_for(text, reason, error=CheckFailed):
+    """theoremD_verify of the group text raises error (a failed check unless
+    told otherwise) naming the group and the reason; returns the error."""
     d = groups.parse_descriptor(text)
-    with pytest.raises(InternalInconsistency, match=re.escape(reason)) as info:
+    with pytest.raises(error, match=re.escape(reason)) as info:
         gkbuild.theoremD_verify(d, 1)
     assert str(d) in str(info.value)
+    return info.value
 
 
 class TestTheoremDCheckSite:
@@ -887,7 +892,9 @@ class TestTheoremDCheckSite:
 
     def test_degree_route_disagrees(self, monkeypatch):
         monkeypatch.setattr(gkbuild, "is_split_degree", lambda g: SplitVerdict(False, 1, None))
-        raises_for("3D4(2)", "compact graph of 3D4(2) is not split")
+        # the partition has validated: the verifier is at fault, not the data
+        error = raises_for("3D4(2)", "compact graph of 3D4(2) is not split", InternalInconsistency)
+        assert not isinstance(error, CheckFailed)
 
     def test_every_diagram_group_below_1000_at_budget_1(self):
         # every diagram family at every prime power q < 1000; A2 and 2A2
