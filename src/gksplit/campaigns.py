@@ -66,7 +66,7 @@ def theorem_b():
     for rec in groups.sporadic_table():
         reasons = _check(groups.sporadic(rec.name))[0]
         if rec.name == "M22":
-            g = gkbuild.solvable_graph(groups.sporadic(rec.name))
+            g = gkbuild.graph_of(groups.sporadic(rec.name), "solvable")
             verdict = is_split_degree(g)
             if verdict.split or set(verdict.forbidden.vertices) != set(rec.solvable_witness):
                 reasons.append(f"solvable graph has no 2K2 on {sorted(rec.solvable_witness)}")

@@ -3,8 +3,9 @@
 The verbs, their options and their handlers are the one table ``VERBS``;
 ``_parse`` walks argv against it and the same table prints the help.  The
 verify campaigns live in ``campaigns``; this module checks their flags,
-calls them and prints their lines.  ``--graph compact`` compacts a graph from any
-source; ``--graph solvable`` needs ``--group``.
+calls them and prints their lines.  A ``--group``'s graph, or the refusal
+of it, comes from ``gkbuild.graph_of``; ``--graph compact`` compacts a
+``--spectrum`` or ``--in`` graph, and ``--graph solvable`` needs ``--group``.
 
 Exit codes: 0 = verified/split as asked; 1 = refuted, with a witness that
 revalidates, or a verify campaign with a FAIL line; 2 = error, malformed
@@ -22,12 +23,7 @@ import types
 
 from . import campaigns, gkbuild, groups, numtheory as nt
 from .certificates import recheck
-from .errors import (
-    BudgetExceeded,
-    GKSplitError,
-    MalformedInput,
-    UnsupportedFamily,
-)
+from .errors import BudgetExceeded, GKSplitError, MalformedInput
 from .graph import Graph, edge_count, edge_text, label_text
 from .groups import parse_descriptor
 from .splitcheck import is_split_degree, is_split_forbidden, partition_doc, partition_text, witness_doc
@@ -38,29 +34,6 @@ _RESULT_SCHEMA = "gksplit/result/1"
 # ---------------------------------------------------------------------------
 # graph acquisition
 # ---------------------------------------------------------------------------
-
-_SPECTRUM_FAMILIES = "Alt/Sym, A1, B2=C2, B3(3)=C3(3), 2B2, 2G2, and the Tits group"
-
-
-def _prime_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
-    if d.kind in ("alternating", "symmetric"):
-        return gkbuild.gk_altsym(d)
-    try:
-        return groups.gk_from_spectrum(groups.spectrum_formulas(d), budget)
-    except UnsupportedFamily:
-        raise UnsupportedFamily(
-            f"no closed-form prime graph for {d}; supply one with --spectrum FILE "
-            f"(closed forms exist for {_SPECTRUM_FAMILIES})"
-        ) from None
-
-
-def _compact_graph_for(d: groups.GroupDescriptor, budget: int) -> Graph:
-    if not gkbuild.compact_graph_built(d):
-        raise UnsupportedFamily(
-            f"the compact form of {d} is certified by a partition, not materialized "
-            "as a graph; use 'verify theorem-d --group ...' instead"
-        )
-    return gkbuild.theoremD_verify(d, budget)[0]
 
 
 def _read_text(path: str) -> str:
@@ -77,11 +50,8 @@ def _acquire_graph(args) -> tuple[Graph, str]:
         raise GKSplitError("exactly one input source required: --group, --spectrum or --in")
     if args.group:
         d = parse_descriptor(args.group)
-        if args.graph == "solvable":
-            return gkbuild.solvable_graph(d), f"solvable graph of {d}"
-        if args.graph == "compact":
-            return _compact_graph_for(d, args.budget), f"compact prime graph of {d}"
-        return _prime_graph_for(d, args.budget), f"prime graph of {d}"
+        title = "compact prime graph" if args.graph == "compact" else f"{args.graph} graph"
+        return gkbuild.graph_of(d, args.graph, args.budget), f"{title} of {d}"
     if args.graph == "solvable":
         raise GKSplitError("--graph solvable needs --group; --spectrum and --in give no solvable graph")
     if args.infile:
@@ -432,7 +402,8 @@ def _help(verb: str | None) -> str:
             "Prime graphs of finite simple groups, split-graph checks, compact forms, certificates.", "",
             "verbs (gksplit VERB -h lists a verb's options):",
             *(f"  {v:10}{spec[0]}" for v, spec in VERBS.items()), "",
-            "exit codes: 0 verified/split, 1 refuted (witness shown), 2 error, 3 factoring budget exhausted",
+            "exit codes: 0 verified/split, 1 refuted (witness shown) or a verify FAIL line, 2 error,"
+            " 3 factoring budget exhausted",
         ])
     text, positional, options, _ = VERBS[verb]
     rows = [("-h, --help", "show this help message and exit")]

@@ -14,7 +14,10 @@ Every builder of a group's graph or partition takes its ``GroupDescriptor``:
   over proper prime powers, the solvable-graph constructions for degree uw
   and for prime degree with a primitive-root characteristic, and the encoded
   nine-class solvable compact graph of the 11-dimensional linear group over
-  GF(2) with its 2K2 witness.
+  GF(2) with its 2K2 witness;
+* ``GRAPHS``, the one table of the graphs each kind of group has, each a
+  builder or the reason none is built, and of the certificate builder that
+  ``theoremD_verify`` checks; ``graph_of`` reads it for every caller.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import groups, numtheory as nt
 from .certificates import (
@@ -60,10 +64,11 @@ __all__ = [
     "sc_nonsplit_certificate",
     "prop72_certificate",
     "psl11_2_sc",
-    "solvable_graph",
     "artin_pairs",
+    "GRAPHS",
+    "kind_of",
+    "graph_of",
     "theoremD_verify",
-    "compact_graph_built",
     "exceptional_compact",
 ]
 
@@ -564,37 +569,89 @@ def psl11_2_sc() -> tuple[Graph, Certificate]:
     return graph, _two_k2(steps, witness, {"group": "A10(2)", "n": 11, "p": 2})
 
 
-def solvable_graph(d: groups.GroupDescriptor) -> Graph:
-    """The embedded solvable graph of the sporadic group d, on its prime
-    spectrum; UnsupportedFamily for any group without one (only M22 ships one)."""
-    if d.kind == "sporadic" and not d.tits:
-        record = groups.sporadic_record(d.name)
-        if record.solvable_edges:
-            return Graph(sorted(record.prime_spectrum), record.solvable_edges)
-    raise UnsupportedFamily(f"no embedded solvable-graph edge set for {d} (only M22 ships one)")
-
-
 def artin_pairs(p: int, limit: int) -> list[int]:
     """All odd primes n <= limit (n != p) with p a primitive root modulo n."""
     return [n for n in nt.primes_upto(limit) if n != 2 and nt.is_primitive_root(p, n)]
 
 
 # ---------------------------------------------------------------------------
-# Theorem-level dispatch
+# The graphs each group has
 # ---------------------------------------------------------------------------
 
 
-def compact_graph_built(d: groups.GroupDescriptor) -> bool:
-    """Whether theoremD_verify materializes the compact graph of d.
-
-    It does not for sporadic groups other than the Tits group (a table
-    partition) and for classical groups of prk >= 4 (the published criteria
-    give the partition, not the full adjacency).  Decided from the
-    descriptor alone, before any factoring.
-    """
+def kind_of(d: groups.GroupDescriptor) -> str:
+    """The row of ``GRAPHS`` that d belongs to, read from the descriptor alone."""
+    if d.kind in ("alternating", "symmetric"):
+        return "Alt/Sym"
     if d.kind == "sporadic":
-        return d.tits
-    return d.kind != "classical" or groups.prk(d) < 4
+        return "Tits" if d.tits else "M22" if d.name == "M22" else "sporadic"
+    if d.kind == "classical" and groups.prk(d) >= 4:
+        return "classical"
+    # the diagram groups whose maximal element orders groups.spectrum_formulas writes down
+    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
+    closed = family in ("A1", "B2", "2B2", "2G2") or str(d) in ("B3(3)", "C3(3)")
+    return "closed-form diagram" if closed else "diagram"
+
+
+def _spectrum_graph(d: groups.GroupDescriptor, budget: int) -> Graph:
+    return groups.gk_from_spectrum(groups.spectrum_formulas(d), budget)
+
+
+def _compact_graph(d: groups.GroupDescriptor, budget: int) -> Graph:
+    return theoremD_verify(d, budget)[0]
+
+
+def _m22_solvable_graph(d: groups.GroupDescriptor, budget: int) -> Graph:
+    record = groups.sporadic_record(d.name)
+    return Graph(sorted(record.prime_spectrum), record.solvable_edges)
+
+
+def _altsym_certified(d: groups.GroupDescriptor, budget: int):
+    trail = (assume("prime adjacency from the degree sum criteria", "criterion"),)
+    return gk_altsym(d), Certificate(KIND_SPLIT, trail, partition=altsym_partition(d.n), context={"group": str(d)})
+
+
+def _sporadic_certified(d: groups.GroupDescriptor, budget: int):
+    trail = (assume(f"special split partition of {d.name} from the reference table", "reference-table"),)
+    partition = groups.sporadic_record(d.name).prime_partition._replace(special=True)
+    return None, Certificate(KIND_SPLIT, trail, partition=partition, context={"group": d.name})
+
+
+Graphs = NamedTuple("Graphs", [("prime", object), ("compact", object), ("solvable", object), ("certificate", object)])
+
+_NO_PRIME = "no closed-form prime graph for {d}; supply one with --spectrum FILE"
+_NO_SOLVABLE = "no embedded solvable-graph edge set for {d} (only M22 ships one)"
+# the published criteria (prk >= 4) and tables (sporadic) give a partition, not the adjacency
+_NO_COMPACT = (
+    "the compact form of {d} is certified by a partition, not materialized as a graph; "
+    "use 'verify theorem-d --group ...' instead"
+)
+
+#: kind of group (``kind_of``) -> its graphs, each a builder (d, budget) ->
+#: Graph or the reason (a format string of d) none is built, and the builder
+#: theoremD_verify checks, (d, budget) -> (the graph the partition validates
+#: on, None where compact is a reason; the certificate).  A builder looks its
+#: functions up by name when called, so a rebound module name reaches it.
+GRAPHS = {
+    "Alt/Sym": Graphs(lambda d, b: gk_altsym(d), _compact_graph, _NO_SOLVABLE, _altsym_certified),
+    "Tits": Graphs(_spectrum_graph, _compact_graph, _NO_SOLVABLE, lambda d, b: exceptional_compact(d, b)),
+    "M22": Graphs(_NO_PRIME, _NO_COMPACT, _m22_solvable_graph, _sporadic_certified),
+    "sporadic": Graphs(_NO_PRIME, _NO_COMPACT, _NO_SOLVABLE, _sporadic_certified),
+    "classical": Graphs(_NO_PRIME, _NO_COMPACT, _NO_SOLVABLE, lambda d, b: (None, classical_compact_partition(d, b))),
+    "closed-form diagram": Graphs(_spectrum_graph, _compact_graph, _NO_SOLVABLE, lambda d, b: exceptional_compact(d, b)),
+    "diagram": Graphs(_NO_PRIME + ", or use --graph compact for its class graph",
+                      _compact_graph, _NO_SOLVABLE, lambda d, b: exceptional_compact(d, b)),
+}
+
+
+def graph_of(d: groups.GroupDescriptor, which: str, budget: int = nt.DEFAULT_BUDGET) -> Graph:
+    """The graph which ("prime", "compact" or "solvable") of d, by its row of
+    ``GRAPHS``.  Where the row has none, UnsupportedFamily with the row's
+    reason, decided from the descriptor alone, before any factoring."""
+    entry = getattr(GRAPHS[kind_of(d)], which)
+    if isinstance(entry, str):
+        raise UnsupportedFamily(entry.format(d=d))
+    return entry(d, budget)
 
 
 def theoremD_verify(
@@ -602,47 +659,21 @@ def theoremD_verify(
 ) -> tuple[Graph | None, SplitVerdict, Certificate]:
     """Split verdict with certificate for the compact prime graph of d.
 
-    Returns (compact-graph-or-None, verdict, certificate); the graph is None
-    exactly when ``compact_graph_built(d)`` is false, and then the verdict's
-    partition is the certificate's.  For sporadic groups the embedded
-    partition is certified by its table assumption.
-
-    Builders build and this function checks: ``classical_compact_partition``
-    returns its certificate and ``exceptional_compact`` (diagrams and the
-    Tits group) its graph and certificate, unchecked; the Alt/Sym and
-    sporadic certificates are made here.  The certificate's partition is
-    validated on the graph once; a failure raises CheckFailed naming the
-    group, a FAIL row in a verify campaign and an error everywhere else.  The
-    degree route then decides the graph (compacted first for Alt/Sym), and
-    its disagreeing is a fault of the verifier: InternalInconsistency.
-
-    A diagram graph is the drawn class graph, which can hold true twins (3
-    and R3 in G2(4), 2 and U1 in A2(11)); its ``compact_form()`` is split
-    too, and the certified partition, each merged class on C when any of its
-    classes is, validates on it.
+    Returns (compact graph or None, verdict, certificate) from the builder
+    in d's row of ``GRAPHS``; without a graph the verdict's partition is the
+    certificate's.  Builders build and this function checks: the partition
+    is validated on the graph once (CheckFailed, naming d).  The degree
+    route then decides the graph, compacted first when its vertices are
+    primes (Alt/Sym; a drawn diagram can hold true twins, 3 and R3 in G2(4),
+    and is decided as drawn); its disagreeing is InternalInconsistency.
     """
-    if not compact_graph_built(d):
-        if d.kind == "sporadic":
-            cert = Certificate(
-                KIND_SPLIT,
-                (assume(f"special split partition of {d.name} from the reference table", "reference-table"),),
-                partition=groups.sporadic_record(d.name).prime_partition._replace(special=True),
-                context={"group": d.name},
-            )
-        else:
-            cert = classical_compact_partition(d, budget)
+    graph, cert = GRAPHS[kind_of(d)].certificate(d, budget)
+    if graph is None:
         return None, SplitVerdict(True, None, cert.partition), cert
-    altsym = d.kind in ("alternating", "symmetric")
-    if altsym:
-        graph = gk_altsym(d)
-        trail = (assume("prime adjacency from the degree sum criteria", "criterion"),)
-        cert = Certificate(KIND_SPLIT, trail, partition=altsym_partition(d.n), context={"group": str(d)})
-    else:
-        graph, cert = exceptional_compact(d, budget)
     ok, reason = validate_partition(graph, cert.partition)
     if not ok:
         raise CheckFailed(f"certified partition of {d} invalid: {reason}")
-    if altsym:
+    if not isinstance(graph.vertices[0], ClassLabel):
         graph = graph.compact_form().quotient
     verdict = is_split_degree(graph)
     if not verdict.split:

@@ -377,12 +377,9 @@ def _order_primes(d: GroupDescriptor) -> int:
 
 
 def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:
-    """Closed-form mu(G) for the families that admit one.
-
-    Supported: A1(q); B2(q)=C2(q); B3(3)=C3(3); 2B2(q); 2G2(q); the Tits
-    group.  The published lists are normalized to their divisibility-maximal
-    elements.  Everything else raises UnsupportedFamily.
-    """
+    """Closed-form mu(G), the published list normalized to its
+    divisibility-maximal elements, for the Tits group and the closed-form
+    diagram groups of ``gkbuild.kind_of``; UnsupportedFamily for any other."""
     if d.kind == "sporadic" and d.tits:
         return SpectrumData(d, frozenset({12, 13, 16, 20}))
     if d.kind == "classical" and d.family == "A" and d.n == 1:

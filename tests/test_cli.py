@@ -630,6 +630,105 @@ def test_golden_large_output(argv, code, digest, tmp_path, capsys):
     assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
 
 
+# sha256 of stdout and the exit code of the --group routes that gkbuild.GRAPHS
+# decides: the compact graph of one group per diagram family, of Alt(9) and of
+# the Tits group; the closed-form prime graphs; M22's solvable graph.
+# Recorded with the four separate switches the table replaced.
+GOLDEN_ROUTES = [
+    (["build", "--group", "A1(7)", "--graph", "compact"], 0,
+     "fd87252a9c064ac266b0f6ea650ab029e84a7868e0b38852499cd47893027e25"),
+    (["build", "--group", "A2(5)", "--graph", "compact"], 0,
+     "752b50620d6609848dcf81e82ed5c1eaf34dc2e6873d3b67798993e49e0cc65d"),
+    (["build", "--group", "2A2(8)", "--graph", "compact"], 0,
+     "77f177558e5b5aa2e7a005c105e8bd3e6f5a2e42e686bb0cdfd4030366998dd5"),
+    (["build", "--group", "B2(5)", "--graph", "compact"], 0,
+     "f18a321b8348304986e3c743773a1e03ac3c28ff0e0e5f2f49852da87d42b213"),
+    (["build", "--group", "B3(3)", "--graph", "compact"], 0,
+     "a9d9649d021f86df4bb2840c0e24333ba3e7f5dcdc584f3c2cadde8f77e2cf83"),
+    (["build", "--group", "B3(5)", "--graph", "compact"], 0,
+     "4de2c73108b245ab7b372b64706e1103f986327ada21873a7d044115a8b977f0"),
+    (["build", "--group", "C3(5)", "--graph", "compact"], 0,
+     "821fc0c662093480a8a8f04f6963432ce6f03aeb2f2aadbef642bcfbc6b7daba"),
+    (["build", "--group", "G2(4)", "--graph", "compact"], 0,
+     "b1af7fb46207b5aa0197a59ac6212c689d0b98e781a5b79c704d617aa30e64bc"),
+    (["build", "--group", "F4(2)", "--graph", "compact"], 0,
+     "2ea5c15cb21ca09caa1037644fe049c8ce1098dec65a286fe79b2e318980b43b"),
+    (["build", "--group", "E6(2)", "--graph", "compact"], 0,
+     "905f99c2e2d93cd88dc07687f1728c29cb9c8cce6c10e99d69d0d97cbd8588e4"),
+    (["build", "--group", "2E6(2)", "--graph", "compact"], 0,
+     "feca75075833468487a7317f16b8e9dc6fb1ec665c0fec8485bc6c30c520413e"),
+    (["build", "--group", "E7(2)", "--graph", "compact"], 0,
+     "1566d9e091558335066e1441d7bed617d2a9876755248a704ff3fa56548a25ed"),
+    (["build", "--group", "E8(2)", "--graph", "compact"], 0,
+     "b2486fc6a97dde59f6c46cb84af7c148dc4e57db1902f841d54285b2250aff72"),
+    (["build", "--group", "2B2(8)", "--graph", "compact"], 0,
+     "def28c0143b459d94fe7a57eeea198a299e2cc6010e9ddb6e4d621920ddb3226"),
+    (["build", "--group", "2G2(27)", "--graph", "compact"], 0,
+     "84801eb55c3eb54bc7f8933fc165e40cb6f7ee8a388d0271718381f410ba1d2e"),
+    (["build", "--group", "2F4(8)", "--graph", "compact"], 0,
+     "b21ddb6446318fde6573f02213dbc062d3e150b598598e21267934baef346d44"),
+    (["build", "--group", "3D4(2)", "--graph", "compact"], 0,
+     "0b6f94faacd11ce9eab3fff42e0a2678f3193dbdc12ad3f576df8a5a56cae069"),
+    (["build", "--group", "Alt(9)", "--graph", "compact"], 0,
+     "a24e311cef7be01434a6537325072c7d0489ce19f086ebd2f84de62cbc4fbeba"),
+    (["build", "--group", "Tits", "--graph", "compact"], 0,
+     "1b56d5864d73ea510fda1eacec663da8ad7b290318754920cc36c138a39af71a"),
+    (["build", "--group", "A1(7)", "--graph", "prime"], 0,
+     "4c346ca20b5bfa2c16c64801bff5c72e7b71d2bf483b9f3c76a8efc259cf4888"),
+    (["build", "--group", "B2(5)", "--graph", "prime"], 0,
+     "3d1f87442b2f76b2cc7dca21198f19cf54f17de1264e2ddda1f9cd5c6e05390f"),
+    (["build", "--group", "B3(3)", "--graph", "prime"], 0,
+     "9eaec8532bfc4fc53eb3c6e602f4f28d5b0b385c9e9f27dfc999a59ed419f967"),
+    (["build", "--group", "2B2(8)", "--graph", "prime"], 0,
+     "eacc0e5128c1a2ee84c1ad2c7bf9985a1ed94717d8573940b8451ad437a413c1"),
+    (["build", "--group", "2G2(27)", "--graph", "prime"], 0,
+     "17d4c8f6a985ca569920e37096521e259679f10588ca37f2ccad78618acbde51"),
+    (["build", "--group", "M22", "--graph", "solvable"], 0,
+     "5d82f14f68551eea064079ef7d4f78c3d959d1e6b65900ac33aeda2829018b4f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN_ROUTES, ids=[" ".join(a) for a, _, _ in GOLDEN_ROUTES]
+)
+def test_golden_route_output(argv, code, digest, tmp_path, capsys):
+    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
+
+
+#: the graphs each descriptor has, one per kind of gkbuild.GRAPHS and per
+#: diagram family, as the switches before the table built them
+WALK = {
+    "Alt(9)": "prime compact", "Sym(7)": "prime compact", "M22": "solvable", "M11": "", "Tits": "prime compact",
+    "A4(2)": "", "2A4(3)": "", "B4(3)": "", "C4(3)": "", "D5(2)": "", "2D5(2)": "",
+    "A1(7)": "prime compact", "A2(5)": "compact", "2A2(8)": "compact", "B2(5)": "prime compact",
+    "B3(3)": "prime compact", "B3(5)": "compact", "C3(5)": "compact", "G2(4)": "compact", "F4(2)": "compact",
+    "E6(2)": "compact", "2E6(2)": "compact", "E7(2)": "compact", "E8(2)": "compact",
+    "2B2(8)": "prime compact", "2G2(27)": "prime compact", "2F4(8)": "compact", "3D4(2)": "compact",
+}
+
+
+@pytest.mark.parametrize("group, has", WALK.items(), ids=list(WALK))
+def test_every_graph_verb_builds_exactly_what_the_table_has(group, has, capsys):
+    d = groups.parse_descriptor(group)
+    row = gkbuild.GRAPHS[gkbuild.kind_of(d)]
+    assert {which for which in ("prime", "compact", "solvable") if callable(getattr(row, which))} == set(has.split())
+    # theorem-d materializes the compact graph exactly where the table builds one
+    assert (gkbuild.theoremD_verify(d)[0] is not None) == ("compact" in has)
+    for which in ("prime", "compact", "solvable"):
+        for verb in ("build", "export", "split", "compact"):
+            argv = [verb, "--group", group, "--graph", which, *(["--format", "json"] if verb == "export" else [])]
+            start = time.perf_counter()
+            code = cli.main(argv)
+            elapsed = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            if which in has:
+                assert code in (0, 1) and out and not err, argv
+            else:
+                # refused from the descriptor alone, with the table's reason
+                assert (code, out, err) == (2, "", f"error: {getattr(row, which).format(d=d)}\n"), argv
+                assert elapsed < 0.5, argv
+
+
 # A graph whose only forbidden subgraph is a C4 (a square under a clique, one
 # pendant), and one whose only forbidden subgraph is a C5 (a pentagon under a
 # clique, two pendants); the witness bytes were recorded with the exhaustive
