@@ -588,9 +588,7 @@ def kind_of(d: groups.GroupDescriptor) -> str:
     if d.kind == "classical" and groups.prk(d) >= 4:
         return "classical"
     # the diagram groups whose maximal element orders groups.spectrum_formulas writes down
-    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
-    closed = family in ("A1", "B2", "2B2", "2G2") or str(d) in ("B3(3)", "C3(3)")
-    return "closed-form diagram" if closed else "diagram"
+    return "closed-form diagram" if groups.spectrum_key(d) else "diagram"
 
 
 def _spectrum_graph(d: groups.GroupDescriptor, budget: int) -> Graph:

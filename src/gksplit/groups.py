@@ -376,40 +376,41 @@ def _order_primes(d: GroupDescriptor) -> int:
     return level[0]
 
 
+def _b2_mu(q: int) -> set[int]:
+    p, _ = char_and_degree(q)
+    if p in (2, 3):
+        k = gcd(2, p - 1)
+        return {(q * q + 1) // k, (q * q - 1) // k, p * (q + 1), p * (q - 1), p * p}
+    return {(q * q + 1) // 2, (q * q - 1) // 2, p * (q + 1), p * (q - 1)}
+
+
+#: the closed-form mu(G) as a set in q, keyed by the group's name or by its
+#: family and Lie rank (``spectrum_key``)
+_SPECTRA = {
+    TITS_NAME: lambda q: {12, 13, 16, 20},
+    "A1": lambda q: {char_and_degree(q)[0], (q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)},
+    "B2": _b2_mu,
+    "B3(3)": lambda q: {8, 12, 13, 14, 18, 20},
+    "C3(3)": lambda q: {8, 12, 13, 14, 18, 20},
+    "2B2": lambda q: {4, q - 1, q - isqrt(2 * q) + 1, q + isqrt(2 * q) + 1},
+    "2G2": lambda q: {6, 9, q - 1, (q + 1) // 2, q - isqrt(3 * q) + 1, q + isqrt(3 * q) + 1},
+}
+
+
+def spectrum_key(d: GroupDescriptor) -> str | None:
+    """d's entry in the closed-form spectra, from the descriptor alone, or None."""
+    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
+    return next((key for key in (family, str(d)) if key in _SPECTRA), None)
+
+
 def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:
     """Closed-form mu(G), the published list normalized to its
-    divisibility-maximal elements, for the Tits group and the closed-form
-    diagram groups of ``gkbuild.kind_of``; UnsupportedFamily for any other."""
-    if d.kind == "sporadic" and d.tits:
-        return SpectrumData(d, frozenset({12, 13, 16, 20}))
-    if d.kind == "classical" and d.family == "A" and d.n == 1:
-        q = d.q
-        p, _ = char_and_degree(q)
-        k = gcd(2, q - 1)
-        mu = {p, (q - 1) // k, (q + 1) // k}
-        mu.discard(1)
-        return SpectrumData(d, maximal_elements(mu))
-    if d.kind == "classical" and d.family == "B" and d.n == 2:
-        q = d.q
-        p, _ = char_and_degree(q)
-        if p in (2, 3):
-            k = gcd(2, p - 1)
-            mu = {(q * q + 1) // k, (q * q - 1) // k, p * (q + 1), p * (q - 1), p * p}
-        else:
-            mu = {(q * q + 1) // 2, (q * q - 1) // 2, p * (q + 1), p * (q - 1)}
-        return SpectrumData(d, maximal_elements(mu))
-    if d.kind == "classical" and d.family in ("B", "C") and d.n == 3 and d.q == 3:
-        return SpectrumData(d, frozenset({8, 12, 13, 14, 18, 20}))
-    if d.kind == "exceptional" and d.family == "2B2":
-        q = d.q
-        s = isqrt(2 * q)
-        return SpectrumData(d, maximal_elements({4, q - 1, q - s + 1, q + s + 1}))
-    if d.kind == "exceptional" and d.family == "2G2":
-        q = d.q
-        s = isqrt(3 * q)
-        mu = {6, 9, q - 1, (q + 1) // 2, q - s + 1, q + s + 1}
-        return SpectrumData(d, maximal_elements(mu))
-    raise UnsupportedFamily(f"no closed-form spectrum for {d}")
+    divisibility-maximal elements, for the groups ``spectrum_key`` finds;
+    UnsupportedFamily for any other."""
+    key = spectrum_key(d)
+    if key is None:
+        raise UnsupportedFamily(f"no closed-form spectrum for {d}")
+    return SpectrumData(d, maximal_elements(_SPECTRA[key](d.q)))
 
 
 def gk_from_spectrum(s: SpectrumData, budget: int = nt.DEFAULT_BUDGET) -> Graph:

@@ -1,7 +1,7 @@
-import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import gksplit
+import pins
+import run_pins
 from gksplit import cli, gkbuild, groups
 from gksplit.errors import DescriptorSyntaxError, InputTooLarge, InvalidField, NotSimple
 from gksplit.graph import ClassLabel, Graph, decode_label
@@ -511,188 +513,65 @@ class TestOutOfMemory:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# sha256 of stdout (plus the --out file, when one is written) and the exit
-# code of every command in the README "Command line" list, followed by one
-# command for each JSON label encoder: graph, split partition, certificate,
-# and the two routes that reach the Tits group.
-GOLDEN = [
-    (["split", "--group", "M22", "--graph", "solvable"], 1,
-     "ec90c188acf0e4d31d399f0f71faf7a7f3e1a22e90523192b0d2c8b004ec6d8c"),
-    (["split", "--group", "Alt(7)"], 0,
-     "894a7a25e3d3f0f64e63cc73cdc7c126d53122a1f104e4a472182af62da3cba3"),
-    (["compact", "--group", "M22", "--graph", "solvable"], 0,
-     "e954ac7768d5ac7adc9e8c233485c8b9a207ccf68488f9dafb8c68dad44585f2"),
-    (["build", "--group", "2B2(32)", "--format", "dot"], 0,
-     "1df32ae8c929f04f0250f2611e90de2e1769b60b9dc8ee44c9e733fde4fea212"),
-    (["export", "--group", "2G2(27)", "--format", "json", "--out", "g.json"], 0,
-     "c150a8c7cf2c91cdd294eed4719fd8a3f7ca7533794319c257abcaa1239b60d8"),
-    (["verify", "theorem-a", "--max-n", "300"], 0,
-     "8578e0ed7133cebeb52b9970b0d9834d98b296f6d2f9dfdc0e3860e9e9c73293"),
-    (["verify", "theorem-b"], 0,
-     "f83e9ae66699f8777d73ea1f4018760b6086196893437cf73e58506199cc70cb"),
-    (["verify", "theorem-c"], 0,
-     "7c0899c8de01948589a0d18a28b2d21bb2d2be04b4aba383ac7cbdaa0c7369a2"),
-    (["verify", "theorem-d", "--group", "E8(5)"], 0,
-     "46726980d844e3ce0126cb8744a04c94ba4bd60fc42c79f00f35d84830c82a6c"),
-    (["verify", "zsigmondy", "--max-n", "20"], 0,
-     "941d4fe4ae311ccdf8a802484d8e99f0ac0beecb20fb1c619c233c6623772fe8"),
-    (["verify", "spectrum"], 0,
-     "3456fb897dde168eb4c9bd949bf025805d1dd412669489ebb841d8b44d06c434"),
-    (["witness", "prop71", "--n", "13", "--p", "2", "--a", "2"], 0,
-     "b6f243bf0aae9f088034329a073daef3939a71c2f717e40b2125c9956a339a0e"),
-    (["witness", "prop73", "--n", "19", "--p", "2", "--format", "json"], 0,
-     "098a0877094edfe92b72947f90141eca0db711dce72d5806ab5a2064443f8d61"),
-    (["sporadic", "Ly"], 0,
-     "e77fb41c77a4285767dc11f03828d9b460501f2779d2f4b054b13a48cf8757fe"),
-    (["compact", "--group", "M22", "--graph", "solvable", "--format", "json"], 0,
-     "0d55fe625e12972501b736c06338fdf47f6e82bbdb9c33e85a5df5ba4b68fe4d"),
-    (["split", "--group", "2B2(32)", "--graph", "compact", "--format", "json"], 0,
-     "88582a71898428ecd8fbbd267bf8a3f85b2e05defc0856f9dac216d4b3e6dda8"),
-    (["witness", "psl11", "--format", "json"], 0,
-     "3b92c035952ac230995cb44638d730e80f8f1ea46d83dec677c66098252bf946"),
-    (["sporadic"], 0,
-     "463c810ed6c0450968bcf3c95cf5f655efdef7348952c4ed9a590c604c1a5b8d"),
-    (["sporadic", "--format", "json"], 0,
-     "0f238d5dda8d28bb08f0d904814201e42fca42963f497dd59b4c324441c15f44"),
-    (["verify", "theorem-d", "--group", "2F4(2)'"], 0,
-     "4e402190f30c452cd81869730a3600168f092a9ac5e2b188ea6aeaf3e5e19122"),
-    (["compact", "--group", "Tits", "--format", "json"], 0,
-     "1f129958ef205f6a9050c2cbf75909aa9d9b87e2447482f8b3572930cdaa37a5"),
-]
+def _faults_in_process(pin, tmp_path, monkeypatch, capsys):
+    """pins.faults of pin's runs through cli.main, from a directory holding its inputs."""
+    monkeypatch.chdir(tmp_path)
+    pins.write_inputs(pin, tmp_path)
+    results = []
+    for argv in pin.runs:
+        code = cli.main(list(argv))
+        out, err = capsys.readouterr()
+        results.append((code, out.encode() + pins.out_file(argv, tmp_path), err))
+    return pins.faults(pin, results)
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
-def test_golden_output(argv, code, digest, tmp_path, capsys):
-    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
+# Every record of tests/pins.py but CI_ONLY, in-process; run_pins.py runs each
+# record that has a time limit in a fresh interpreter under that limit.  Each
+# golden section runs under a test name of its own, so that the ids of its
+# records stay those that earlier test reports list.
+@pytest.mark.parametrize("pin", pins.GOLDEN, ids=lambda p: p.name)
+def test_golden_output(pin, tmp_path, monkeypatch, capsys):
+    assert _faults_in_process(pin, tmp_path, monkeypatch, capsys) == []
 
 
-def _exit_and_digest(argv, tmp_path, capsys):
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    got = cli.main(argv)
-    data = capsys.readouterr().out.encode()
-    if "--out" in argv:
-        data += (tmp_path / "g.json").read_bytes()
-    return got, hashlib.sha256(data).hexdigest()
+@pytest.mark.parametrize("pin", pins.GOLDEN_LARGE, ids=lambda p: p.name)
+def test_golden_large_output(pin, tmp_path, monkeypatch, capsys):
+    assert _faults_in_process(pin, tmp_path, monkeypatch, capsys) == []
 
 
-# sha256 of stdout and the exit code of the large Alt/Sym exports (168 primes,
-# 0.3 to 1 MB each) and of two theorem-a sweeps past the README's bound,
-# recorded with the whole-document json.dumps and the all-pairs edge build
-# (the sweep to 1000 with label-keyed neighbour sets, before the bitset rows).
-GOLDEN_LARGE = [
-    (["build", "--group", "Alt(1000)", "--format", "json"], 0,
-     "5584a6efbcff849ee16efa32c1c806c5e575e2d43ba688de6a3f2cf2d29a65ab"),
-    (["build", "--group", "Alt(1000)", "--format", "dot"], 0,
-     "772b404131d746d1be5903ef4e23cc2f4156e671b91a0ad1ad532e3c4a0c2488"),
-    (["build", "--group", "Sym(1000)", "--format", "json"], 0,
-     "e9652b83063adabdc386743256bbfca71543a0aac4f4d81cedc119e5ff57b954"),
-    (["build", "--group", "Sym(1000)", "--format", "dot"], 0,
-     "61c35b16bd942f082e2b309d74ade50a8e31bb95d57c61836a1e5e15b2158152"),
-    (["compact", "--group", "Alt(1000)", "--format", "json"], 0,
-     "66e9d8556b32fc1174bbea6034cb74fd9e0aaebd9dba5ecbb2f23db3cb7122fc"),
-    (["compact", "--group", "Alt(1000)", "--format", "dot"], 0,
-     "b269eedfb05a27efb099c34cb6702156909651b6ae1441276eca1e1f7a113dcb"),
-    (["compact", "--group", "Sym(1000)", "--format", "json"], 0,
-     "e416fee28977c8da0cc1627d79404da508d5f1703054edf61fee713f8210984f"),
-    (["compact", "--group", "Sym(1000)", "--format", "dot"], 0,
-     "4161f114450235f409988984c3de7731da3e0b6e3abc7640f9322d4c01ec8ae0"),
-    (["verify", "theorem-a", "--max-n", "320"], 0,
-     "95a9bf595474d57cb0b72c8e21d19e601207ebc1ecd21409f23b36ec662b0eeb"),
-    (["verify", "theorem-a", "--max-n", "1000"], 0,
-     "5f10a5f7e139bc8bbb36f6432a42df47ed915924d892702dbeff83df6fbd06f0"),
-    # The table format and a compact graph at degree 3000 (6.6 MB), recorded
-    # with one f-string per edge and json.dumps(indent=2) per label.
-    (["build", "--group", "Alt(1000)"], 0,
-     "eba6dffe87c8b62d7a9d332c430404533fdba0f43717c881bb64f7e6968ce4c2"),
-    (["compact", "--group", "Sym(1000)"], 0,
-     "d350b4f9e808518ed1c5ace7e307abadb025fc005ff29a802bed10c9ae6e8b4a"),
-    (["compact", "--group", "Alt(3000)", "--format", "json"], 0,
-     "521cc363c1b34c4dd82bc14c03734dfa1346243c300249be809a8a5d39a8a6e3"),
-    # The split verb at scale: the degree route's partition, recorded with the
-    # clique side sorted by label-keyed degree lookups.
-    (["split", "--group", "Sym(1000)", "--format", "json"], 0,
-     "00e4ee4354a2dd4e7d98050c7a570dcde9df0e550b3a976436b33228b8b7da7c"),
-    (["split", "--group", "Alt(1000)"], 0,
-     "061583098d171292501fcc297920eba42d9c19f37e0db39eabfbdb6c00929e27"),
-    # The linear-group witness where Phi_69(p) is hard to factor, recorded
-    # when each wing was the min of the fully factored ppd set.
-    (["witness", "prop71", "--n", "40", "--p", "5", "--a", "3", "--format", "json"], 0,
-     "07c2f2e41f59c8bcb2d1be266c47293e8154e082deb1b7ac6cf152e424c5ff18"),
-    (["witness", "prop71", "--n", "40", "--p", "7", "--a", "3", "--format", "json"], 0,
-     "cca4bdb2aa6719f47305cec11a7a958e3b3255b77d918d684c63e7c1d289aae9"),
-]
+@pytest.mark.parametrize("pin", pins.GOLDEN_ROUTES, ids=lambda p: p.name)
+def test_golden_route_output(pin, tmp_path, monkeypatch, capsys):
+    assert _faults_in_process(pin, tmp_path, monkeypatch, capsys) == []
 
 
-@pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN_LARGE, ids=[" ".join(a) for a, _, _ in GOLDEN_LARGE]
-)
-def test_golden_large_output(argv, code, digest, tmp_path, capsys):
-    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
+@pytest.mark.parametrize("pin", pins.LIMITED + pins.UNLIMITED, ids=lambda p: p.name)
+def test_pinned_output(pin, tmp_path, monkeypatch, capsys):
+    assert _faults_in_process(pin, tmp_path, monkeypatch, capsys) == []
 
 
-# sha256 of stdout and the exit code of the --group routes that gkbuild.GRAPHS
-# decides: the compact graph of one group per diagram family, of Alt(9) and of
-# the Tits group; the closed-form prime graphs; M22's solvable graph.
-# Recorded with the four separate switches the table replaced.
-GOLDEN_ROUTES = [
-    (["build", "--group", "A1(7)", "--graph", "compact"], 0,
-     "fd87252a9c064ac266b0f6ea650ab029e84a7868e0b38852499cd47893027e25"),
-    (["build", "--group", "A2(5)", "--graph", "compact"], 0,
-     "752b50620d6609848dcf81e82ed5c1eaf34dc2e6873d3b67798993e49e0cc65d"),
-    (["build", "--group", "2A2(8)", "--graph", "compact"], 0,
-     "77f177558e5b5aa2e7a005c105e8bd3e6f5a2e42e686bb0cdfd4030366998dd5"),
-    (["build", "--group", "B2(5)", "--graph", "compact"], 0,
-     "f18a321b8348304986e3c743773a1e03ac3c28ff0e0e5f2f49852da87d42b213"),
-    (["build", "--group", "B3(3)", "--graph", "compact"], 0,
-     "a9d9649d021f86df4bb2840c0e24333ba3e7f5dcdc584f3c2cadde8f77e2cf83"),
-    (["build", "--group", "B3(5)", "--graph", "compact"], 0,
-     "4de2c73108b245ab7b372b64706e1103f986327ada21873a7d044115a8b977f0"),
-    (["build", "--group", "C3(5)", "--graph", "compact"], 0,
-     "821fc0c662093480a8a8f04f6963432ce6f03aeb2f2aadbef642bcfbc6b7daba"),
-    (["build", "--group", "G2(4)", "--graph", "compact"], 0,
-     "b1af7fb46207b5aa0197a59ac6212c689d0b98e781a5b79c704d617aa30e64bc"),
-    (["build", "--group", "F4(2)", "--graph", "compact"], 0,
-     "2ea5c15cb21ca09caa1037644fe049c8ce1098dec65a286fe79b2e318980b43b"),
-    (["build", "--group", "E6(2)", "--graph", "compact"], 0,
-     "905f99c2e2d93cd88dc07687f1728c29cb9c8cce6c10e99d69d0d97cbd8588e4"),
-    (["build", "--group", "2E6(2)", "--graph", "compact"], 0,
-     "feca75075833468487a7317f16b8e9dc6fb1ec665c0fec8485bc6c30c520413e"),
-    (["build", "--group", "E7(2)", "--graph", "compact"], 0,
-     "1566d9e091558335066e1441d7bed617d2a9876755248a704ff3fa56548a25ed"),
-    (["build", "--group", "E8(2)", "--graph", "compact"], 0,
-     "b2486fc6a97dde59f6c46cb84af7c148dc4e57db1902f841d54285b2250aff72"),
-    (["build", "--group", "2B2(8)", "--graph", "compact"], 0,
-     "def28c0143b459d94fe7a57eeea198a299e2cc6010e9ddb6e4d621920ddb3226"),
-    (["build", "--group", "2G2(27)", "--graph", "compact"], 0,
-     "84801eb55c3eb54bc7f8933fc165e40cb6f7ee8a388d0271718381f410ba1d2e"),
-    (["build", "--group", "2F4(8)", "--graph", "compact"], 0,
-     "b21ddb6446318fde6573f02213dbc062d3e150b598598e21267934baef346d44"),
-    (["build", "--group", "3D4(2)", "--graph", "compact"], 0,
-     "0b6f94faacd11ce9eab3fff42e0a2678f3193dbdc12ad3f576df8a5a56cae069"),
-    (["build", "--group", "Alt(9)", "--graph", "compact"], 0,
-     "a24e311cef7be01434a6537325072c7d0489ce19f086ebd2f84de62cbc4fbeba"),
-    (["build", "--group", "Tits", "--graph", "compact"], 0,
-     "1b56d5864d73ea510fda1eacec663da8ad7b290318754920cc36c138a39af71a"),
-    (["build", "--group", "A1(7)", "--graph", "prime"], 0,
-     "4c346ca20b5bfa2c16c64801bff5c72e7b71d2bf483b9f3c76a8efc259cf4888"),
-    (["build", "--group", "B2(5)", "--graph", "prime"], 0,
-     "3d1f87442b2f76b2cc7dca21198f19cf54f17de1264e2ddda1f9cd5c6e05390f"),
-    (["build", "--group", "B3(3)", "--graph", "prime"], 0,
-     "9eaec8532bfc4fc53eb3c6e602f4f28d5b0b385c9e9f27dfc999a59ed419f967"),
-    (["build", "--group", "2B2(8)", "--graph", "prime"], 0,
-     "eacc0e5128c1a2ee84c1ad2c7bf9985a1ed94717d8573940b8451ad437a413c1"),
-    (["build", "--group", "2G2(27)", "--graph", "prime"], 0,
-     "17d4c8f6a985ca569920e37096521e259679f10588ca37f2ccad78618acbde51"),
-    (["build", "--group", "M22", "--graph", "solvable"], 0,
-     "5d82f14f68551eea064079ef7d4f78c3d959d1e6b65900ac33aeda2829018b4f"),
-]
+def test_readme_commands_are_pinned():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [tuple(shlex.split(line, comments=True)) for line in block.splitlines()]
+    assert {c[0] for c in commands} == {"gksplit"}
+    pinned = {argv for p in pins.PINS for argv in p.runs}
+    assert [c for c in commands if c[1:] not in pinned] == []
 
 
-@pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN_ROUTES, ids=[" ".join(a) for a, _, _ in GOLDEN_ROUTES]
-)
-def test_golden_route_output(argv, code, digest, tmp_path, capsys):
-    assert _exit_and_digest(argv, tmp_path, capsys) == (code, digest)
+def test_run_pins_fails_each_planted_fault(capsys):
+    # four fresh interpreters: one record that holds and three planted faults
+    good = next(p for p in pins.GOLDEN if p.name == "split --group Alt(7)")._replace(limit=20)
+    planted = [
+        good,
+        good._replace(name="digest with its last bit flipped", sha256=f"{int(good.sha256, 16) ^ 1:064x}"),
+        good._replace(name="exit 1 expected", code=1),
+        pins.pin("--help", limit=0.001, name="--help within 1 ms"),
+    ]
+    assert run_pins.main(planted) == 1
+    verdicts = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert verdicts == [
+        "PASS split --group Alt(7)", "FAIL digest with its last bit flipped", "FAIL exit 1 expected", "FAIL --help within 1 ms",
+    ]
 
 
 #: the graphs each descriptor has, one per kind of gkbuild.GRAPHS and per

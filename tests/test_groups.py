@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from gksplit import gkbuild, groups
+from gksplit import exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.errors import InvalidField, NotSimple, SpectrumError, UnsupportedFamily
 
@@ -219,6 +219,34 @@ class TestSpectra:
     def test_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             groups.spectrum_formulas(groups.exceptional("E8", 2))
+
+    def test_kind_of_routes_exactly_the_closed_form_spectra(self, monkeypatch):
+        descriptors = []
+        for family in exceptional.diagram_families():
+            for q in (2, 3, 4, 5, 7, 8, 9, 11, 27, 32, 125, 128, 2187):
+                try:
+                    descriptors.append(groups.parse_descriptor(f"{family}({q})"))
+                except (InvalidField, NotSimple):
+                    pass
+        names = ["Tits", "M22", "M11", "J4", "B", "A4(2)", "2A4(3)", "C4(3)", "D7(5)", "2D5(2)", "2D2(3)", "Alt(9)", "Sym(7)"]
+        descriptors += [groups.parse_descriptor(name) for name in names]
+        closed = set()
+        for d in descriptors:
+            try:
+                groups.spectrum_formulas(d)
+                closed.add(d)
+            except UnsupportedFamily:
+                pass
+        assert {str(d) for d in closed} >= {"A1(4)", "B2(3)", "B3(3)", "C3(3)", "2B2(8)", "2G2(27)", "2F4(2)'"}
+
+        # from the descriptor alone: no formula, no spectrum, no order
+        def refused(*args):
+            raise AssertionError("kind_of evaluated a spectrum or an order")
+
+        for name in ("spectrum_formulas", "SpectrumData", "order", "maximal_elements"):
+            monkeypatch.setattr(groups, name, refused)
+        for d in descriptors:
+            assert (gkbuild.kind_of(d) in ("closed-form diagram", "Tits")) == (d in closed), d
 
     def test_antichain_enforced(self):
         d = groups.classical("A", 1, 5)
