@@ -17,6 +17,7 @@ Group descriptors are parsed by ``groups.parse_descriptor``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import types
@@ -77,24 +78,28 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
-def _graph_table(g: Graph, title: str) -> str:
-    text = [label_text(v) for v in g.vertices]
-    lines = [title, f"vertices ({g.n}): " + " ".join(text)]
-    edges = edge_text(g.rows, text, "  ", " -- ", "", "\n")
-    if edges:
-        lines.append(f"edges ({edge_count(g.rows)}):")
-        lines.extend(edges)
-    else:
-        lines.append("edges (0): none")
-    return "\n".join(lines)
-
-
-def _render_graph(g: Graph, fmt: str, title: str) -> str:
+def _write_graph(g: Graph, fmt: str, title: str, write) -> None:
+    """Pass g's document in fmt to write piece by piece, one adjacency row
+    of edges at a time: JSON, DOT, or the table of title, the vertex line
+    and the counted edge list or none."""
     if fmt == "json":
-        return g.to_json()
-    if fmt == "dot":
-        return g.to_dot()
-    return _graph_table(g, title)
+        g.to_json(write)
+    elif fmt == "dot":
+        g.to_dot(write)
+    else:
+        text, edges = [label_text(v) for v in g.vertices], edge_count(g.rows)
+        write(f"{title}\nvertices ({g.n}): " + " ".join(text))
+        write(f"\nedges ({edges}):\n" if edges else "\nedges (0): none")
+        edge_text(write, g.rows, text, "  ", " -- ", "", "\n")
+
+
+def _emit_graph(g: Graph, fmt: str, title: str, out: str | None):
+    """_write_graph to the --out file or to stdout as it goes, ended as _emit
+    ends: stdout gets a newline, a file one only if it lacks it (DOT has)."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_graph(g, fmt, title, fh.write)
+        if fmt != "dot" or not out:
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ def _render_graph(g: Graph, fmt: str, title: str) -> str:
 
 def _cmd_build(args) -> int:
     g, title = _acquire_graph(args)
-    _emit(_render_graph(g, args.format, title), args.out)
+    _emit_graph(g, args.format, title, args.out)
     return 0
 
 
@@ -116,8 +121,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_compact(args) -> int:
     g, title = _acquire_graph(args)
-    cf = g.compact_form()
-    _emit(_render_graph(cf.quotient, args.format, f"compact form of {title}"), args.out)
+    _emit_graph(g.compact_form().quotient, args.format, f"compact form of {title}", args.out)
     return 0
 
 
@@ -210,7 +214,9 @@ def _cmd_witness(args) -> int:
         header = f"compact solvable graph of A{args.n - 1}({args.p}) is nonsplit"
     else:  # psl11
         graph, cert = gkbuild.psl11_2_sc()
-        header = "compact solvable graph of A10(2): " + _graph_table(graph, "")
+        table = []
+        _write_graph(graph, "table", "compact solvable graph of A10(2): ", table.append)
+        header = "".join(table)
     failures = recheck(cert)
     if failures:  # pragma: no cover - would be a construction bug
         raise GKSplitError("certificate failed its own recheck: " + "; ".join(failures))

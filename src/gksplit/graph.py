@@ -17,6 +17,7 @@ edge list and neighbour sets are derived from them on demand.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from functools import reduce
 from itertools import compress, count
@@ -26,6 +27,9 @@ from typing import NamedTuple
 from .errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 
 _SCHEMA = "gksplit/graph/1"
+#: what no class name read from a document holds: a quote or backslash, which
+#: would end or escape its DOT string, or a control character (Unicode Cc)
+_UNSAFE_NAME = re.compile(r'["\\\x00-\x1f\x7f-\x9f]')
 
 
 class ClassLabel(NamedTuple):
@@ -329,24 +333,21 @@ class Graph:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self) -> str:
-        """The bytes of json.dumps(doc, indent=2) for the graph document.
-
-        Each label is encoded once (``_label_json``), the edge list is
-        written one bitset row at a time (``edge_text``), and one join
-        writes the whole document: the list's frame rides on its first and
-        last rows.
-        """
+    def to_json(self, write=None) -> str | None:
+        """The bytes of json.dumps(doc, indent=2) for the graph document,
+        handed to write piece by piece (then None), or joined and returned.
+        Each label is encoded once (``_label_json``) and the edge list is
+        written one bitset row at a time (``edge_text``)."""
+        pieces = []  # stays empty when write is given
+        write = write or pieces.append
         text = [_label_json(v) for v in self._vertices]
         deep = [t.replace("\n", "\n      ") for t in text]
-        vertices = [t.replace("\n", "\n    ") for t in text]
-        head = f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {_json_list(vertices)},\n  "edges": '
-        edges = edge_text(self._rows, deep, "[\n      ", ",\n      ", "\n    ]", ",\n    ")
-        if not edges:
-            return head + "[]\n}"
-        edges[0] = f"{head}[\n    {edges[0]}"
-        edges[-1] = f"{edges[-1]}\n  ]\n}}"
-        return ",\n    ".join(edges)
+        vertices = "[\n    " + ",\n    ".join(t.replace("\n", "\n    ") for t in text) + "\n  ]" if text else "[]"
+        start, end = ("[\n    ", "\n  ]\n}") if any(self._rows) else ("[]", "\n}")
+        write(f'{{\n  "schema": {json.dumps(_SCHEMA)},\n  "vertices": {vertices},\n  "edges": {start}')
+        edge_text(write, self._rows, deep, "[\n      ", ",\n      ", "\n    ]", ",\n    ")
+        write(end)
+        return "".join(pieces) if pieces else None
 
     @staticmethod
     def from_json(text: str) -> "Graph":
@@ -378,15 +379,18 @@ class Graph:
                     raise MalformedInput(f"vertices {other!r} and {v!r} both print as {label_text(v, sep)!r}")
         return g
 
-    def to_dot(self) -> str:
+    def to_dot(self, write=None) -> str | None:
         """Graphviz text: one quoted vertex line per label (``R5={11,31}``
-        for classes), then one ``u -- v`` line per edge, joined per row."""
+        for classes), then one ``u -- v`` line per edge, written one row at
+        a time; handed to write or returned, as ``to_json``."""
+        pieces = []
+        write = write or pieces.append
         text = [f'"{label_text(v, "=")}"' for v in self._vertices]
-        lines = ["graph G {"]
-        lines.extend(f"  {t};" for t in text)
-        lines.extend(edge_text(self._rows, text, "  ", " -- ", ";", "\n"))
-        lines.append("}\n")
-        return "\n".join(lines)
+        write("graph G {\n")
+        write("".join(f"  {t};\n" for t in text))
+        edge_text(write, self._rows, text, "  ", " -- ", ";\n", "")
+        write("}\n")
+        return "".join(pieces) if pieces else None
 
 
 class CompactForm(NamedTuple):
@@ -466,21 +470,21 @@ def edge_count(rows) -> int:
     return sum(row.bit_count() for row in rows) // 2
 
 
-def edge_text(rows, text, left: str, mid: str, right: str, sep: str) -> list[str]:
-    """The edges i < j written as left + text[i] + mid + text[j] + right and
-    joined by sep, in lexicographic order; one string per row that has an
-    edge to a later vertex, so sep.join of the result is the whole list.
-
-    Each row is one C-level join over the texts its upper bits select.
-    """
-    out = []
+def edge_text(write, rows, text, left: str, mid: str, right: str, sep: str) -> None:
+    """Write the edges i < j as left + text[i] + mid + text[j] + right,
+    separated by sep, in lexicographic order: for each row with an edge to a
+    later vertex, sep (after the first), its head left + text[i] + mid, one
+    C-level join over the texts its upper bits select, and right."""
+    gap = ""
     for i, row in enumerate(rows):
         upper = row >> i + 1
         if upper:
             head = left + text[i] + mid
-            body = (right + sep + head).join(compress(text[i + 1 :], _flags(upper)))
-            out.append(f"{head}{body}{right}")
-    return out
+            write(gap)
+            write(head)
+            write((right + sep + head).join(compress(text[i + 1 :], _flags(upper))))
+            write(right)
+            gap = sep
 
 
 def _split_mask(rows):
@@ -679,7 +683,8 @@ def decode_label(obj):
 
     An integer label is a JSON integer, the rule of :func:`json_typed`,
     tested inline because every label of a document passes through here.
-    A class has a string name and a list of JSON integer members.
+    A class has a string name and a list of JSON integer members; the name
+    holds no quote, backslash or control character (``_UNSAFE_NAME``).
     """
     if type(obj) is int:
         return obj
@@ -689,7 +694,9 @@ def decode_label(obj):
     except (KeyError, TypeError):
         raise MalformedInput(f"cannot decode vertex label {reprlib.repr(obj)}") from None
     members = [json_typed(x, int, "class member") for x in json_typed(members, list, "class members")]
-    return ClassLabel(json_typed(name, str, "class name"), tuple(members))
+    if _UNSAFE_NAME.search(json_typed(name, str, "class name")):
+        raise MalformedInput(f"class name {reprlib.repr(name)} holds a quote, backslash or control character")
+    return ClassLabel(name, tuple(members))
 
 
 #: the JSON name of each Python type a document value may be required to have
@@ -728,11 +735,6 @@ def _label_json(label) -> str:
         return str(label)
     members = "[\n      " + ",\n      ".join(map(str, label.members)) + "\n    ]" if label.members else "[]"
     return f'{{\n  "class": {{\n    "name": {json.dumps(label.name)},\n    "members": {members}\n  }}\n}}'
-
-
-def _json_list(items) -> str:
-    """A JSON list at depth 1 of items already indented for depth 2."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def label_text(label, sep: str = "") -> str:

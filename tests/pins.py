@@ -276,6 +276,20 @@ LIMITED = [
         sha256="d85e2a00fbe8e80d60a7b11bcf4c0ef56e9aec3e3111770e6f851708dc76a352"),
     pin("build --group 'Alt(5000)' --format dot", limit=20,
         sha256="3e6c8ae3d7cd7e1a624ec7a62c268f0ccc58d3e31a795dcb4ae602104778797f"),
+    # the file bytes of --out in each format: a file ends in one newline, so
+    # DOT's closing line gets none added and JSON and the table get one
+    pin("build --group 'Alt(1000)' --format dot --out g.dot", limit=5,
+        sha256="ab983d1fb98b6aa269576972669552ce7307771872c993cadc6421054e439a92"),
+    pin("compact --group 'Sym(1000)' --out g.txt", limit=5,
+        sha256="d350b4f9e808518ed1c5ace7e307abadb025fc005ff29a802bed10c9ae6e8b4a"),
+    # an edgeless graph
+    pin("build --group 'Sym(3)' --format json --out g.json", limit=5,
+        sha256="295d2a98bfd1b060a876098a72392bd6ad23329e30f32ecca669d83ab5370c4f"),
+    pin("build --group 'Sym(3)' --format dot --out g.dot", limit=5,
+        sha256="72da1fa05346ec398988f603fdb708deb98e751685c2b9c15e09dce5bc192a06"),
+    # the graph table inside a witness header
+    pin("witness psl11", limit=5,
+        sha256="2122acf5c21537b4897b0cff8f7349af4ff3c24f661b40a0794a4c5f59327a51"),
     pin("split --group 'Alt(3000)' --format json", limit=20,
         sha256="e4ad2524f943142a5e482149a35a4c3f8b4f3dc93b36284a25a8db31f5a8336a"),
     # the 2-SAT decides before any witness scan

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import gksplit
 import pins
 import run_pins
 from gksplit import cli, gkbuild, groups
-from gksplit.errors import DescriptorSyntaxError, InputTooLarge, InvalidField, NotSimple
+from gksplit.certificates import certificate_from_json
+from gksplit.errors import DescriptorSyntaxError, InputTooLarge, InvalidField, MalformedInput, NotSimple
 from gksplit.graph import ClassLabel, Graph, decode_label
 
 
@@ -423,6 +425,61 @@ def test_malformed_input_exits_2(argv, content, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, fmt",
+    [('a"; 7 -- 9; "b', "dot"), ("\n  2 -- 3", "table"), ("a\\b", "dot"), ("\x85", "table")],
+    ids=["quote-adds-a-dot-edge", "newline-adds-a-table-edge", "backslash", "c1-control"],
+)
+def test_class_name_cannot_write_lines(name, fmt, tmp_path, capsys):
+    # unchecked, the first two exited 0, printing the edge 7 -- 9 in DOT and
+    # the line "  2 -- 3" in the table of an edgeless graph
+    label = {"class": {"name": name}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"vertices": [5, label], "edges": []}))
+    assert cli.main(["build", "--in", str(path), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: class name ") and err.count("\n") == 1
+    # the certificate reader decodes its labels with the same decoder
+    cert = {"kind": "nonsplit", "steps": [], "witness": {"kind": "2K2", "vertices": [2, label, 5, 7]}}
+    with pytest.raises(MalformedInput, match="class name"):
+        certificate_from_json(json.dumps(cert))
+
+
+class _CountingSink:
+    """A stdout that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compact", "--group", "Sym(5000)", "--format", "json"],
+        ["build", "--group", "Alt(5000)", "--format", "dot"],
+        ["build", "--group", "Alt(5000)"],
+    ],
+    ids=["compact-json", "build-dot", "build-table"],
+)
+def test_graph_documents_are_written_as_they_go(argv, monkeypatch):
+    # a document joined before its first byte goes out peaks at about twice
+    # its length; written one adjacency row at a time, at under a tenth
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 10**6
+    assert peak < 0.25 * sink.length
 
 
 @pytest.mark.parametrize(

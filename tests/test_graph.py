@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gksplit import gkbuild, graph as graph_module, groups
-from gksplit.cli import _graph_table
+from gksplit.cli import _write_graph
 from gksplit.errors import InternalInconsistency, LoopEdge, MalformedInput, UnknownVertex
 from gksplit.graph import (
     ClassLabel,
@@ -551,7 +551,9 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_to_json(self, data):
         g = Graph(*data)
-        assert g.to_json() == reference_graph_json(g)
+        pieces = []
+        assert g.to_json(pieces.append) is None
+        assert "".join(pieces) == g.to_json() == reference_graph_json(g)
 
     @given(mixed_graphs())
     @example(([], []))
@@ -560,7 +562,9 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_to_dot(self, data):
         g = Graph(*data)
-        assert g.to_dot() == reference_graph_dot(g)
+        pieces = []
+        assert g.to_dot(pieces.append) is None
+        assert "".join(pieces) == g.to_dot() == reference_graph_dot(g)
 
     @given(mixed_graphs())
     @example(([], []))
@@ -569,7 +573,9 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_graph_table(self, data):
         g = Graph(*data)
-        assert _graph_table(g, "title") == reference_graph_table(g, "title")
+        pieces = []
+        _write_graph(g, "table", "title", pieces.append)
+        assert "".join(pieces) == reference_graph_table(g, "title")
         assert repr(g) == f"Graph({len(g.vertices)} vertices, {len(g.edges)} edges)"
 
     @given(mixed_graphs())
