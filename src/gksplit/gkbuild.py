@@ -22,7 +22,7 @@ Every builder of a group's graph or partition takes its ``GroupDescriptor``:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -105,9 +105,19 @@ def gk_altsym(d: groups.GroupDescriptor) -> Graph:
 def _alt_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The primes up to n, and the odd primes' rows in Alt(n)'s prime graph:
     over the sorted primes the odd neighbours of p are a prefix, the odd
-    q <= n - p, less p itself."""
+    q <= n - p, less p itself.  An odd n takes the rows of n - 1: p + q is
+    even, so only 2's bit changes, in the row of n - 4, and a prime n adds
+    one empty row."""
     primes = nt.primes_upto(n)
     odd = primes[1:]  # primes_upto lists 2 first, so odd[k] is vertex k + 1
+    if n % 2 and n > 2:
+        rows = _alt_rows(n - 1)[1]
+        if len(rows) < len(odd):
+            rows += (0,)
+        k = bisect_left(odd, n - 4)
+        if k < len(odd) and odd[k] == n - 4:
+            rows = rows[:k] + (rows[k] | 1,) + rows[k + 1 :]
+        return tuple(primes), rows
     cut = bisect_right(odd, n - 4)
     rows = (((1 << bisect_right(odd, n - p)) - 1) << 1 & ~(2 << k) | (k < cut) for k, p in enumerate(odd))
     return tuple(primes), tuple(rows)

@@ -233,10 +233,10 @@ class Graph:
         vs, rows = self._vertices, self._rows
         buckets: dict[int, list] = {}
         for i, row in enumerate(rows):
-            buckets.setdefault(row | 1 << i, []).append(i)
-        groups = list(buckets.values())  # each in label order already
-        labels = [_merge_label([vs[i] for i in group]) for group in groups]
-        contents = {label: frozenset(vs[i] for i in group) for label, group in zip(labels, groups)}
+            buckets.setdefault(row | 1 << i, []).append(vs[i])
+        groups = list(map(tuple, buckets.values()))  # each in label order already
+        labels = list(map(_merge_label, groups))
+        contents = dict(zip(labels, map(frozenset, groups)))
         if len(contents) < len(labels):
             twin = next(label for label in labels if labels.count(label) > 1)
             raise MalformedInput(f"two true-twin classes would both be labelled {label_text(twin)!r}")
@@ -248,8 +248,9 @@ class Graph:
         # the characters n + 2 - h, stride n + 3, then spell in binary the
         # quotient row of head h's class on the block's classes.  The last
         # block goes first, so each row has its full width from the start.
-        order = sorted(range(len(groups)), key=lambda k: label_key(labels[k]))
-        heads = [groups[k][0] for k in order]
+        # Every label is a ClassLabel, whose (name, members) order is label_key's.
+        order = sorted(range(len(groups)), key=labels.__getitem__)
+        heads = [self._index[groups[k][0]] for k in order]
         n, top = len(vs), 1 << len(vs)
         step = max(1, _TRANSPOSE_BYTES // (n + 3))
         qrows = [0] * len(heads)
@@ -258,7 +259,7 @@ class Graph:
             for c, h in enumerate(heads):
                 qrows[c] |= int(block[n + 2 - h :: n + 3], 2) << lo
         quotient = Graph([labels[k] for k in order], rows=qrows)
-        class_of = {vs[i]: label for label, group in zip(labels, groups) for i in group}
+        class_of = {v: label for label, group in zip(labels, groups) for v in group}
         return CompactForm(quotient, class_of, contents)
 
     # -- forbidden-subgraph search -------------------------------------------
@@ -407,7 +408,11 @@ class CompactForm(NamedTuple):
 
 
 def _merge_label(group) -> ClassLabel:
+    """The label of a true-twin class, its vertex labels in label order: named
+    after the first, with the union of the members' primes."""
     head = group[0]
+    if isinstance(group[-1], int):  # ints sort first, so these are distinct, increasing ints
+        return ClassLabel(str(head), group)
     name = str(head) if isinstance(head, int) else head.name
     members = set()
     for v in group:
@@ -543,13 +548,18 @@ def _split_mask(rows):
 
 
 def is_clique_mask(rows, sub) -> bool:
-    """Whether the vertex indices in the bitset sub are pairwise adjacent in rows."""
-    return all((rows[i] | 1 << i) & sub == sub for i in bits(sub))
+    """Whether the vertex indices in the bitset sub are pairwise adjacent in rows.
+
+    The rows must be loop-free: then each row of sub, cut to sub, is a subset
+    of sub less its own bit, so the k cut rows sum to at most (k - 1)·sub,
+    with equality exactly when every one of them is all of the rest."""
+    return sum(row & sub for row in compress(rows, _flags(sub))) == (sub.bit_count() - 1) * sub
 
 
 def is_independent_mask(rows, sub) -> bool:
-    """Whether no two vertex indices in the bitset sub are adjacent in rows."""
-    return not any(rows[i] & sub for i in bits(sub))
+    """Whether no two vertex indices in the bitset sub are adjacent in rows:
+    whether one OR over their rows misses sub."""
+    return not reduce(or_, compress(rows, _flags(sub)), 0) & sub
 
 
 def is_split_side(rows, side) -> bool:

@@ -21,16 +21,19 @@ a disagreement is raised as InternalInconsistency, never repaired.
 
 Both routes decide their partition as a clique-side bitset over the vertex
 indices.  One special test on masks serves every caller, and the labels are
-built once, when the ``SplitPartition`` is made.
+built once, when the ``SplitPartition`` is made: by the degree route only
+when a caller reads its verdict's ``partition``.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress
+from operator import and_
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from .graph import ForbiddenWitness, Graph, bits, encode_label, is_clique_mask, is_independent_mask, is_split_side
+from .graph import ForbiddenWitness, Graph, encode_label, is_clique_mask, is_independent_mask, is_split_side
 from .graph import _flags, label_key, label_text
 
 
@@ -76,29 +79,55 @@ def partition_text(p: SplitPartition) -> str:
     )
 
 
-class SplitVerdict(NamedTuple):
-    """Outcome of a split check.
+class SplitVerdict:
+    """Outcome of a split check: split, m_index, partition and forbidden.
 
     m_index is None for verdicts not derived from a degree sequence: those of
     the forbidden route, and certificate-backed claims about graphs that
-    were never materialized.
+    were never materialized.  The degree route hands over its partition as a
+    clique-side bitset; its labels and special flag are built the first time
+    ``partition`` is read, and kept.
     """
 
-    split: bool
-    m_index: int | None = None
-    partition: SplitPartition | None = None
-    forbidden: ForbiddenWitness | None = None
+    __slots__ = ("split", "m_index", "forbidden", "_partition", "_side")
+
+    def __init__(self, split: bool, m_index: int | None = None, partition: SplitPartition | None = None,
+                 forbidden: ForbiddenWitness | None = None):
+        self.split, self.m_index, self.forbidden = split, m_index, forbidden
+        self._partition, self._side = partition, None
+
+    @property
+    def partition(self) -> SplitPartition | None:
+        if self._side is not None:
+            self._partition, self._side = _partition(*self._side), None
+        return self._partition
+
+    def __repr__(self):
+        return (f"SplitVerdict(split={self.split!r}, m_index={self.m_index!r}, "
+                f"partition={self.partition!r}, forbidden={self.forbidden!r})")
 
 
 def m_index(g: Graph) -> int:
     """max{i : d_i >= i-1} over the non-increasing degree sequence."""
     if g.n == 0:
         raise PreconditionViolated("m_index is undefined for the empty graph")
-    return _m_of(g.degree_sequence())
+    return _degrees(g)[2]
 
 
-def _m_of(degs) -> int:
-    return max(i for i, d in enumerate(degs, start=1) if d >= i - 1)
+def _degrees(g: Graph) -> tuple[list[int], list[int], int]:
+    """The degrees of g in vertex order, the same sorted non-increasing, and
+    m, by binary search: d_j - j falls strictly along the sorted degrees, so
+    the 0-based j with d_j >= j, whose count is m, are a prefix."""
+    degree = [row.bit_count() for row in g.rows]
+    degs = sorted(degree, reverse=True)
+    lo, hi = 0, len(degs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if degs[mid] >= mid:
+            lo = mid + 1
+        else:
+            hi = mid
+    return degree, degs, lo
 
 
 def validate_partition(g: Graph, p: SplitPartition) -> tuple[bool, str | None]:
@@ -126,8 +155,13 @@ def validate_partition(g: Graph, p: SplitPartition) -> tuple[bool, str | None]:
 def _dominator(rows, side: int, rest: int) -> int | None:
     """The special test: the first index of I (bitset rest) whose row holds
     all of C (bitset side).  None exactly when the split partition is
-    special, that is when every vertex of I has a non-neighbour in C."""
-    return next((i for i in bits(rest) if rows[i] & side == side), None)
+    special, that is when every vertex of I has a non-neighbour in C.
+
+    The rows must be symmetric: then i sees all of C exactly when bit i is
+    in every row of C, so the dominators are rest under one AND over C's
+    rows, and the first of them is its lowest bit."""
+    seen = reduce(and_, compress(rows, _flags(side)), rest)
+    return (seen & -seen).bit_length() - 1 if seen else None
 
 
 def _partition(g: Graph, side: int) -> SplitPartition:
@@ -164,19 +198,19 @@ def is_split_degree(g: Graph) -> SplitVerdict:
     """Degree-sequence split check with partition extraction."""
     if g.n == 0:
         return SplitVerdict(True, None, SplitPartition(frozenset(), frozenset(), True))
-    degree = [row.bit_count() for row in g.rows]
-    by_degree = sorted(range(g.n), key=degree.__getitem__, reverse=True)  # stable: ties in label order
-    degs = [degree[i] for i in by_degree]
-    m = _m_of(degs)
-    split = sum(degs[:m]) == m * (m - 1) + sum(degs[m:])
-    if split:
+    degree, degs, m = _degrees(g)
+    if sum(degs[:m]) == m * (m - 1) + sum(degs[m:]):
         # The top-m degree sum is the same however ties are broken, and the
         # equality forces those m vertices to be a clique and the rest to be
-        # independent (Hammer-Simeone), so any non-increasing order will do.
+        # independent (Hammer-Simeone), so any non-increasing order will do;
+        # a stable one puts ties in label order.
+        by_degree = sorted(range(g.n), key=degree.__getitem__, reverse=True)
         side = sum(1 << i for i in by_degree[:m])
         if not is_split_side(g.rows, side):
             raise InternalInconsistency("degree equality holds but no clique/independent partition was found")
-        return SplitVerdict(True, m, _partition(g, side))
+        verdict = SplitVerdict(True, m)
+        verdict._side = g, side  # its partition is built when first read
+        return verdict
     witness = g.find_forbidden()
     if witness is None:
         raise InternalInconsistency("degree equality fails but no forbidden subgraph exists")

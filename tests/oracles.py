@@ -535,6 +535,67 @@ def reference_compact(g):
     return sorted(contents), sorted(e for e in edges if e[0] != e[1]), class_of, contents
 
 
+# -- the split checks as loops over the set bits ------------------------------
+# The package's mask tests, special test and degree route as they were before
+# each became one reduction over the rows or a binary search, kept to test
+# those rewrites against.  A graph is (vertices, rows): its labels in label
+# order and one int bitset row per vertex.
+
+
+def _set_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def generator_is_clique_mask(rows, sub):
+    return all((rows[i] | 1 << i) & sub == sub for i in _set_bits(sub))
+
+
+def generator_is_independent_mask(rows, sub):
+    return not any(rows[i] & sub for i in _set_bits(sub))
+
+
+def generator_dominator(rows, side, rest):
+    """The first index of rest whose row holds all of side, or None."""
+    return next((i for i in _set_bits(rest) if rows[i] & side == side), None)
+
+
+def generator_is_split_degree(vertices, rows):
+    """(split, m, clique, independent, special) of the Hammer-Simeone degree
+    route, ties in label order; the last three are None when not split."""
+    n = len(rows)
+    if n == 0:
+        return True, None, frozenset(), frozenset(), True
+    degree = [row.bit_count() for row in rows]
+    by_degree = sorted(range(n), key=degree.__getitem__, reverse=True)
+    degs = [degree[i] for i in by_degree]
+    m = max(i for i, d in enumerate(degs, start=1) if d >= i - 1)
+    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
+        return False, m, None, None, None
+    side = sum(1 << i for i in by_degree[:m])
+    rest = (1 << n) - 1 & ~side
+    clique = frozenset(vertices[i] for i in _set_bits(side))
+    independent = frozenset(vertices[i] for i in _set_bits(rest))
+    return True, m, clique, independent, generator_dominator(rows, side, rest) is None
+
+
+def generator_validate_partition(vertices, rows, clique, independent, special):
+    """(ok, reason) for the split partition (clique, independent) of the
+    graph, the special condition demanded only when claimed."""
+    if clique & independent:
+        return False, f"C and I overlap on {sorted(clique & independent, key=_label_order)}"
+    if clique | independent != set(vertices):
+        return False, "C and I do not cover the vertex set"
+    side = sum(1 << i for i, v in enumerate(vertices) if v in clique)
+    rest = (1 << len(rows)) - 1 & ~side
+    if not generator_is_clique_mask(rows, side):
+        return False, "C is not a clique"
+    if not generator_is_independent_mask(rows, rest):
+        return False, "I is not independent"
+    if special and (v := generator_dominator(rows, side, rest)) is not None:
+        return False, f"{vertices[v]!r} in I is adjacent to all of C"
+    return True, None
+
+
 def head_pair_quotient(vertices, rows):
     """The true-twin quotient as (labels, rows), its adjacency read one head
     pair at a time.

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gksplit import campaigns, cli, gkbuild, groups
+from gksplit.graph import Graph
 from gksplit.splitcheck import SplitPartition, validate_partition
 
 from oracles import prime_powers
@@ -148,6 +149,26 @@ def test_theorem_a_fail_rows_and_total(monkeypatch):
         "FAIL symmetric n=7 (C is not a clique)",
         "FAIL alternating n=7 (C is not a clique)",
         "FAIL theorem-a up to n=10 (2 failed)",
+    ]
+
+
+def test_theorem_a_fails_only_the_broken_kind(monkeypatch):
+    # Alt(11) without its edge 3-5 is still split, so only the validation of
+    # its partition fails; Sym(11), built from the same degree's rows, passes
+    real = gkbuild.gk_altsym
+
+    def broken(d):
+        g = real(d)
+        if (d.kind, d.n) != ("alternating", 11):
+            return g
+        return Graph(g.vertices, [e for e in g.edges if set(e) != {3, 5}])
+
+    monkeypatch.setattr(gkbuild, "gk_altsym", broken)
+    ok, lines = campaigns.theorem_a(12)
+    assert "PASS symmetric n=11" in lines
+    assert not ok and [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL alternating n=11 (C is not a clique)",
+        "FAIL theorem-a up to n=12 (1 failed)",
     ]
 
 

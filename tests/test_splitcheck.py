@@ -1,15 +1,15 @@
 import random
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gksplit import graph as graph_module
+from gksplit import graph as graph_module, splitcheck
 from gksplit.errors import InternalInconsistency, InvalidPartition, PreconditionViolated
-from gksplit.gkbuild import gk_altsym
+from gksplit.gkbuild import altsym_partition, gk_altsym
 from gksplit.groups import parse_descriptor
-from gksplit.graph import Graph
+from gksplit.graph import Graph, is_clique_mask, is_independent_mask
 from gksplit.splitcheck import (
     SplitPartition,
     _partition_from_2sat,
@@ -20,7 +20,16 @@ from gksplit.splitcheck import (
     validate_partition,
 )
 
-from oracles import brute_chromatic, brute_is_split, graphs_on
+from oracles import (
+    brute_chromatic,
+    brute_is_split,
+    generator_dominator,
+    generator_is_clique_mask,
+    generator_is_independent_mask,
+    generator_is_split_degree,
+    generator_validate_partition,
+    graphs_on,
+)
 from test_graph import M22_SOLVABLE, complete, cycle, path, planted, pseudo_split_graphs, small_graphs
 
 
@@ -369,3 +378,72 @@ class TestM22:
         b = is_split_forbidden(M22_SOLVABLE)
         assert not a.split and not b.split
         assert set(a.forbidden.vertices) == {3, 5, 7, 11}
+
+
+class TestAgainstGeneratorForms:
+    """The degree route, ``validate_partition`` and the mask tests answer as
+    their generator forms in ``oracles`` (one loop over the set bits each) on
+    every labelled graph on 6 vertices and on the Alt/Sym prime graphs up to
+    degree 500, and the special test is fed symmetric rows only."""
+
+    @pytest.fixture(autouse=True)
+    def symmetric_rows_only(self, monkeypatch):
+        seen = set()
+
+        def checked(rows, side, rest):
+            if rows not in seen:
+                assert all(rows[j] >> i & 1 for i, row in enumerate(rows) for j in graph_module.bits(row)), rows
+                seen.add(rows)
+            return real(rows, side, rest)
+
+        real = splitcheck._dominator
+        monkeypatch.setattr(splitcheck, "_dominator", checked)
+        return seen
+
+    @staticmethod
+    def agree(g, sides):
+        """The rewritten checks against the generator forms on g, with the
+        clique side of each bitset in sides, its complement the rest."""
+        vs, rows, full = g.vertices, g.rows, (1 << g.n) - 1
+        split, m, clique, indep, special = generator_is_split_degree(vs, rows)
+        v = is_split_degree(g)
+        assert (v.split, v.m_index) == (split, m), (vs, rows)
+        if g.n:
+            assert m_index(g) == m
+        if split:
+            assert v.partition == (clique, indep, special), (vs, rows)
+        for side in sides:
+            rest = full & ~side
+            assert is_clique_mask(rows, side) == generator_is_clique_mask(rows, side), (rows, side)
+            assert is_independent_mask(rows, side) == generator_is_independent_mask(rows, side), (rows, side)
+            assert splitcheck._dominator(rows, side, rest) == generator_dominator(rows, side, rest), (rows, side)
+            c = frozenset(compress(vs, graph_module._flags(side)))
+            for flag in (False, True):
+                got = validate_partition(g, SplitPartition(c, frozenset(vs) - c, flag))
+                assert got == generator_validate_partition(vs, rows, c, frozenset(vs) - c, flag), (rows, side, flag)
+        # a first vertex in both sides, a last one in neither
+        for p in ((c, frozenset(vs) - c | set(vs[:1])), (c, frozenset(vs) - c - set(vs[-1:]))):
+            assert validate_partition(g, SplitPartition(*p)) == generator_validate_partition(vs, rows, *p, False)
+
+    def test_every_graph_on_six_vertices(self, symmetric_rows_only):
+        fed = set()
+        for k, edges in enumerate(graphs_on(6)):
+            g = Graph(range(6), edges)
+            # one side per graph and its complement: each of the 64 sides
+            # meets 1024 graphs over the corpus
+            self.agree(g, (k % 64, 63 ^ k % 64))
+            fed.add(g.rows)
+        assert fed == symmetric_rows_only
+
+    def test_alt_sym_to_degree_500(self, symmetric_rows_only):
+        fed = set()
+        for n in range(2, 501):
+            part = altsym_partition(n)
+            for kind in ("Sym", "Alt") if n >= 5 else ("Sym",):
+                g = gk_altsym(parse_descriptor(f"{kind}({n})"))
+                side = g.mask(part.clique)
+                # the partition's clique side, then one vertex moved across
+                # it each way: the first of I joins C, the first of C leaves
+                self.agree(g, (side, (side | side + 1) & (1 << g.n) - 1, side & side - 1))
+                fed.add(g.rows)
+        assert fed == symmetric_rows_only
