@@ -30,6 +30,7 @@ from typing import NamedTuple
 from . import groups, numtheory as nt
 from .certificates import (
     Certificate,
+    CertStep,
     KIND_CHAIN,
     KIND_NONSPLIT,
     KIND_SPLIT,
@@ -156,11 +157,12 @@ def classical_compact_partition(
     clique side: the characteristic plus one class per nonempty R_e(q) with
     phi-value at most n/2.  Nonemptiness comes from the
     Bang-Zsigmondy exception list; class members are filled in when
-    factoring fits the budget.  The certificate checks each independent
-    class's phi-value m against n/2 < m <= n and states Lemma 5.3(iii) once:
-    two such classes are nonadjacent, since their indices differ, m1 + m2 >
-    n, and neither phi-value divides the other (the larger is below twice
-    the smaller).  The group-theoretic clique claims are flagged as
+    factoring fits the budget; each class and its nonempty step are built
+    once per process and field (``_order_class``).  The certificate checks
+    each independent class's phi-value m against n/2 < m <= n and states
+    Lemma 5.3(iii) once: two such classes are nonadjacent, since their
+    indices differ, m1 + m2 > n, and neither phi-value divides the other
+    (the larger is below twice the smaller).  The group-theoretic clique claims are flagged as
     assumptions.  The excluded prime set delta(L) is pi(delta_of), with
     delta_of = q - eps for linear (eps = 1) and unitary (eps = -1) groups and
     gcd(2, q - 1) otherwise; it is never factored.
@@ -182,11 +184,9 @@ def classical_compact_partition(
                     step(f"R_{e}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=e)
                 )
             continue
-        label = ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
+        label, nonempty = _order_class(e, q, budget)
         if large:
-            steps.append(
-                step(f"R_{e}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=e)
-            )
+            steps.append(nonempty)
             steps.append(
                 step(f"phi-value {m} of R_{e}({q}) lies in ({n}/2, {n}]", op="in_interval", x=m, lo=n // 2, hi=n)
             )
@@ -230,6 +230,17 @@ def classical_compact_partition(
             "independent_indices": indep_indices,
         },
     )
+
+
+@lru_cache(maxsize=4096)
+def _order_class(e: int, q: int, budget: int) -> tuple[ClassLabel, CertStep]:
+    """The class R_e(q), its members filled in when factoring fits the
+    budget, and the step that states it nonempty, for an e that is no
+    Bang-Zsigmondy exception: built once per process and shared by every
+    classical group over GF(q) that has the class.  Only the step's check is
+    mutable, a dict that nothing writes to."""
+    label = ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
+    return label, step(f"R_{e}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=e)
 
 
 # ---------------------------------------------------------------------------

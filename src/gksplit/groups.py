@@ -274,12 +274,18 @@ def _first_factors(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int
     """order_indices of a factor list, which does not depend on q."""
     first = {}
     for k, (f, s) in enumerate(factors, 1):
-        for a in range(1, isqrt(2 * f) + 1):
-            if 2 * f % a == 0:
-                for e in (a, 2 * f // a):
-                    if (f % e == 0) == (s == 1):
-                        first.setdefault(e, k)
+        for e in _divisors(2 * f):
+            if (f % e == 0) == (s == 1):
+                first.setdefault(e, k)
     return tuple(sorted(first.items()))
+
+
+@lru_cache(maxsize=1024)
+def _divisors(m: int) -> tuple[int, ...]:
+    """The divisors of m >= 1: the factor lists of one process share their
+    degrees, so each m is divided out once."""
+    low = [a for a in range(1, isqrt(m) + 1) if m % a == 0]
+    return (*low, *(m // a for a in reversed(low) if a * a != m))
 
 
 def order(d: GroupDescriptor) -> int:

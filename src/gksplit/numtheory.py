@@ -4,14 +4,22 @@ Everything here is elementary and deterministic: factorization by batched
 trial division (a gcd with the product of each block of small primes) plus a
 Brent-cycle Pollard-rho second stage on x^s + c, under an explicit effort
 budget (one unit per prime trial division covers, one per four modular
-multiplications of rho), with one bounded memo per process; Miller-Rabin
-primality (a proof for inputs below 3.317e24, a fixed-base
-strong-probable-prime test above);
-multiplicative orders; primitive prime divisors R_i(n) with the
+multiplications of rho); Miller-Rabin primality (a proof for inputs below
+3.317e24, a fixed-base strong-probable-prime test above); multiplicative
+orders; primitive prime divisors R_i(n) with the
 Bang-Zsigmondy exception list; and pi-parts (a)_pi(b) by repeated gcds, so
 pi(a) lies in pi(b) iff (a)_pi(b) = a.  Factoring names primes (class
 members, graph vertices, the primes of an order) but decides no relation
 between prime sets.
+
+Each fact asked for again is derived once per process, in a bounded memo
+of the most recently used answers: ``factor`` keeps its factorizations
+(never a budget exhaustion); ``is_prime`` its verdicts, so a prime that
+factoring proved costs one lookup when its ``Factorization`` checks it
+again; ``_perfect_power`` the split b^k of each field size; and the Moebius
+divisors and the cofactors i / p of each index i.  No memo changes an answer
+or a budget charge: only factor's work is charged, and its memo is keyed by
+the budget.
 
 There is one prime table per process.  ``primes_upto`` and the trial-division
 blocks both read it; it is empty at import, sieved on first use and re-sieved
@@ -99,12 +107,19 @@ _MR_TIER_BOUNDS = (
 _MR_TIER_BASES = tuple(_MR_BASES[:t] for t in (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, len(_MR_BASES)))
 
 
+#: Integers whose primality each process keeps (``is_prime``).
+_PRIME_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=_PRIME_MEMO_SIZE)
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test on the bases of n's witness tier.
 
     Exact for n < 3317044064679887385961981 (psi_13), where the first t
     prime bases with n < psi_t decide; above that, a strong-probable-prime
-    test to the first 25 prime bases.
+    test to the first 25 prime bases.  The answers for the _PRIME_MEMO_SIZE
+    integers most recently asked about are kept, so a prime that factor
+    proves is not tested again when its Factorization checks it.
     """
     if n < 2:
         return False
@@ -191,16 +206,12 @@ class Factorization(_FactorizationFields):
 
 
 class _Budget:
-    """Mutable effort counter shared by one factoring call tree."""
+    """Mutable effort counter that rho draws on and writes back to."""
 
     __slots__ = ("remaining",)
 
     def __init__(self, limit: int):
         self.remaining = limit
-
-    def spend(self, amount: int = 1) -> bool:
-        self.remaining -= amount
-        return self.remaining >= 0
 
 
 #: (sieve limit, [(block of _TRIAL_BLOCK consecutive primes, their product)])
@@ -225,6 +236,11 @@ def _trial_blocks(limit: int) -> list[tuple[tuple[int, ...], int]]:
     return _trial_table[1]
 
 
+def _trial_limit(m: int) -> int:
+    """min(trial bound, isqrt(m)), with no square root of an m past the bound's square."""
+    return _TRIAL_BOUND if m >= _TRIAL_BOUND * _TRIAL_BOUND else isqrt(m)
+
+
 def _block_cost(block: tuple[int, ...], limit: int) -> int:
     """Budget units of trial division by the primes of block up to limit: one per prime."""
     return len(block) if block[-1] <= limit else bisect_right(block, limit)
@@ -247,10 +263,11 @@ def _rho_factor(n: int, budget: _Budget, s: int) -> int | None:
     The budget pays for modular multiplications, four per unit: an
     evaluation and its product cost s.bit_length() + s.bit_count() - 1 of
     them.  The differences x - y of up to _RHO_BLOCK evaluations are
-    multiplied modulo n and tested with one gcd; a block whose gcd exceeds 1
-    is replayed step by step, so the divisor found is the one a gcd after
-    every evaluation finds first, and the evaluations after it are refunded.
-    The result and the budget left are those of that step-by-step loop, also
+    multiplied modulo n and tested with one gcd.  A block keeps its
+    iterates, and when its gcd exceeds 1 they are tested one gcd each, with
+    no evaluation redone, so the divisor found is the one a gcd after every
+    evaluation finds first, and the evaluations after it are refunded.  The
+    result and the budget left are those of that step-by-step loop, also
     when the budget runs out inside a block.
     """
     if n % 2 == 0:
@@ -270,16 +287,15 @@ def _rho_factor(n: int, budget: _Budget, s: int) -> int | None:
                         return None
                     work -= block * cost
                     left -= block
-                    y0, acc = y, 1
+                    ys, acc = [], 1
                     for _ in range(block):
                         y = (pow(y, s, n) + c) % n
+                        ys.append(y)
                         acc = acc * (x - y) % n
                     if gcd(acc, n) == 1:
                         continue
-                    # some difference of the block shares a factor with n: find the first
-                    y = y0
-                    for used in range(1, block + 1):
-                        y = (pow(y, s, n) + c) % n
+                    # some difference of the block shares a factor with n: the first, from the kept iterates
+                    for used, y in enumerate(ys, 1):
                         d = gcd(x - y, n)
                         if d != 1:
                             break
@@ -302,13 +318,17 @@ def factor(n: int, budget: int = DEFAULT_BUDGET, s: int = 2) -> Factorization:
     is a hint only (lcm(j, 2) for a value of Phi_j, see _rho_factor): every s
     gives the same factorization, but not the same work.  Raises
     BudgetExceeded (carrying the partial factorization found so far) rather
-    than running unboundedly.
+    than running unboundedly; its message names an n of more than 30 digits
+    by its first and last five digits and its digit count, worked out
+    without converting n to a string, so any n can be named.
 
     Results are memoized per process on (n, budget, s), the
     _FACTOR_MEMO_SIZE most recently used of them, so factor(n) and
     factor(n, DEFAULT_BUDGET) return one shared Factorization.  A budget
     exhaustion is never memoized: each call that runs out of budget redoes
-    the work and raises afresh.
+    the work and raises afresh.  The primality tests inside come from
+    is_prime's memo, which the returned Factorization's check of each of
+    its primes then reads again.
     """
     return _factor(n, budget, s)
 
@@ -322,28 +342,26 @@ def _factor(n: int, budget: int, s: int) -> Factorization:
     if n < 1:
         raise PreconditionViolated(f"factor() needs n >= 1, got {n}")
     counts: dict[int, int] = {}
-    meter = _Budget(budget)
 
     def fail() -> BudgetExceeded:
         partial = tuple(sorted(counts.items()))
         value = 1
         for p, e in partial:
             value *= p**e
-        text = str(n)
-        if len(text) > 30:  # a long integer is named by its ends and digit count
-            text = f"{text[:5]}...{text[-5:]} ({len(text)} digits)"
         return BudgetExceeded(
-            f"could not factor {text} within budget {budget}",
+            f"could not factor {_integer_text(n)} within budget {budget}",
             partial=Factorization(value, partial),
         )
 
     m = n
     # After trial division m has no prime factor <= limit.
-    limit = min(_TRIAL_BOUND, isqrt(m))
+    limit = _trial_limit(m)
+    left = budget
     for block, block_product in _trial_blocks(limit):
         if block[0] > limit:
             break
-        if not meter.spend(_block_cost(block, limit)):
+        left -= _block_cost(block, limit)
+        if left < 0:
             raise fail()
         g = gcd(m, block_product)
         if g == 1:
@@ -357,13 +375,15 @@ def _factor(n: int, budget: int, s: int) -> Factorization:
                     m //= p
                 if g == 1:
                     break
-        limit = min(limit, isqrt(m))
+        limit = min(limit, _trial_limit(m))
+    meter = _Budget(left)
+    cleared = (limit + 1) ** 2  # m < cleared iff isqrt(m) <= limit: then m > 1 is prime
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if isqrt(m) <= limit or is_prime(m):
+        if m < cleared or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         piece = _rho_factor(m, meter, s)
@@ -372,6 +392,21 @@ def _factor(n: int, budget: int, s: int) -> Factorization:
         stack.append(piece)
         stack.append(m // piece)
     return Factorization(n, tuple(sorted(counts.items())))
+
+
+def _integer_text(n: int) -> str:
+    """n in decimal up to 30 digits; a longer n by its first and last five
+    digits and its digit count, worked out without converting n to a string
+    (which Python refuses above 4,300 digits)."""
+    if n < 10**30:
+        return str(n)
+    # n >= 2^(L - 1) has at least (L - 1) log10(2) + 1 digits; 0.3010299956 is
+    # just below log10(2), so this count is short by at most one
+    digits = (n.bit_length() - 1) * 3010299956 // 10**10 + 1
+    power = 10 ** (digits - 1)
+    while n >= 10 * power:
+        power, digits = 10 * power, digits + 1
+    return f"{n // (power // 10**4)}...{n % 10**5:05d} ({digits} digits)"
 
 
 def prime_set(n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
@@ -457,18 +492,24 @@ def cyclotomic_value(i: int, n: int) -> int:
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"cyclotomic_value needs i >= 1 and |n| > 1")
-    # (d, mu(d)) for the squarefree divisors d of i, from one factorization of i
-    divisors = [(1, 1)]
-    for p, _ in factor(i).factors:
-        divisors += [(d * p, -mu) for d, mu in divisors]
     num = 1
     den = 1
-    for d, mu in divisors:
+    for d, mu in _moebius_divisors(i):
         if mu == 1:
             num *= n ** (i // d) - 1
         else:
             den *= n ** (i // d) - 1
     return num // den
+
+
+@lru_cache(maxsize=1024)
+def _moebius_divisors(i: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for the squarefree divisors d of i, from one factorization
+    of i, kept for the 1,024 indices most recently asked about."""
+    divisors = [(1, 1)]
+    for p, _ in factor(i).factors:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    return tuple(divisors)
 
 
 def is_zsigmondy_exception(i: int, n: int) -> bool:
@@ -486,11 +527,14 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
+@lru_cache(maxsize=1024)
 def _perfect_power(x: int) -> tuple[int, int]:
     """(b, k) with x = b^k and b not a perfect power, for x >= 2.
 
     A perfect power is a perfect e-th power for some prime e, so only prime
-    exponents are tried, each until its root is no e-th power.
+    exponents are tried, each until its root is no e-th power.  The answers
+    for the 1,024 bases most recently asked about are kept: a field size is
+    asked about for each of its groups' classes.
     """
     b, k = x, 1
     for e in primes_upto(x.bit_length()):
@@ -519,8 +563,8 @@ def _cyclotomic_split(i: int, n: int) -> tuple[int, list[int]]:
     if n < 0:
         i = nu(i)
     b, k = _perfect_power(abs(n))
-    top = i * k
-    return b, [j for j in range(1, top + 1) if top % j == 0 and j // gcd(j, k) == i]
+    # j = i d for the divisors d of k with gcd(i, k / d) = 1, as gcd(i d, k) = d gcd(i, k / d)
+    return b, [i * d for d in range(1, k + 1) if k % d == 0 and gcd(i, k // d) == 1]
 
 
 def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
@@ -574,12 +618,14 @@ def has_ppd(i: int, n: int, minus=()) -> bool:
     return pi_part(value, 2 * i * prod(minus)) < value
 
 
-def _cofactors(i: int) -> list[int]:
-    """i / p for each prime p dividing i."""
-    return [i // p for p, _ in factor(i).factors]
+@lru_cache(maxsize=1024)
+def _cofactors(i: int) -> tuple[int, ...]:
+    """i / p for each prime p dividing i, kept for the 1,024 indices most
+    recently asked about."""
+    return tuple(i // p for p, _ in factor(i).factors)
 
 
-def _odd_ppd(r: int, n: int, i: int, cofactors: list[int]) -> bool:
+def _odd_ppd(r: int, n: int, i: int, cofactors: tuple[int, ...]) -> bool:
     """Whether the prime r is odd and n has order exactly i modulo r."""
     return r != 2 and pow(n, i, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors)
 
@@ -604,10 +650,13 @@ def least_ppd(i: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     if _two_is_ppd(i, n):
         return 2
     cofactors = _cofactors(i)
-    limit = min(_TRIAL_BOUND, isqrt(value))
-    meter = _Budget(budget)
+    limit = _trial_limit(value)
+    left = budget
     for block, block_product in _trial_blocks(limit):
-        if block[0] > limit or not meter.spend(_block_cost(block, limit)):
+        if block[0] > limit:
+            break
+        left -= _block_cost(block, limit)
+        if left < 0:
             break
         g = gcd(value, block_product)
         if g == 1:

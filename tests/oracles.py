@@ -7,7 +7,7 @@ Graphs are represented as (vertices, edges) with edges a set of frozensets.
 
 import json
 from itertools import combinations, takewhile
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import itemgetter
 from random import Random
 
@@ -646,3 +646,102 @@ def witness_last_graph(n, top="C5", seed=0):
     if top == "2K2":
         edges.add((n - 2, n - 1))
     return list(range(n)), sorted(edges)
+
+
+# -- number-theory kernels before the per-process memos -----------------------
+# Verbatim copies of the rho search, the cyclotomic split and the order-index
+# scan as they were before the rho kept a block's iterates, the split walked
+# the divisors of k and the order indices read a divisor table, kept to test
+# those rewrites against.  Only the names of the package helpers they call
+# changed: parent_* for the copies here, brute_primes for primes_upto.
+
+_RHO_BLOCK = 64
+
+
+def parent_rho_factor(n, budget, s):
+    """The parent's ``numtheory._rho_factor``: replays a block that hits with
+    a second pow per step.  budget is an object with ``remaining``."""
+    if n % 2 == 0:
+        return 2
+    cost = s.bit_length() + s.bit_count() - 1
+    work = 4 * budget.remaining
+    try:
+        for c in range(1, 64):
+            y, stretch, d = 2, 1, 1
+            while d == 1:
+                x, left = y, stretch
+                stretch *= 2
+                while left:
+                    block = min(_RHO_BLOCK, left, work // cost)
+                    if block <= 0:
+                        work -= cost  # the evaluation the budget cannot pay for
+                        return None
+                    work -= block * cost
+                    left -= block
+                    y0, acc = y, 1
+                    for _ in range(block):
+                        y = (pow(y, s, n) + c) % n
+                        acc = acc * (x - y) % n
+                    if gcd(acc, n) == 1:
+                        continue
+                    # some difference of the block shares a factor with n: find the first
+                    y = y0
+                    for used in range(1, block + 1):
+                        y = (pow(y, s, n) + c) % n
+                        d = gcd(x - y, n)
+                        if d != 1:
+                            break
+                    work += (block - used) * cost
+                    break
+            if d != n:
+                return d
+        return None
+    finally:
+        budget.remaining = work // 4
+
+
+def parent_iroot(x, k):
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def parent_perfect_power(x):
+    b, k = x, 1
+    for e in brute_primes(x.bit_length()):
+        if 1 << e > b:
+            break
+        r = parent_iroot(b, e)
+        while r**e == b:
+            b, k = r, k * e
+            r = parent_iroot(b, e)
+    return b, k
+
+
+def parent_nu(n):
+    return n if n % 4 == 0 else n // 2 if n % 2 == 0 else 2 * n
+
+
+def parent_cyclotomic_split(i, n):
+    """The parent's ``numtheory._cyclotomic_split``: scans range(1, i k + 1)."""
+    if n < 0:
+        i = parent_nu(i)
+    b, k = parent_perfect_power(abs(n))
+    top = i * k
+    return b, [j for j in range(1, top + 1) if top % j == 0 and j // gcd(j, k) == i]
+
+
+def parent_first_factors(factors):
+    """The parent's ``groups._first_factors`` (without its memo): trial
+    division up to sqrt(2f) for the divisors of each 2f."""
+    first = {}
+    for k, (f, s) in enumerate(factors, 1):
+        for a in range(1, isqrt(2 * f) + 1):
+            if 2 * f % a == 0:
+                for e in (a, 2 * f // a):
+                    if (f % e == 0) == (s == 1):
+                        first.setdefault(e, k)
+    return tuple(sorted(first.items()))

@@ -267,6 +267,11 @@ LIMITED = [
     pin(*(f"verify theorem-d --group {shlex.quote(g)} --budget 1" for g in ["B2(3)", "C2(5)", "B2(8)", "B3(3)", "C3(3)"]),
         name="theorem-d-b2-budget-1", limit=20,
         sha256="a1218c618c2dea2028e2bfafb313fa532e9827cfa843add28d0b7e646cf944ab"),
+    # the benchmark's heaviest classical requests, recorded before the shared
+    # class labels and the number-theory memos
+    pin(*(f"verify theorem-d --group {shlex.quote(g)}" for g in ["B32(7)", "2A32(8)", "B64(2)", "C32(5)", "2A48(3)"]),
+        name="theorem-d-high-rank", limit=20,
+        sha256="bfc7814e810880c8c32d6cfd11c52247921bbda858361d309b50cfc1e78e3a25"),
     pin("verify theorem-d --group 'B2(170141183460469231731687303715884105727)' --budget 1", limit=5),
     # refused before any factoring, with one error line
     pin("split --group 'A200(4)' --graph compact", code=2, stderr=ONE_ERROR_LINE, limit=5),
@@ -338,6 +343,9 @@ CI_ONLY = [
         sha256="8c4db80891db0886b2d38d17dae705a1ec6eb33362c1a71839d178c9452de306"),
     # classes the default budget cannot factor are kept without members
     pin("verify theorem-d --group 'E8(1000003)'", limit=20),
+    # a budget exhaustion on integers above Python's 4,300-digit str limit:
+    # the classes are kept without members, with no traceback
+    pin("verify theorem-d --group 'A20000(2)' --budget 1", limit=30),
     # quotient rows from a blocked byte transpose
     pin("verify theorem-d --group 'Alt(100000)'", limit=20,
         sha256="26122bf0c74870ec695affa4d71643b76b50f56d351d8779114642184b3d623e"),

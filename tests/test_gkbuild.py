@@ -208,6 +208,27 @@ class TestClassicalPartition:
                 assert brute_order(3 % r, r) if r == 2 else True
                 assert nt.mult_order(r, 3) == index
 
+    def test_groups_over_one_field_share_class_steps_that_stay_unchanged(self):
+        # B12(3) and C12(3) have the same classes: each label and its
+        # nonempty step is one object, built once for the field
+        first, second = (gkbuild.classical_compact_partition(groups.classical(f, 12, 3)) for f in "BC")
+        nonempty = [s for s in first.steps if s.check and s.check["op"] == "zsigmondy_nonempty"]
+        assert len(nonempty) == len(first.context["independent_indices"]) == 9
+        assert all(any(s is t for t in second.steps) for s in nonempty)
+        assert first.partition.independent == second.partition.independent
+        assert {id(label) for label in first.partition.independent} == {id(label) for label in second.partition.independent}
+        before = copy.deepcopy([s.check for s in nonempty])
+        assert not recheck(first) and not recheck(second)
+        again = certificate_from_json(first.to_json())
+        assert not recheck(again)
+        assert [s.check for s in nonempty] == before
+        third = gkbuild.classical_compact_partition(groups.classical("B", 12, 3))
+        assert third.steps == first.steps and third.to_json() == first.to_json()
+        # a class is shared within one budget only: at budget 1 no member is named
+        starved = gkbuild.classical_compact_partition(groups.classical("B", 12, 3), budget=1)
+        assert not any(label.members for label in starved.partition.independent)
+        assert all(label.members for label in gkbuild.classical_compact_partition(groups.classical("C", 12, 3)).partition.independent)
+
     def test_certificate_round_trip(self):
         cert = gkbuild.classical_compact_partition(groups.classical("D", 5, 3))
         part = cert.partition

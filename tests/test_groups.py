@@ -9,7 +9,7 @@ from gksplit import exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.errors import InvalidField, NotSimple, SpectrumError, UnsupportedFamily
 
-from oracles import brute_factor
+from oracles import brute_factor, parent_first_factors
 
 
 def alt_order(n):
@@ -146,6 +146,36 @@ class TestOrders:
                 seen += 1
         assert seen == 3328
         assert digest.hexdigest() == "4f3123495306e0009e88d1a694a6860c222d82ed991cbb4a9da152feb95228d4"
+
+
+class TestOrderIndices:
+    """order_indices, which reads a divisor table, against a verbatim copy
+    of the trial-division scan it replaced (``oracles.parent_first_factors``)."""
+
+    def _descriptors(self):
+        for family in groups.CLASSICAL_FAMILIES:
+            for rank in range(1, 65):
+                try:
+                    yield groups.classical(family, rank, 5)
+                except NotSimple:
+                    continue
+        for family in groups.EXCEPTIONAL_FAMILIES:
+            yield groups.exceptional(family, {"2B2": 8, "2G2": 27, "2F4": 8}.get(family, 4))
+
+    def test_against_the_parent_scan(self):
+        groups._first_factors.cache_clear()
+        groups._divisors.cache_clear()
+        seen = 0
+        for _ in range(2):  # from cold tables, then from warm ones
+            for d in self._descriptors():
+                assert groups.order_indices(d) == parent_first_factors(tuple(groups._order_rule(d)[1])), d
+                seen += 1
+        # every rank but 2A1, B1, C1, D1, D2 and 2D1, which name no simple group
+        assert seen == 2 * (6 * 64 - 6 + len(groups.EXCEPTIONAL_FAMILIES))
+
+    def test_divisors(self):
+        for m in range(1, 2000):
+            assert groups._divisors(m) == tuple(a for a in range(1, m + 1) if m % a == 0), m
 
 
 class TestSporadicTable:

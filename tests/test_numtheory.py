@@ -20,6 +20,8 @@ from oracles import (
     brute_ppd,
     brute_primes,
     cyclotomic_by_division,
+    parent_cyclotomic_split,
+    parent_rho_factor,
     pow_ppd,
 )
 
@@ -76,6 +78,11 @@ class TestFactor:
         n = prod(ps)
         expected = tuple((p, ps.count(p)) for p in sorted(set(ps)))
         assert nt.factor(n).factors == expected
+
+    def test_trial_limit_is_the_bounded_square_root(self):
+        bound = nt._TRIAL_BOUND
+        for m in (*range(1, 200), *(bound**2 + d for d in range(-3, 4)), (bound + 1) ** 2 - 1, 10**40, 3**10000):
+            assert nt._trial_limit(m) == min(bound, isqrt(m)), m
 
     def test_budget_counts_primes_covered(self):
         # trial division of 60 covers the primes up to isqrt(60) = 7: four units
@@ -640,3 +647,123 @@ class TestFactorMemo:
         assert nt._factor.cache_info().misses == misses
         nt.factor(2)
         assert nt._factor.cache_info().misses == misses + 1
+
+
+class TestAgainstParentKernels:
+    """The rho search and the cyclotomic split against verbatim copies of
+    the code they replaced (``oracles.parent_*``)."""
+
+    @staticmethod
+    def _rho_both(n, budget, s):
+        out = []
+        for rho in (nt._rho_factor, parent_rho_factor):
+            meter = nt._Budget(budget)
+            out.append((rho(n, meter, s), meter.remaining))
+        return out
+
+    def test_rho_divisor_and_budget_left(self):
+        for n in _semiprimes(5, 40, 24) + _semiprimes(6, 100, 10) + [9, 15, 21, 25, 49, 10403, 3 * 5 * 7]:
+            for s in (2, 6, 22, 202):
+                fast, parent = self._rho_both(n, nt.DEFAULT_BUDGET, s)
+                assert fast == parent, (n, s)
+
+    def test_rho_budget_running_out_in_the_block_that_hits(self):
+        # every budget from 70 units below the full run's use to just above
+        # it: the last block is cut short before, at and after its first hit
+        outcomes = set()
+        for n in _semiprimes(7, 6, 22) + [11 * 13, 101 * 103]:
+            for s in (2, 6):
+                used = nt.DEFAULT_BUDGET - self._rho_both(n, nt.DEFAULT_BUDGET, s)[0][1]
+                for budget in range(max(0, used - 70), used + 2):
+                    fast, parent = self._rho_both(n, budget, s)
+                    assert fast == parent, (n, s, budget)
+                    outcomes.add(fast[0] is None)
+        assert outcomes == {True, False}
+
+    def test_rho_budget_running_out_on_a_prime(self):
+        for budget in (0, 1, 63, 64, 65, 1000):
+            fast, parent = self._rho_both(1_000_003, budget, 2)
+            assert fast == parent == (None, -1), budget
+
+    def test_cyclotomic_split(self):
+        for b in (*range(2, 10), 16, 27, 32, 81, 128, 243, 2187):
+            for n in (b, -b):
+                for i in range(1, 131):
+                    assert nt._cyclotomic_split(i, n) == parent_cyclotomic_split(i, n), (i, n)
+
+
+class TestSharedAnswers:
+    """The memos of is_prime and _perfect_power are bounded and change no answer."""
+
+    # strong pseudoprimes to the first 1, 2, 4 and 9 prime bases
+    PSEUDOPRIMES = ((2047, 1), (1373653, 2), (3215031751, 4), (3825123056546413051, 9))
+
+    def test_strong_pseudoprimes_before_and_after_the_memo_fills(self):
+        for n, t in self.PSEUDOPRIMES:
+            assert all(_strong_probable_prime(n, a) for a in nt._MR_BASES[:t]), n
+        nt.is_prime.cache_clear()
+        cold = [nt.is_prime(n) for n, _ in self.PSEUDOPRIMES]
+        hits = nt.is_prime.cache_info().hits
+        warm = [nt.is_prime(n) for n, _ in self.PSEUDOPRIMES]
+        assert nt.is_prime.cache_info().hits == hits + 4
+        for n in range(10**6, 10**6 + 2 * nt._PRIME_MEMO_SIZE):
+            nt.is_prime(n)
+        assert nt.is_prime.cache_info().currsize == nt._PRIME_MEMO_SIZE
+        evicted = [nt.is_prime(n) for n, _ in self.PSEUDOPRIMES]
+        assert cold == warm == evicted == [False] * 4
+
+    def test_factorization_rejects_a_composite_passed_as_a_prime(self):
+        for warm in (False, True):
+            for n, _ in self.PSEUDOPRIMES:
+                if not warm:
+                    nt.is_prime.cache_clear()
+                assert not nt.is_prime(n)
+                with pytest.raises(ValueError):
+                    nt.Factorization(n, ((n, 1),))
+        assert nt.Factorization(2047, ((23, 1), (89, 1))).prime_set == {23, 89}
+
+    def test_memos_are_bounded(self):
+        assert nt.is_prime.cache_info().maxsize == nt._PRIME_MEMO_SIZE
+        assert nt._perfect_power.cache_info().maxsize is not None
+
+        def outcome(test, x):
+            try:
+                return test(x)
+            except TypeError:
+                return TypeError
+
+        # an int and an equal float are answered apart, each as unmemoized
+        for x in (7, 7.0, 41, 41.0, 7, 41):
+            assert outcome(nt.is_prime, x) == outcome(nt.is_prime.__wrapped__, x), x
+
+
+class TestBudgetMessage:
+    """A budget exhaustion names its integer by its ends and digit count
+    above 30 digits, also above Python's limit on int-to-str conversion."""
+
+    @staticmethod
+    def _decimal(n):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_integer_above_the_conversion_limit(self):
+        n = 3**10000
+        with pytest.raises(BudgetExceeded) as exc:
+            nt.factor(n, 1)
+        text = self._decimal(n)
+        assert len(text) == 4772 > sys.get_int_max_str_digits()
+        assert str(exc.value) == f"could not factor {text[:5]}...{text[-5:]} (4772 digits) within budget 1"
+        assert exc.value.partial.factors == ()
+
+    def test_same_text_as_the_decimal_string(self):
+        rng = random.Random(5)
+        ints = [10**k + d for k in range(1, 400) for d in (-1, 0, 1)] + [2**k + d for k in range(1, 1400) for d in (-1, 0)]
+        ints += [rng.randrange(1, 10 ** rng.randrange(1, 400)) for _ in range(300)]
+        for n in ints:
+            text = str(n)
+            expected = text if len(text) <= 30 else f"{text[:5]}...{text[-5:]} ({len(text)} digits)"
+            assert nt._integer_text(n) == expected, n
