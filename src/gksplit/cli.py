@@ -267,7 +267,8 @@ _TABLE_OR_JSON = ("--format", "format", str, ("json", "table"), "table", "output
 _GRAPH_OPTIONS = (
     ("--group", "group", str, None, None,
      f"group descriptor, e.g. Alt(12), A3(4), 2B2(32), M22; Alt/Sym degree at most {groups.MAX_PERM_DEGREE}"),
-    ("--spectrum", "spectrum", str, None, None, "JSON file {'group': descriptor, 'mu': [orders...]}"),
+    ("--spectrum", "spectrum", str, None, None,
+     f"JSON file {{'group': descriptor, 'mu': [orders...]}}, at most {groups.MAX_SPECTRUM_ORDERS} orders"),
     ("--in", "infile", str, None, None, "graph JSON file"),
     ("--graph", "graph", str, ("prime", "solvable", "compact"), "prime", "which graph of the group to use"),
     ("--format", "format", str, ("json", "dot", "table"), "table", "output format"),

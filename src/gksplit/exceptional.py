@@ -30,6 +30,7 @@ from math import gcd, isqrt, prod
 from . import groups, numtheory as nt
 from .certificates import (
     Certificate,
+    CertStep,
     KIND_SPLIT,
     TAG_ZSIGMONDY,
     assume,
@@ -139,13 +140,19 @@ def _eval_pred(pred, q: int, eps: int, trail: list) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def ppd_members(index: int, q: int, budget: int) -> tuple[int, ...] | None:
-    """R_index(q) as a sorted tuple, None when factoring runs out of budget: the
-    one members lookup, read by the diagram rules and the classical labels."""
+def ppd_class(index: int, q: int, budget: int) -> tuple[ClassLabel, CertStep]:
+    """The class R_index(q), its members a sorted tuple, and the step that
+    states it nonempty, built once per process and shared by every group
+    over GF(q), diagram or classical, that has the class.  It is asked only
+    about an index that is no Bang-Zsigmondy exception, so the members are
+    () exactly when factoring runs out of budget.  Only the step's check is
+    mutable, a dict that nothing writes to."""
     try:
-        return tuple(sorted(nt.ppd_set(index, q, budget)))
+        members = tuple(sorted(nt.ppd_set(index, q, budget)))
     except BudgetExceeded:
-        return None
+        members = ()
+    nonempty = step(f"R_{index}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=index)
+    return ClassLabel(f"R{index}", members), nonempty
 
 
 def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> tuple[int, ...] | None:
@@ -182,8 +189,8 @@ def _rule_members(rule, q: int, p: int, eps: int, budget: int, trail: list) -> t
     head = {p} if rule.get("char") and p not in minus else set()
     if not found and not head:
         return None
-    lookups = [ppd_members(index, q, budget) for index in found]
-    return () if None in lookups else tuple(sorted(head.union(*lookups) - minus))
+    lookups = [ppd_class(index, q, budget)[0].members for index in found]
+    return () if () in lookups else tuple(sorted(head.union(*lookups) - minus))
 
 
 def _build_diagram(variant, q, p, eps, budget, trail):

@@ -30,7 +30,6 @@ from typing import NamedTuple
 from . import groups, numtheory as nt
 from .certificates import (
     Certificate,
-    CertStep,
     KIND_CHAIN,
     KIND_NONSPLIT,
     KIND_SPLIT,
@@ -52,7 +51,7 @@ from .errors import (
     RankTooSmall,
     UnsupportedFamily,
 )
-from .exceptional import exceptional_compact, ppd_members as _class_members
+from .exceptional import exceptional_compact, ppd_class as _class_members
 from .graph import ClassLabel, ForbiddenWitness, Graph
 from .splitcheck import SplitPartition, SplitVerdict, is_split_degree, validate_partition
 
@@ -158,8 +157,8 @@ def classical_compact_partition(
     phi-value at most n/2.  Nonemptiness comes from the
     Bang-Zsigmondy exception list; class members are filled in when
     factoring fits the budget; each class and its nonempty step are built
-    once per process and field (``_order_class``).  The certificate checks
-    each independent class's phi-value m against n/2 < m <= n and states
+    once per process and field (``exceptional.ppd_class``).  The certificate
+    checks each independent class's phi-value m against n/2 < m <= n and states
     Lemma 5.3(iii) once: two such classes are nonadjacent, since their
     indices differ, m1 + m2 > n, and neither phi-value divides the other
     (the larger is below twice the smaller).  The group-theoretic clique claims are flagged as
@@ -184,7 +183,7 @@ def classical_compact_partition(
                     step(f"R_{e}({q}) is empty", TAG_ZSIGMONDY, op="zsigmondy_empty", base=q, index=e)
                 )
             continue
-        label, nonempty = _order_class(e, q, budget)
+        label, nonempty = _class_members(e, q, budget)
         if large:
             steps.append(nonempty)
             steps.append(
@@ -230,17 +229,6 @@ def classical_compact_partition(
             "independent_indices": indep_indices,
         },
     )
-
-
-@lru_cache(maxsize=4096)
-def _order_class(e: int, q: int, budget: int) -> tuple[ClassLabel, CertStep]:
-    """The class R_e(q), its members filled in when factoring fits the
-    budget, and the step that states it nonempty, for an e that is no
-    Bang-Zsigmondy exception: built once per process and shared by every
-    classical group over GF(q) that has the class.  Only the step's check is
-    mutable, a dict that nothing writes to."""
-    label = ClassLabel(f"R{e}", _class_members(e, q, budget) or ())
-    return label, step(f"R_{e}({q}) is nonempty", TAG_ZSIGMONDY, op="zsigmondy_nonempty", base=q, index=e)
 
 
 # ---------------------------------------------------------------------------

@@ -343,12 +343,19 @@ class SpectrumData(_SpectrumFields):
         return super().__new__(cls, group, mu)
 
 
+#: Most element orders a spectrum document may list.  Keeping the maximal
+#: ones compares every pair, so the work grows with the square of the count:
+#: about 0.1 s at this ceiling.
+MAX_SPECTRUM_ORDERS = 1000
+
+
 def spectrum_from_json(text: str) -> SpectrumData:
     """The spectrum document ``{"group": descriptor, "mu": [orders...]}``.
 
-    group is a descriptor string and mu a list of positive JSON integers,
-    kept as its divisibility-maximal elements, whose primes must cover the
-    group's prime spectrum; MalformedInput or SpectrumError otherwise.
+    group is a descriptor string and mu a list of at most
+    MAX_SPECTRUM_ORDERS positive JSON integers, kept as its
+    divisibility-maximal elements, whose primes must cover the group's prime
+    spectrum; MalformedInput, InputTooLarge or SpectrumError otherwise.
     """
     doc = load_document(text, "spectrum")
     try:
@@ -356,7 +363,10 @@ def spectrum_from_json(text: str) -> SpectrumData:
     except KeyError as exc:
         raise MalformedInput(f"spectrum document lacks field {exc}") from None
     group = json_typed(group, str, "spectrum group")
-    mu = [json_typed(x, int, "spectrum element order") for x in json_typed(mu, list, "spectrum mu")]
+    mu = json_typed(mu, list, "spectrum mu")
+    if len(mu) > MAX_SPECTRUM_ORDERS:
+        raise InputTooLarge(f"spectrum mu lists {len(mu)} element orders, above the ceiling {MAX_SPECTRUM_ORDERS}")
+    mu = [json_typed(x, int, "spectrum element order") for x in mu]
     if any(m < 1 for m in mu):
         raise MalformedInput(f"spectrum element orders must be positive, got {sorted(mu)}")
     d = parse_descriptor(group)

@@ -16,8 +16,8 @@ Each fact asked for again is derived once per process, in a bounded memo
 of the most recently used answers: ``factor`` keeps its factorizations
 (never a budget exhaustion); ``is_prime`` its verdicts, so a prime that
 factoring proved costs one lookup when its ``Factorization`` checks it
-again; ``_perfect_power`` the split b^k of each field size; and the Moebius
-divisors and the cofactors i / p of each index i.  No memo changes an answer
+again; and ``_index_divisors`` the Moebius divisors and the cofactors i / p
+of each index i, from one factorization of i.  No memo changes an answer
 or a budget charge: only factor's work is charged, and its memo is keyed by
 the budget.
 
@@ -494,7 +494,7 @@ def cyclotomic_value(i: int, n: int) -> int:
         raise PreconditionViolated(f"cyclotomic_value needs i >= 1 and |n| > 1")
     num = 1
     den = 1
-    for d, mu in _moebius_divisors(i):
+    for d, mu in _index_divisors(i)[0]:
         if mu == 1:
             num *= n ** (i // d) - 1
         else:
@@ -503,13 +503,15 @@ def cyclotomic_value(i: int, n: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _moebius_divisors(i: int) -> tuple[tuple[int, int], ...]:
-    """(d, mu(d)) for the squarefree divisors d of i, from one factorization
-    of i, kept for the 1,024 indices most recently asked about."""
+def _index_divisors(i: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(d, mu(d)) for the squarefree divisors d of i, and the cofactors i / p
+    for the primes p dividing i, from one factorization of i, kept for the
+    1,024 indices most recently asked about."""
+    primes = [p for p, _ in factor(i).factors]
     divisors = [(1, 1)]
-    for p, _ in factor(i).factors:
+    for p in primes:
         divisors += [(d * p, -mu) for d, mu in divisors]
-    return tuple(divisors)
+    return tuple(divisors), tuple(i // p for p in primes)
 
 
 def is_zsigmondy_exception(i: int, n: int) -> bool:
@@ -527,14 +529,11 @@ def _iroot(x: int, k: int) -> int:
         r = s
 
 
-@lru_cache(maxsize=1024)
 def _perfect_power(x: int) -> tuple[int, int]:
     """(b, k) with x = b^k and b not a perfect power, for x >= 2.
 
     A perfect power is a perfect e-th power for some prime e, so only prime
-    exponents are tried, each until its root is no e-th power.  The answers
-    for the 1,024 bases most recently asked about are kept: a field size is
-    asked about for each of its groups' classes.
+    exponents are tried, each until its root is no e-th power.
     """
     b, k = x, 1
     for e in primes_upto(x.bit_length()):
@@ -594,7 +593,7 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
             raise InternalInconsistency(f"cyclotomic pieces {pieces} do not multiply to |Phi_{i}({n})|")
         factored = (factor(piece, budget, lcm(j, 2)) for piece, j in zip(pieces, js))
         candidates = frozenset().union(*(f.prime_set for f in factored))
-        cofactors = _cofactors(i)
+        cofactors = _index_divisors(i)[1]
         out.update(r for r in candidates if _odd_ppd(r, n, i, cofactors))
     if _two_is_ppd(i, n):
         out.add(2)
@@ -616,13 +615,6 @@ def has_ppd(i: int, n: int, minus=()) -> bool:
         return True
     value = abs(cyclotomic_value(i, n))
     return pi_part(value, 2 * i * prod(minus)) < value
-
-
-@lru_cache(maxsize=1024)
-def _cofactors(i: int) -> tuple[int, ...]:
-    """i / p for each prime p dividing i, kept for the 1,024 indices most
-    recently asked about."""
-    return tuple(i // p for p, _ in factor(i).factors)
 
 
 def _odd_ppd(r: int, n: int, i: int, cofactors: tuple[int, ...]) -> bool:
@@ -649,7 +641,7 @@ def least_ppd(i: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     value = abs(cyclotomic_value(i, n))
     if _two_is_ppd(i, n):
         return 2
-    cofactors = _cofactors(i)
+    cofactors = _index_divisors(i)[1]
     limit = _trial_limit(value)
     left = budget
     for block, block_product in _trial_blocks(limit):

@@ -317,6 +317,10 @@ LIMITED = [
     # the spectrum build factors within the budget
     pin("split --spectrum e8-order-spectrum.json --budget 1", code=3, stderr=ERROR, limit=5,
         inputs=[("e8-order-spectrum.json", _e8_order_spectrum)]),
+    # more element orders than groups.MAX_SPECTRUM_ORDERS: refused before
+    # the maximal ones are sought, a search quadratic in their count
+    pin("split --spectrum orders-20000.json", code=2, stderr=ONE_ERROR_LINE, limit=5,
+        inputs=[("orders-20000.json", lambda: json.dumps({"group": "Alt(100000)", "mu": list(range(2, 20002))}) + "\n")]),
     # least members found without factoring
     pin("witness prop72 --u 5 --w 13 --p 5 --format json", limit=5,
         sha256="2379aeeb9e168cfae90772b9fbaeb451f13eacd2192cc18bafc8e3a1e4143aca"),

@@ -9,6 +9,7 @@ from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.certificates import TAG_L53, certificate_from_json, recheck
 from gksplit.errors import (
+    BudgetExceeded,
     CheckFailed,
     InternalInconsistency,
     InvalidField,
@@ -228,6 +229,51 @@ class TestClassicalPartition:
         starved = gkbuild.classical_compact_partition(groups.classical("B", 12, 3), budget=1)
         assert not any(label.members for label in starved.partition.independent)
         assert all(label.members for label in gkbuild.classical_compact_partition(groups.classical("C", 12, 3)).partition.independent)
+
+    @staticmethod
+    def _classes(q, budget):
+        """The R_e(q) labels of E7(q)'s diagram and of B9(q)'s and C9(q)'s
+        certificates, keyed by e, and the class cache's (hits, misses) before
+        and after each of the three."""
+        info = gkbuild._class_members.cache_info
+        counts = [info()[:2]]
+        graph, _ = exceptional.exceptional_compact(groups.parse_descriptor(f"E7({q})"), budget)
+        counts.append(info()[:2])
+        built = [{int(v.name[1:]): v for v in graph.vertices if v.name[1:].isdigit()}]
+        for family in "BC":
+            cert = gkbuild.classical_compact_partition(groups.classical(family, 9, q), budget)
+            counts.append(info()[:2])
+            labels = cert.partition.clique | cert.partition.independent
+            built.append({int(v.name[1:]): v for v in labels if v.name[1:].isdigit()})
+        return built, counts
+
+    def test_classical_and_diagram_groups_share_one_class_cache(self):
+        # each (e, q, budget) is one miss of gkbuild._class_members, the cache
+        # the benchmark counts, and a hit for every later group that asks;
+        # the budget is one no other test asks at
+        (diagram, b9, c9), counts = self._classes(5, 1_234_567)
+        (h0, m0), (h1, m1), (h2, m2), (h3, m3) = counts
+        assert set(b9) == set(c9) == {*range(1, 11), 12, 14, 16, 18}
+        assert set(diagram) == set(b9) - {16}
+        assert (h1 - h0, m1 - m0) == (0, 13)
+        assert (h2 - h1, m2 - m1) == (13, 1)
+        assert (h3 - h2, m3 - m2) == (14, 0)
+        for e, label in b9.items():
+            assert c9[e] is label is gkbuild._class_members(e, 5, 1_234_567)[0]
+            assert label.members == tuple(sorted(nt.ppd_set(e, 5)))
+            assert e == 16 or diagram[e].members == label.members
+
+    def test_an_exhausted_class_has_no_members_on_either_path(self):
+        (diagram, b9, c9), _ = self._classes(5, 1)
+        exhausted = set()
+        for e, label in b9.items():
+            try:
+                assert label.members == tuple(sorted(nt.ppd_set(e, 5, 1))) != ()
+            except BudgetExceeded:
+                assert label.members == c9[e].members == ()
+                exhausted.add(e)
+                assert e == 16 or diagram[e].members == ()
+        assert 0 < len(exhausted) < len(b9)  # both outcomes occur
 
     def test_certificate_round_trip(self):
         cert = gkbuild.classical_compact_partition(groups.classical("D", 5, 3))

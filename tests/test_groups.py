@@ -7,7 +7,7 @@ import pytest
 
 from gksplit import exceptional, gkbuild, groups
 from gksplit import numtheory as nt
-from gksplit.errors import InvalidField, NotSimple, SpectrumError, UnsupportedFamily
+from gksplit.errors import InputTooLarge, InvalidField, NotSimple, SpectrumError, UnsupportedFamily
 
 from oracles import brute_factor, parent_first_factors
 
@@ -389,6 +389,14 @@ class TestSpectrumCoverage:
         with pytest.raises(SpectrumError, match="do not cover"):
             groups.spectrum_from_json(json.dumps({"group": "Alt(1000000)", "mu": [2]}))
         assert time.perf_counter() - start < 5
+
+    def test_element_orders_above_the_ceiling_are_refused(self):
+        # keeping the maximal orders compares every pair, so a longer list is
+        # refused before the first comparison
+        for count, error in ((groups.MAX_SPECTRUM_ORDERS, SpectrumError), (groups.MAX_SPECTRUM_ORDERS + 1, InputTooLarge)):
+            doc = json.dumps({"group": "Alt(100000)", "mu": list(range(2, count + 2))})
+            with pytest.raises(error):
+                groups.spectrum_from_json(doc)
 
 
 class TestMaximalElements:

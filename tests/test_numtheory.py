@@ -1,10 +1,13 @@
 import collections
+import importlib
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from math import isqrt, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -582,7 +585,8 @@ class TestPrimality:
         for p in range(2, isqrt(limit - 1) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
-        assert bytes(nt.is_prime(n) for n in range(limit)) == sieve
+        # unmemoized: each of these integers would evict another memo entry
+        assert bytes(nt.is_prime.__wrapped__(n) for n in range(limit)) == sieve
 
     @pytest.mark.parametrize("bound, bases", list(zip(nt._MR_TIER_BOUNDS, nt._MR_TIER_BASES)))
     def test_tier_bounds_are_composite(self, bound, bases):
@@ -693,7 +697,7 @@ class TestAgainstParentKernels:
 
 
 class TestSharedAnswers:
-    """The memos of is_prime and _perfect_power are bounded and change no answer."""
+    """The package's memos are bounded, and is_prime's changes no answer."""
 
     # strong pseudoprimes to the first 1, 2, 4 and 9 prime bases
     PSEUDOPRIMES = ((2047, 1), (1373653, 2), (3215031751, 4), (3825123056546413051, 9))
@@ -724,7 +728,16 @@ class TestSharedAnswers:
 
     def test_memos_are_bounded(self):
         assert nt.is_prime.cache_info().maxsize == nt._PRIME_MEMO_SIZE
-        assert nt._perfect_power.cache_info().maxsize is not None
+        # every lru_cache of the package keeps a finite number of answers;
+        # the scan sees each decorator that the sources hold
+        memos, decorators = {}, 0
+        for source in sorted(Path(nt.__file__).parent.glob("*.py")):
+            module = importlib.import_module(f"gksplit.{source.stem}")
+            memos.update((id(f), f) for f in vars(module).values() if hasattr(f, "cache_info"))
+            decorators += len(re.findall(r"^@(?:lru_cache\(|cache$)", source.read_text(), re.M))
+        assert len(memos) == decorators > 0
+        for f in memos.values():
+            assert f.cache_info().maxsize is not None, f.__qualname__
 
         def outcome(test, x):
             try:
