@@ -10,11 +10,15 @@ class NotCoprime(GKSplitError):
 
 
 class BudgetExceeded(GKSplitError):
-    """Factoring effort budget ran out; carries the partial factorization."""
+    """Factoring effort budget ran out; carries the partial factorization.
+    The message is text, or a function that writes it when it is printed."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+    def __str__(self):
+        return self.args[0]() if callable(self.args[0]) else super().__str__()
 
 
 class UnknownVertex(GKSplitError):

@@ -42,7 +42,7 @@ from .splitcheck import flag_special
 
 _DIAGRAMS: dict | None = None
 
-#: diagram family (a descriptor's family and rank, as in its text) -> (template key, epsilon)
+#: diagram family (a descriptor's Lie key, ``GroupDescriptor.lie``) -> (template key, epsilon)
 _FAMILY_MAP = {
     "A1": ("A1", 1),
     "A2": ("A2", 1),
@@ -212,7 +212,7 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
     """Compact class graph and certificate of the group d.
 
     Returns (Graph over ClassLabel vertices, Certificate).  d is the Tits
-    group or a group whose family is in ``diagram_families()``; any other
+    group or a group whose Lie key is in ``diagram_families()``; any other
     group raises UnsupportedFamily.  The certificate's partition is the
     diagram's first one whose 'when' holds, unchecked:
     ``gkbuild.theoremD_verify`` validates it.  CheckFailed when no variant,
@@ -221,12 +221,11 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
     """
     if d.tits:
         return tits_compact()
-    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
+    family = d.lie
     if family not in _FAMILY_MAP:
         raise UnsupportedFamily(f"no compact diagram for {d}")
     key, eps = _FAMILY_MAP[family]
-    q = d.q
-    p, _ = groups.char_and_degree(q)
+    q, p = d.q, d.p
     template = _load()["families"][key]
     for variant in template["variants"]:
         trail: list = []
@@ -237,12 +236,7 @@ def exceptional_compact(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDG
         if stated is None:
             raise CheckFailed(f"no stated partition of {d} applies")
         clique, indep = ([labels[t] for t in stated[side] if t in labels] for side in ("clique", "independent"))
-        trail.append(
-            assume(
-                f"class graph is the published compact diagram of {family} at q={q}",
-                "diagram",
-            )
-        )
+        trail.append(assume(f"class graph is the published compact diagram of {family} at q={q}", "diagram"))
         cert = Certificate(
             KIND_SPLIT,
             tuple(trail),

@@ -143,9 +143,7 @@ def altsym_partition(n: int) -> SplitPartition:
 # ---------------------------------------------------------------------------
 
 
-def classical_compact_partition(
-    d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET
-) -> Certificate:
+def classical_compact_partition(d: groups.GroupDescriptor, budget: int = nt.DEFAULT_BUDGET) -> Certificate:
     """Certified split partition of the compact prime graph of the classical
     group d, for prk(d) >= 4.
 
@@ -170,8 +168,7 @@ def classical_compact_partition(
     if n < 4:
         raise RankTooSmall(f"prk must be at least 4, got {n}")
     eps = {"A": 1, "2A": -1}.get(d.family, 0)
-    q = d.q
-    p, _ = groups.char_and_degree(q)
+    q, p = d.q, d.p
     delta_of = q - eps if eps else gcd(2, q - 1)
     steps, clique_steps = [], []  # the independent side's steps, then the clique side's
     indep_indices, indep_labels, clique_labels = [], [], [ClassLabel("p", (p,))]
@@ -203,12 +200,7 @@ def classical_compact_partition(
             TAG_L53,
         )
     )
-    steps.append(
-        assume(
-            f"characteristic {p} and the small-index classes form a clique",
-            TAG_L54,
-        )
-    )
+    steps.append(assume(f"characteristic {p} and the small-index classes form a clique", TAG_L54))
     if delta_of > 1:
         steps.append(
             assume(

@@ -6,8 +6,10 @@ classical groups A_n(q), 2A_n(q), B_n(q), C_n(q), D_n(q), 2D_n(q), and the
 exceptional families.  Construction enforces simplicity (A1(2), A1(3), B2(2),
 2B2(2), G2(2), 2G2(3), 2F4(2) and friends are rejected) and field-size
 constraints for the Suzuki and Ree families.  Isomorphic small aliases are
-normalized: C2 = B2, D3 = A3, 2D3 = 2A3, 2D2(q) = A1(q^2).  Descriptor text
-is parsed here too, by ``parse_descriptor``, for every caller.
+normalized: C2 = B2, D3 = A3, 2D3 = 2A3, 2D2(q) = A1(q^2).  A descriptor
+carries the characteristic p of its q, found once when it is validated, and
+its Lie key (``lie``).  Descriptor text is parsed here too, by
+``parse_descriptor``, for every caller.
 
 Orders are evaluated exactly from the standard product formulas with their
 gcd divisors; sporadic orders are embedded constants shipped as a structured
@@ -52,12 +54,18 @@ class GroupDescriptor(NamedTuple):
     family: str = ""
     n: int = 0
     q: int = 0
+    p: int = 0  # the characteristic of GF(q); 0 for Alt, Sym and sporadic groups
     name: str = ""
 
     @property
     def tits(self) -> bool:
         """Whether this is the Tits group, carried as a sporadic-style descriptor."""
         return self.kind == "sporadic" and self.name == TITS_NAME
+
+    @property
+    def lie(self) -> str:
+        """The Lie key: family, and rank if classical (B3, 2A2, G2); "" for Alt, Sym, sporadic."""
+        return f"{self.family}{self.n}" if self.kind == "classical" else self.family
 
     def __str__(self):
         if self.kind == "alternating":
@@ -66,7 +74,7 @@ class GroupDescriptor(NamedTuple):
             return f"Sym({self.n})"
         if self.kind == "sporadic":
             return self.name
-        return f"{self.family}{self.n if self.kind == 'classical' else ''}({self.q})"
+        return f"{self.lie}({self.q})"
 
 
 def char_and_degree(q: int) -> tuple[int, int]:
@@ -116,7 +124,7 @@ def sporadic(name: str) -> GroupDescriptor:
 def classical(family: str, n: int, q: int) -> GroupDescriptor:
     if family not in CLASSICAL_FAMILIES:
         raise UnsupportedFamily(f"unknown classical family {family!r}")
-    char_and_degree(q)
+    p, _ = char_and_degree(q)
     mins = {"A": 1, "2A": 2, "B": 2, "C": 2, "D": 3, "2D": 2}
     if n < mins[family]:
         raise NotSimple(f"{family}{n}({q}): rank must be at least {mins[family]}")
@@ -136,7 +144,7 @@ def classical(family: str, n: int, q: int) -> GroupDescriptor:
         family, n = "2A", 3
     if family == "2D" and n == 2:
         return classical("A", 1, q * q)
-    return GroupDescriptor("classical", family=family, n=n, q=q)
+    return GroupDescriptor("classical", family=family, n=n, q=q, p=p)
 
 
 def exceptional(family: str, q: int) -> GroupDescriptor:
@@ -157,7 +165,7 @@ def exceptional(family: str, q: int) -> GroupDescriptor:
             raise InvalidField(f"2G2 needs q = 3^(2m+1), got {q}")
         if q == 3:
             raise NotSimple("2G2(3) is not simple (its derived subgroup is A1(8))")
-    return GroupDescriptor("exceptional", family=family, q=q)
+    return GroupDescriptor("exceptional", family=family, q=q, p=p)
 
 
 _LIE_RE = re.compile(r"^([23]?)([A-G])(\d+)\((\d+)\)$")
@@ -392,31 +400,29 @@ def _order_primes(d: GroupDescriptor) -> int:
     return level[0]
 
 
-def _b2_mu(q: int) -> set[int]:
-    p, _ = char_and_degree(q)
-    if p in (2, 3):
-        k = gcd(2, p - 1)
-        return {(q * q + 1) // k, (q * q - 1) // k, p * (q + 1), p * (q - 1), p * p}
-    return {(q * q + 1) // 2, (q * q - 1) // 2, p * (q + 1), p * (q - 1)}
+def _b2_mu(q: int, p: int) -> set[int]:
+    """mu(B2(q)) in characteristic p: p^2 is maximal only for p < 5."""
+    k = gcd(2, q - 1)
+    mu = {(q * q + 1) // k, (q * q - 1) // k, p * (q + 1), p * (q - 1)}
+    return mu | {p * p} if p < 5 else mu
 
 
-#: the closed-form mu(G) as a set in q, keyed by the group's name or by its
-#: family and Lie rank (``spectrum_key``)
+#: the closed-form mu(G) as a set in q and the characteristic p, keyed by the
+#: group's name or by its Lie key (``spectrum_key``)
 _SPECTRA = {
-    TITS_NAME: lambda q: {12, 13, 16, 20},
-    "A1": lambda q: {char_and_degree(q)[0], (q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)},
+    TITS_NAME: lambda q, p: {12, 13, 16, 20},
+    "A1": lambda q, p: {p, (q - 1) // gcd(2, q - 1), (q + 1) // gcd(2, q - 1)},
     "B2": _b2_mu,
-    "B3(3)": lambda q: {8, 12, 13, 14, 18, 20},
-    "C3(3)": lambda q: {8, 12, 13, 14, 18, 20},
-    "2B2": lambda q: {4, q - 1, q - isqrt(2 * q) + 1, q + isqrt(2 * q) + 1},
-    "2G2": lambda q: {6, 9, q - 1, (q + 1) // 2, q - isqrt(3 * q) + 1, q + isqrt(3 * q) + 1},
+    "B3(3)": lambda q, p: {8, 12, 13, 14, 18, 20},
+    "C3(3)": lambda q, p: {8, 12, 13, 14, 18, 20},
+    "2B2": lambda q, p: {4, q - 1, q - isqrt(2 * q) + 1, q + isqrt(2 * q) + 1},
+    "2G2": lambda q, p: {6, 9, q - 1, (q + 1) // 2, q - isqrt(3 * q) + 1, q + isqrt(3 * q) + 1},
 }
 
 
 def spectrum_key(d: GroupDescriptor) -> str | None:
     """d's entry in the closed-form spectra, from the descriptor alone, or None."""
-    family = f"{d.family}{d.n}" if d.kind == "classical" else d.family
-    return next((key for key in (family, str(d)) if key in _SPECTRA), None)
+    return next((key for key in (d.lie, str(d)) if key in _SPECTRA), None)
 
 
 def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:
@@ -426,7 +432,7 @@ def spectrum_formulas(d: GroupDescriptor) -> SpectrumData:
     key = spectrum_key(d)
     if key is None:
         raise UnsupportedFamily(f"no closed-form spectrum for {d}")
-    return SpectrumData(d, maximal_elements(_SPECTRA[key](d.q)))
+    return SpectrumData(d, maximal_elements(_SPECTRA[key](d.q, d.p)))
 
 
 def gk_from_spectrum(s: SpectrumData, budget: int = nt.DEFAULT_BUDGET) -> Graph:

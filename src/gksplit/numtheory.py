@@ -37,9 +37,10 @@ only about (p - 1) / s values modulo p (Brent and Pollard, Math. Comp. 36,
 1981).  Both steps need only the primes of i: Phi_i(n) is the
 Moebius product over the squarefree divisors of i, and a prime divisor r of
 Phi_i(n) lies in R_i(n) iff n^(i/p) != 1 (mod r) for each prime p | i, so no
-r - 1 is factored.  The certificate re-checker tests a claimed order the same
-way (``is_mult_order``); ``raw_order`` still factors r - 1, for its
-primitive-root steps.
+r - 1 is factored.  That test of "n has order exactly k modulo r" is one
+rule, ``_has_order``, shared by ``ppd_set``, ``least_ppd`` and
+``is_mult_order`` (the diagrams' and the certificate re-checker's order
+test); ``raw_order`` still factors r - 1, for its primitive-root steps.
 
 Order convention.  For an odd prime r coprime to n, ``mult_order(r, n)`` is
 the least k with n^k = 1 (mod r).  For r = 2 and odd n the convention is
@@ -60,7 +61,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
@@ -345,12 +346,10 @@ def _factor(n: int, budget: int, s: int) -> Factorization:
 
     def fail() -> BudgetExceeded:
         partial = tuple(sorted(counts.items()))
-        value = 1
-        for p, e in partial:
-            value *= p**e
+        # a caller that catches the error and drops it never writes n out
         return BudgetExceeded(
-            f"could not factor {_integer_text(n)} within budget {budget}",
-            partial=Factorization(value, partial),
+            lambda: f"could not factor {_integer_text(n)} within budget {budget}",
+            partial=Factorization(prod(p**e for p, e in partial), partial),
         )
 
     m = n
@@ -448,15 +447,19 @@ def mult_order(r: int, n: int) -> int:
 
 
 def is_mult_order(r: int, n: int, k: int) -> bool:
-    """Whether e(r, n) == k, decided from k's side: n^k = 1 (mod r) and
-    n^(k/l) != 1 for each prime l of k.  Only k is factored, never r - 1,
-    so a claim about a prime r whose r - 1 is hard costs what k costs.
-    Raises on the arguments mult_order raises on.
+    """Whether e(r, n) == k, decided from k's side by ``_has_order``.  Only
+    k is factored, never r - 1, and only once n^k = 1 (mod r), so a claim
+    costs at most what k costs.  Raises on the arguments mult_order raises on.
     """
     if r == 2 or abs(n) <= 1:
         return mult_order(r, n) == k
     m = _unit(r, n)
-    return k >= 1 and pow(m, k, r) == 1 and all(pow(m, k // p, r) != 1 for p in prime_set(k))
+    return k >= 1 and _has_order(r, m, k, _prime_cofactors(k))
+
+
+def _prime_cofactors(k: int) -> Iterable[int]:
+    """k / p for each prime p of k, factoring k when the first is asked for."""
+    yield from (k // p for p in prime_set(k))
 
 
 def pi_part(a: int, b: int) -> int:
@@ -575,10 +578,9 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     and under its own budget.  Each piece's rho iterates x^s + c with
     s = lcm(j, 2), as a prime factor of Phi_j(b) not dividing j is 1 mod s;
     s goes with the integer, so Phi_j(b) is one memo entry of factor whatever
-    (i, n) it is a piece of.  An odd candidate r has order exactly i iff
-    n^i = 1 (mod r) and n^(i/p) != 1 (mod r) for every prime p | i, which
-    takes the primes of i alone and factors no r - 1.  The prime 2 is
-    assigned to R_1 or R_2 by the e(2, n) convention.
+    (i, n) it is a piece of.  An odd candidate's order is ``_has_order``'s,
+    from the primes of i alone.  The prime 2 is assigned to R_1 or R_2 by
+    the e(2, n) convention.
     """
     if i < 1 or abs(n) <= 1:
         raise PreconditionViolated(f"ppd_set needs i >= 1 and |n| > 1")
@@ -594,7 +596,7 @@ def ppd_set(i: int, n: int, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
         factored = (factor(piece, budget, lcm(j, 2)) for piece, j in zip(pieces, js))
         candidates = frozenset().union(*(f.prime_set for f in factored))
         cofactors = _index_divisors(i)[1]
-        out.update(r for r in candidates if _odd_ppd(r, n, i, cofactors))
+        out.update(r for r in candidates if _has_order(r, n, i, cofactors))
     if _two_is_ppd(i, n):
         out.add(2)
     return frozenset(out)
@@ -617,9 +619,10 @@ def has_ppd(i: int, n: int, minus=()) -> bool:
     return pi_part(value, 2 * i * prod(minus)) < value
 
 
-def _odd_ppd(r: int, n: int, i: int, cofactors: tuple[int, ...]) -> bool:
-    """Whether the prime r is odd and n has order exactly i modulo r."""
-    return r != 2 and pow(n, i, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors)
+def _has_order(r: int, n: int, k: int, cofactors: Iterable[int]) -> bool:
+    """Whether the prime r is odd and n has order exactly k modulo r: n^k = 1
+    (mod r), then n^c != 1 for each cofactor c = k / p of a prime p of k."""
+    return r != 2 and pow(n, k, r) == 1 and all(pow(n, c, r) != 1 for c in cofactors)
 
 
 def _two_is_ppd(i: int, n: int) -> bool:
@@ -654,6 +657,6 @@ def least_ppd(i: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
         if g == 1:
             continue
         for r in block:
-            if g % r == 0 and _odd_ppd(r, n, i, cofactors):
+            if g % r == 0 and _has_order(r, n, i, cofactors):
                 return r
     return min(ppd_set(i, n, budget))

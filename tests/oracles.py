@@ -745,3 +745,13 @@ def parent_first_factors(factors):
                     if (f % e == 0) == (s == 1):
                         first.setdefault(e, k)
     return tuple(sorted(first.items()))
+
+
+def parent_b2_mu(q):
+    """The two-branch ``groups._b2_mu`` that one formula replaced, verbatim
+    but for the characteristic p of q, found here by trial division."""
+    p = brute_factor(q)[0][0]
+    if p in (2, 3):
+        k = gcd(2, p - 1)
+        return {(q * q + 1) // k, (q * q - 1) // k, p * (q + 1), p * (q - 1), p * p}
+    return {(q * q + 1) // 2, (q * q - 1) // 2, p * (q + 1), p * (q - 1)}

@@ -1,5 +1,6 @@
 import json
 import time
+from math import prod
 
 import pytest
 
@@ -106,6 +107,16 @@ class TestCheckOps:
         assert nt.mult_order(r, base) == k
         assert not recheck(chain(step("x", op="mult_order", r=r, base=base, equals=k)))
         assert recheck(chain(step("x", op="mult_order", r=r, base=base, equals=k + 1))) == ["x"]
+
+    def test_an_order_with_many_primes_rechecks_at_once(self):
+        # one cofactor k / p per prime of k: the 2^25 squarefree divisors of
+        # k are never listed; 4 has order 7 modulo 43, and 7 divides k
+        primes = nt.primes_upto(97)
+        assert len(primes) == 25
+        k = prod(primes)
+        start = time.perf_counter()
+        assert recheck(chain(step("x", op="mult_order", r=43, base=4, equals=k))) == ["x"]
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize(
         "r, base, message",

@@ -831,6 +831,20 @@ def test_verb_help_lists_every_option(verb, capsys):
     assert f"\n  {verb} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(r.name, marks=pytest.mark.xfail(strict=True, reason=r.notes)) if r.name == "B" else r.name
+        for r in groups.sporadic_table()
+    ],
+)
+def test_every_printed_solvable_witness_prime_divides_the_order(name, capsys):
+    assert cli.main(["sporadic", name, "--format", "json"]) == 0
+    (record,) = json.loads(capsys.readouterr().out)
+    order = groups.order(groups.sporadic(name))
+    assert all(order % r == 0 for r in record["solvable_witness"] or ()), record["solvable_witness"]
+
+
 def test_sporadic_name_is_optional():
     assert cli._parse(["sporadic"]).name is None
     assert cli._parse(["sporadic", "Ly"]).name == "Ly"

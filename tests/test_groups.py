@@ -5,11 +5,11 @@ from math import factorial
 
 import pytest
 
-from gksplit import exceptional, gkbuild, groups
+from gksplit import campaigns, exceptional, gkbuild, groups
 from gksplit import numtheory as nt
 from gksplit.errors import InputTooLarge, InvalidField, NotSimple, SpectrumError, UnsupportedFamily
 
-from oracles import brute_factor, parent_first_factors
+from oracles import brute_factor, parent_b2_mu, parent_first_factors, prime_powers
 
 
 def alt_order(n):
@@ -82,6 +82,43 @@ class TestDescriptors:
         assert groups.prk(groups.classical("A", 4, 2)) == 5
         assert groups.prk(groups.classical("2A", 4, 2)) == 5
         assert groups.prk(groups.classical("C", 4, 3)) == 4
+
+
+def _campaign_lie_groups():
+    """(every group of theorem C's rows, every group that ``verify spectrum`` checks)."""
+    rows = [d for _, ds in campaigns.theorem_c_rows() for d in ds]
+    return rows, [groups.parse_descriptor(f"{f}({q})") for f, qs in campaigns._SPECTRUM_CHECKS for q in qs]
+
+
+class TestDescriptorFacts:
+    """The characteristic p of q and the Lie key are worked out when a
+    descriptor is built, and every builder reads them from it."""
+
+    def test_each_descriptor_carries_its_characteristic_and_lie_key(self):
+        rows, spectra = _campaign_lie_groups()
+        for d in rows + spectra:
+            assert d.p == groups.char_and_degree(d.q)[0], d
+            assert d.lie == str(d).split("(")[0], d
+        for d in (groups.alternating(7), groups.symmetric(7), groups.sporadic("M22"), groups.sporadic("Tits")):
+            assert (d.p, d.lie) == (0, ""), d
+
+    def test_no_builder_splits_q_again(self, monkeypatch):
+        rows, spectra = _campaign_lie_groups()
+
+        def refused(q):
+            raise AssertionError(f"char_and_degree({q}) called once the descriptors exist")
+
+        monkeypatch.setattr(groups, "char_and_degree", refused)
+        for d in rows:
+            gkbuild.theoremD_verify(d)
+        for d in spectra:
+            groups.spectrum_formulas(d)
+
+    def test_b2_mu_is_the_two_branch_form_below_20000(self):
+        qs = prime_powers(2, 19999)
+        assert len(qs) == 2328
+        for q in qs:
+            assert groups._b2_mu(q, brute_factor(q)[0][0]) == parent_b2_mu(q), q
 
 
 class TestParseDescriptorOwner:

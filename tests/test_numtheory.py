@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gksplit import exceptional
 from gksplit import numtheory as nt
 from gksplit.errors import BudgetExceeded, InternalInconsistency, NotCoprime, PreconditionViolated
 
@@ -22,6 +23,7 @@ from oracles import (
     brute_order,
     brute_ppd,
     brute_primes,
+    convention_order,
     cyclotomic_by_division,
     parent_cyclotomic_split,
     parent_rho_factor,
@@ -165,6 +167,43 @@ class TestOrders:
         assert nt.mult_order(5, -2) == 4
         assert nt.mult_order(7, -2) == 6
         assert nt.mult_order(3, -2) == 1
+
+
+class TestOneOrderRule:
+    """"n has order exactly k modulo r" is one rule, ``_has_order``, for
+    ppd_set, least_ppd and is_mult_order (the diagrams and recheck)."""
+
+    def test_is_mult_order_against_brute(self):
+        for r in brute_primes(60):
+            for n in (2, 3, 4, 5, 7, 10, -2, -3, -5):
+                if n % r:
+                    for k in range(0, 2 * r + 1):
+                        assert nt.is_mult_order(r, n, k) == (k == convention_order(r, n)), (r, n, k)
+
+    def test_every_order_test_goes_through_the_rule(self, monkeypatch):
+        seen = []
+
+        def rule(r, n, k, cofactors):
+            seen.append((r, n % r, k))
+            return has_order(r, n, k, cofactors)
+
+        has_order = nt._has_order
+        monkeypatch.setattr(nt, "_has_order", rule)
+        assert nt.is_mult_order(43, 4, 7) and seen == [(43, 4, 7)]
+        seen.clear()
+        # Phi_7(4) = 5461 = 43 * 127
+        assert nt.ppd_set(7, 4) == {43, 127} and sorted(seen) == [(43, 4, 7), (127, 4, 7)]
+        seen.clear()
+        assert nt.least_ppd(7, 4) == 43 and seen == [(43, 4, 7)]
+
+    def test_a_false_order_claim_factors_nothing(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("k factored although n^k != 1 (mod r)")
+
+        monkeypatch.setattr(nt, "prime_set", refused)
+        monkeypatch.setattr(nt, "factor", refused)
+        # 4 has order 7 modulo 43, and 7 does not divide 11 * (2^127 - 1)
+        assert not nt.is_mult_order(43, 4, 11 * (2**127 - 1))
 
 
 class TestPiPart:
@@ -771,6 +810,19 @@ class TestBudgetMessage:
         assert len(text) == 4772 > sys.get_int_max_str_digits()
         assert str(exc.value) == f"could not factor {text[:5]}...{text[-5:]} (4772 digits) within budget 1"
         assert exc.value.partial.factors == ()
+
+    def test_an_exhaustion_that_is_dropped_writes_no_text(self, monkeypatch):
+        written = []
+        integer_text = nt._integer_text
+        monkeypatch.setattr(nt, "_integer_text", lambda n: written.append(n) or integer_text(n))
+        # R_61(4)'s pieces, Phi_61(2) and Phi_122(2), each run out at budget 1
+        label, _ = exceptional.ppd_class.__wrapped__(61, 4, 1)
+        assert label.members == () and written == []
+        with pytest.raises(BudgetExceeded) as exc:
+            nt.factor(3**100, 1)
+        assert str(exc.value) == "could not factor 51537...22001 (48 digits) within budget 1"
+        assert written == [3**100]
+        assert str(BudgetExceeded("plain text")) == "plain text"
 
     def test_same_text_as_the_decimal_string(self):
         rng = random.Random(5)
